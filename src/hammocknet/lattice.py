@@ -20,6 +20,7 @@ import enum
 import io
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping, NamedTuple, Tuple, Union
@@ -125,10 +126,12 @@ class HammockSpec:
     s: float = 1.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.rows, int) or self.rows < 1:
-            raise LatticeError(f"rows must be a positive integer, got {self.rows!r}")
-        if not isinstance(self.cols, int) or self.cols < 1:
-            raise LatticeError(f"cols must be a positive integer, got {self.cols!r}")
+        for name in ("rows", "cols"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or value < 1):
+                raise LatticeError(f"{name} must be a positive integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         _positive_resistance("r", self.r)
         _positive_resistance("s", self.s)
 

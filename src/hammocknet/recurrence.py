@@ -9,9 +9,10 @@ of the link-coupling pattern decouples the rows into M + 1 scalar
 recurrences, each solved in closed form region by region (left of the
 input column, between the two nodes, right of the output column).
 
-Sign conventions: upward currents are positive, and the mode amplitudes
-returned by :func:`solve_modes` correspond to a unit current entering the
-network at the *output* column node and leaving at the input column node;
+Sign conventions: upward currents are positive, and the transformed
+values returned by :func:`solve_modes` correspond to a unit current
+entering the network at the *output* column node and leaving at the input
+column node;
 the uniform mode is the limit value -J*(y_out - y_in)/N. The resistance
 difference formula in :func:`resistance_rt` is stated for that
 orientation, and :func:`reconstruct_currents` negates the reconstruction
@@ -66,13 +67,20 @@ def coupling_matrix(rows: int) -> np.ndarray:
 class TransformPair:
     """Row-eigenvector matrix of the coupling pattern and its inverse.
 
-    ``forward`` has the eigenvectors as rows (entry [i, j] =
-    cos((2j+1) * chi_i) with chi_i = i*pi/(2M+2), 0-based); ``inverse`` is
-    the explicit inverse whose first column is 1/(M+1).
+    ``inverse`` is the explicit inverse whose first column is 1/(M+1) and
+    whose other entries are (2/(M+1)) * cos((2j+1) * chi_i), with
+    chi_i = i*pi/(2M+2), 0-based. ``forward`` has the eigenvectors as rows
+    (entry [i, j] = cos((2j+1) * chi_i)); it is derived from ``inverse`` on
+    each access, so a cached pair holds one dense matrix.
     """
 
-    forward: np.ndarray
     inverse: np.ndarray
+
+    @property
+    def forward(self) -> np.ndarray:
+        forward = (self.inverse.shape[0] / 2.0) * self.inverse.T
+        forward[0, :] = 1.0
+        return forward
 
 
 def _mode_angles(rows: int) -> np.ndarray:
@@ -87,12 +95,10 @@ def mode_transform(rows: int) -> TransformPair:
     n = rows + 1
     chis = _mode_angles(rows)
     j = np.arange(n)
-    forward = np.cos((2 * j[None, :] + 1) * chis[:, None])
     inverse = (2.0 / n) * np.cos((2 * j[:, None] + 1) * chis[None, :])
     inverse[:, 0] = 1.0 / n
-    forward.flags.writeable = False
     inverse.flags.writeable = False
-    return TransformPair(forward=forward, inverse=inverse)
+    return TransformPair(inverse=inverse)
 
 
 def mode_weights(rows: int, height: int) -> np.ndarray:
@@ -121,27 +127,17 @@ def _zeta(rows: int, height: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RegionSolution:
-    """Per-mode amplitudes of the three-region recurrence solution.
+    """The injection problem that the three-region recurrence solves.
 
-    ``*_growth`` multiplies root**k, ``*_decay`` multiplies root**(-k);
-    ``denom`` is root**N - root**(-N). The barred boundary relations
-    right_decay = right_growth * root**(2*span_right + 1) and
-    left_growth = left_decay * root**(2*span_left + 1) hold by
-    construction. Amplitudes grow like root**N, so reconstruction is a
-    desk-scale tool; the resistance path never materialises them.
+    Holds what :func:`transformed_columns` needs: the instance, its span
+    frame and the injected current. The region amplitudes themselves grow
+    like root**N and are never formed; each region is evaluated from
+    grouped exponential terms instead.
     """
 
     spec: HammockSpec
     coords: SpanCoords
     injected: float
-    roots: np.ndarray
-    mid_growth: np.ndarray
-    mid_decay: np.ndarray
-    right_growth: np.ndarray
-    right_decay: np.ndarray
-    left_growth: np.ndarray
-    left_decay: np.ndarray
-    denom: np.ndarray
 
 
 def _boundary_modes(spec: HammockSpec, coords: SpanCoords,
@@ -175,63 +171,17 @@ def _boundary_modes(spec: HammockSpec, coords: SpanCoords,
 
 def solve_modes(spec: HammockSpec, coords: SpanCoords,
                 injected: float) -> tuple[RegionSolution, np.ndarray, np.ndarray]:
-    """Solve the decoupled recurrences; return amplitudes and boundary values.
+    """Set up the decoupled recurrences; return them and boundary values.
 
     The returned arrays are the transformed column values at the output
-    column (k = q_offset) and input column (k = -p_offset). The uniform
-    mode is the analytic limit -J*(y_out - y_in)/N; for the others the
-    nonzero denominator root**N - root**(-N) is asserted.
+    column (k = q_offset) and input column (k = -p_offset); the uniform
+    mode is the analytic limit -J*(y_out - y_in)/N.
     """
-    rows, cols = spec.rows, spec.cols
-    if coords.cols != cols:
+    if coords.cols != spec.cols:
         raise LatticeError(
-            f"span frame covers {coords.cols} columns, spec has {cols}"
+            f"span frame covers {coords.cols} columns, spec has {spec.cols}"
         )
-    half = _decay_table(rows, spec.ratio)
-    roots = np.empty(rows + 1)
-    roots[0] = 1.0
-    roots[1:] = np.exp(2.0 * half)
-    denom = np.zeros(rows + 1)
-    denom[1:] = roots[1:] ** cols - roots[1:] ** (-cols)
-    assert np.all(denom[1:] > 0.0), "nonuniform modes must have root > 1"
-
-    lam = roots[1:]
-    left, right = coords.span_left, coords.span_right
-    p, q = coords.p_offset, coords.q_offset
-    gap = lam - 1.0 / lam
-    c_in = spec.ratio * injected * _zeta(rows, coords.y_in)[1:] / gap
-    c_out = spec.ratio * injected * _zeta(rows, coords.y_out)[1:] / gap
-
-    b_growth = (c_in * (lam ** p + lam ** (2 * left - p + 1))
-                - c_out * (lam ** (-q) + lam ** (q + 2 * left + 1))) \
-        / (1.0 - lam ** (2 * cols))
-    b_decay = b_growth * lam ** (2 * right + 1)
-    a_growth = b_growth + c_out * lam ** (-q)
-    a_decay = b_decay - c_out * lam ** q
-    s_decay = a_decay + c_in * lam ** (-p)
-    s_growth = s_decay * lam ** (2 * left + 1)
-
-    uniform = -injected * (coords.y_out - coords.y_in) / cols
-
-    def with_uniform(values: np.ndarray) -> np.ndarray:
-        out = np.empty(rows + 1)
-        out[0] = uniform / 2.0
-        out[1:] = values
-        return out
-
-    solution = RegionSolution(
-        spec=spec,
-        coords=coords,
-        injected=injected,
-        roots=roots,
-        mid_growth=with_uniform(a_growth),
-        mid_decay=with_uniform(a_decay),
-        right_growth=with_uniform(b_growth),
-        right_decay=with_uniform(b_decay),
-        left_growth=with_uniform(s_growth),
-        left_decay=with_uniform(s_decay),
-        denom=denom,
-    )
+    solution = RegionSolution(spec=spec, coords=coords, injected=injected)
     x_out, x_in = _boundary_modes(spec, coords, injected)
     return solution, x_out, x_in
 
@@ -240,17 +190,19 @@ def transformed_columns(solution: RegionSolution) -> np.ndarray:
     """Transformed column values for every column.
 
     Column k follows the right-region solution for k > q_offset, the
-    middle one for -p_offset <= k <= q_offset and the left one below.
-    Evaluating the raw amplitudes loses digits like root**(2N), so each
-    region is assembled from grouped exponential terms whose exponents
-    never exceed 2N columns; every term is then bounded and the absolute
-    error stays at rounding level.
+    middle one for -p_offset <= k <= q_offset and the left one below, and
+    each region is evaluated on its own columns only. A region is a sum of
+    column terms coeff_j * root**(base_j + e(k) - 2N) over the grouped
+    numerators j and one or two column exponents e(k). With top the
+    largest base_j, each column term factors into root**(e(k) + top - 2N)
+    times the per-mode sum of coeff_j * root**(base_j - top). Both
+    exponents are <= 0 inside the region, so nothing overflows, and each
+    column exponent costs one exponential per mode and column.
     """
     spec, coords = solution.spec, solution.coords
     rows, cols = spec.rows, spec.cols
     left_s, right_s = coords.span_left, coords.span_right
     p, q = coords.p_offset, coords.q_offset
-    ks = np.arange(-left_s, right_s + 1)
 
     two_log = 2.0 * _decay_table(rows, spec.ratio)
     gap = 2.0 * np.sinh(two_log)
@@ -258,38 +210,42 @@ def transformed_columns(solution: RegionSolution) -> np.ndarray:
     c_out = spec.ratio * solution.injected * _zeta(rows, coords.y_out)[1:] / gap
     shrink = -np.expm1(-2.0 * cols * two_log)  # 1 - root**(-2N)
 
-    def region(numerators, column_exponents) -> np.ndarray:
-        total = np.zeros((rows, ks.size))
-        for coeff, base in numerators:
-            for exps in column_exponents:
-                shifted = (base + exps - 2 * cols)[None, :] * two_log[:, None]
-                total -= coeff[:, None] * np.exp(shifted)
-        return total / shrink[:, None]
-
-    right = region(
-        [(c_in, p), (c_in, 2 * left_s - p + 1),
-         (-c_out, -q), (-c_out, q + 2 * left_s + 1)],
-        [ks, 2 * right_s + 1 - ks],
-    )
-    middle = region(
-        [(c_in, p), (c_in, 2 * left_s - p + 1),
-         (-c_out, q + 2 * left_s + 1), (-c_out, 2 * cols - q)],
-        [ks],
-    ) + region(
-        [(c_in, 2 * right_s + 1 + p), (c_in, 2 * cols - p),
-         (-c_out, 2 * right_s + 1 - q), (-c_out, q)],
-        [-ks],
-    )
-    left = region(
-        [(c_in, 2 * right_s + p + 1), (c_in, -p),
-         (-c_out, 2 * right_s - q + 1), (-c_out, q)],
-        [2 * left_s + 1 + ks, -ks],
-    )
-
-    values = np.empty((rows + 1, ks.size))
+    values = np.zeros((rows + 1, cols))
     values[0, :] = -solution.injected * (coords.y_out - coords.y_in) / cols
-    values[1:, :] = np.where(ks[None, :] > q, right,
-                             np.where(ks[None, :] >= -p, middle, left))
+
+    def region(first: int, last: int, terms) -> None:
+        """Fill columns first <= k <= last from (numerators, exponent) terms."""
+        ks = np.arange(first, last + 1)
+        block = values[1:, first + left_s:last + left_s + 1]
+        for numerators, exponent in terms:
+            top = max(base for _, base in numerators)
+            weight = sum(coeff * np.exp((base - top) * two_log)
+                         for coeff, base in numerators) / shrink
+            column = np.multiply.outer(two_log, exponent(ks) + (top - 2 * cols))
+            np.exp(column, out=column)
+            column *= weight[:, None]
+            block -= column
+
+    right_numerators = [(c_in, p), (c_in, 2 * left_s - p + 1),
+                        (-c_out, -q), (-c_out, q + 2 * left_s + 1)]
+    region(q + 1, right_s, [
+        (right_numerators, lambda ks: ks),
+        (right_numerators, lambda ks: 2 * right_s + 1 - ks),
+    ])
+    region(-p, q, [
+        ([(c_in, p), (c_in, 2 * left_s - p + 1),
+          (-c_out, q + 2 * left_s + 1), (-c_out, 2 * cols - q)],
+         lambda ks: ks),
+        ([(c_in, 2 * right_s + 1 + p), (c_in, 2 * cols - p),
+          (-c_out, 2 * right_s + 1 - q), (-c_out, q)],
+         lambda ks: -ks),
+    ])
+    left_numerators = [(c_in, 2 * right_s + p + 1), (c_in, -p),
+                       (-c_out, 2 * right_s - q + 1), (-c_out, q)]
+    region(-left_s, -p - 1, [
+        (left_numerators, lambda ks: 2 * left_s + 1 + ks),
+        (left_numerators, lambda ks: -ks),
+    ])
     return values
 
 
@@ -363,10 +319,11 @@ def reconstruct_currents(spec: HammockSpec, a: NodeLike, b: NodeLike,
                          injected: float = 1.0) -> CurrentField:
     """Reconstruct every vertical link current for injection a -> b.
 
-    Inverse-transforms the region solution column by column and orients
-    the result so ``injected`` amperes enter at ``a`` and leave at ``b``.
-    ``injected`` may be zero (zero field). Desk-scale sizes only; the
-    amplitudes grow with root**N.
+    Inverse-transforms the region solution column by column with one
+    dense (M+1) x (M+1) product and orients the result so ``injected``
+    amperes enter at ``a`` and leave at ``b``. ``injected`` may be zero
+    (zero field). Every intermediate is bounded, so any size that fits in
+    memory reconstructs without overflow.
     """
     a = require_interior(spec, a)
     b = require_interior(spec, b)
@@ -482,18 +439,17 @@ def potential_path_check(field: CurrentField) -> tuple[float, float]:
 
     via_rail = s * (currents[y1:, c1].sum() - currents[y2:, c2].sum())
 
-    ext = _external_injection(field)
-    conserved = np.zeros((spec.rows, spec.cols - 1)) if spec.cols > 1 else None
-    carry = np.zeros(spec.rows)
-    for c in range(spec.cols - 1):
-        carry = carry + currents[:-1, c] - currents[1:, c] + ext[:, c]
-        conserved[:, c] = carry
+    # horizontal currents along the source row, by charge conservation
+    # over the columns left of each link
+    row = y1 - 1
+    conserved = np.cumsum(currents[row, :-1] - currents[row + 1, :-1]
+                          + _external_injection(field)[row, :-1])
 
     drop = 0.0
     if c1 < c2:
-        drop += r * conserved[y1 - 1, c1:c2].sum()
+        drop += r * conserved[c1:c2].sum()
     elif c1 > c2:
-        drop -= r * conserved[y1 - 1, c2:c1].sum()
+        drop -= r * conserved[c2:c1].sum()
     if y2 > y1:
         drop += s * currents[y1:y2, c2].sum()
     elif y2 < y1:

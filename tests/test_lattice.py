@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from hammocknet import (
@@ -36,6 +37,18 @@ class TestHammockSpec:
             HammockSpec(2, 2, s=0.0)
         with pytest.raises(LatticeError):
             HammockSpec(2, 2, r=float("inf"))
+
+    def test_rejects_bool_dimensions(self):
+        for rows, cols in ((True, True), (True, 3), (3, True)):
+            with pytest.raises(LatticeError):
+                HammockSpec(rows, cols)
+
+    def test_integral_dimensions_become_int(self):
+        spec = HammockSpec(np.int64(3), np.int32(4))
+        assert type(spec.rows) is int and type(spec.cols) is int
+        assert spec == HammockSpec(3, 4)
+        assert hash(spec) == hash(HammockSpec(3, 4))
+        assert spec.to_json() == HammockSpec(3, 4).to_json()
 
     def test_ratio_and_counts(self):
         spec = HammockSpec(3, 4, r=2.0, s=0.5)

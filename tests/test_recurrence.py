@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,7 @@ from hammocknet import (
     transformed_columns,
 )
 
-from _util import interior_pairs, rel_dev, specs_upto
+from _util import interior_pairs, region_amplitudes, rel_dev, specs_upto
 
 
 class TestCouplingMatrix:
@@ -120,29 +121,48 @@ class TestSolveModes:
     def test_boundary_relations_by_construction(self):
         spec = HammockSpec(3, 6, r=2.0)
         coords = span_coords(spec, (2, 1), (5, 3))
-        sol, _, _ = solve_modes(spec, coords, 1.0)
-        lam = sol.roots[1:]
-        assert np.allclose(sol.right_decay[1:],
-                           sol.right_growth[1:] * lam ** (2 * coords.span_right + 1),
+        roots, regions = region_amplitudes(spec, coords)
+        lam = roots[1:]
+        right_growth, right_decay = regions["right"]
+        left_growth, left_decay = regions["left"]
+        assert np.allclose(right_decay[1:],
+                           right_growth[1:] * lam ** (2 * coords.span_right + 1),
                            rtol=1e-12)
-        assert np.allclose(sol.left_growth[1:],
-                           sol.left_decay[1:] * lam ** (2 * coords.span_left + 1),
+        assert np.allclose(left_growth[1:],
+                           left_decay[1:] * lam ** (2 * coords.span_left + 1),
                            rtol=1e-12)
 
     def test_matching_at_junctions(self):
         spec = HammockSpec(2, 7, s=2.0)
         coords = span_coords(spec, (2, 1), (5, 2))
-        sol, _, _ = solve_modes(spec, coords, 1.0)
-        lam = sol.roots
-        for k, lhs, rhs in [
-            (coords.q_offset, (sol.mid_growth, sol.mid_decay),
-             (sol.right_growth, sol.right_decay)),
-            (-coords.p_offset, (sol.mid_growth, sol.mid_decay),
-             (sol.left_growth, sol.left_decay)),
-        ]:
-            left_val = lhs[0] * lam ** k + lhs[1] * lam ** (-k)
-            right_val = rhs[0] * lam ** k + rhs[1] * lam ** (-k)
-            assert np.allclose(left_val, right_val, rtol=1e-12, atol=1e-15)
+        roots, regions = region_amplitudes(spec, coords)
+        for k, outer in [(coords.q_offset, "right"), (-coords.p_offset, "left")]:
+            inner_val = regions["middle"][0] * roots ** k + regions["middle"][1] * roots ** (-k)
+            outer_val = regions[outer][0] * roots ** k + regions[outer][1] * roots ** (-k)
+            assert np.allclose(inner_val, outer_val, rtol=1e-12, atol=1e-15)
+
+    def test_amplitudes_reproduce_transformed_columns(self):
+        # every region is non-empty: left k = -2; middle -1..2; right 3, 4
+        spec = HammockSpec(3, 7)
+        coords = span_coords(spec, (2, 1), (5, 2))
+        sol, _, _ = solve_modes(spec, coords, 1.5)
+        values = transformed_columns(sol)
+        roots, regions = region_amplitudes(spec, coords, 1.5)
+        seen = set()
+        for k in range(-coords.span_left, coords.span_right + 1):
+            if k > coords.q_offset:
+                name = "right"
+            elif k >= -coords.p_offset:
+                name = "middle"
+            else:
+                name = "left"
+            seen.add(name)
+            growth, decay = regions[name]
+            expected = growth * roots ** k + decay * roots ** (-k)
+            # the raw amplitudes lose digits like root**(2N), worst on the left
+            assert np.allclose(values[:, k + coords.span_left], expected,
+                               rtol=1e-9, atol=1e-15)
+        assert seen == {"left", "middle", "right"}
 
     def test_homogeneous_recurrence_between_sources(self):
         spec = HammockSpec(3, 7)
@@ -275,6 +295,32 @@ class TestReconstructCurrents:
         reference = resistance_general(spec, (5, 1), (2, 3)).ohms
         assert rel_dev([rail, lattice]) < 1e-10
         assert rail == pytest.approx(reference, rel=1e-10)
+
+
+class TestFieldsWithoutWarnings:
+    """Fields well past the size where raw amplitudes overflow, built with
+    RuntimeWarnings raised as errors."""
+
+    @pytest.mark.parametrize("spec, a, b, injected", [
+        (HammockSpec(300, 300, r=0.5), (80, 120), (210, 40), 1.0),
+        (HammockSpec(40, 2000, r=3.0), (150, 7), (1800, 33), 1.7),
+        # source in the first column: no left region
+        (HammockSpec(60, 400), (1, 20), (250, 45), 0.8),
+        # sink in the last column: no right region
+        (HammockSpec(60, 400, r=2.0), (130, 5), (400, 59), 1.0),
+        # source in the last column, sink in the first: neither
+        (HammockSpec(60, 400, s=2.0), (400, 30), (1, 2), 2.5),
+    ])
+    def test_audits(self, spec, a, b, injected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            field = reconstruct_currents(spec, a, b, injected)
+            residual = kirchhoff_residual(field)
+            drops = potential_path_check(field)
+            reference = resistance_general(spec, a, b).ohms
+        assert residual <= 1e-9 * injected
+        for drop in drops:
+            assert drop == pytest.approx(reference, rel=1e-9)
 
 
 class TestCurrentFieldExport:
