@@ -33,7 +33,6 @@ from .lattice import (
     LatticeError,
     Node,
     ResistanceResult,
-    SizeCapError,
     Terminal,
     node_code,
     parse_node,
@@ -380,11 +379,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             return cmd_currents(args)
         if args.command == "bench":
             return cmd_bench(args)
-    except SizeCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except LatticeError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (MemoryError, ArithmeticError) as exc:
+        # an instance too large or too extreme to evaluate: report, no traceback
+        detail = " ".join(str(exc).split()) or "no detail"
+        print(f"error: {type(exc).__name__}: {detail}", file=sys.stderr)
         return EXIT_USAGE
     raise AssertionError("unreachable")
 

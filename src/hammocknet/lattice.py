@@ -109,6 +109,12 @@ def _positive_resistance(name: str, value) -> None:
         raise LatticeError(f"{name} must be finite and positive, got {value!r}")
 
 
+def _exact_or_float(value):
+    if isinstance(value, numbers.Rational) and not isinstance(value, bool):
+        return value
+    return float(value)
+
+
 @dataclass(frozen=True)
 class HammockSpec:
     """Dimensions and link resistances of one hammock instance.
@@ -168,8 +174,10 @@ class HammockSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "HammockSpec":
+        """Inverse of :meth:`as_dict`; exact int and Fraction r/s stay exact."""
         return cls(rows=int(data["M"]), cols=int(data["N"]),
-                   r=float(data.get("r", 1.0)), s=float(data.get("s", 1.0)))
+                   r=_exact_or_float(data.get("r", 1.0)),
+                   s=_exact_or_float(data.get("s", 1.0)))
 
     @classmethod
     def from_json(cls, text: str) -> "HammockSpec":

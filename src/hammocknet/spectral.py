@@ -11,16 +11,19 @@ The inverse-minor element comes in two forms: the plain double sum over
 all (row mode, column mode) pairs, and a reduced single sum over row
 modes obtained by eliminating the column modes with a cosine-sum
 identity. Both are exposed; the reduced form is the fast path, the double
-sum the reference contender for benchmarks. The eigensystem is always
-generated from the analytic formulas; dense matrices are only built for
-verification and are size-capped.
+sum the reference contender for benchmarks. The eigensystem is generated
+from the analytic formulas and holds only O(M + N) data: the mode angles,
+the row-mode decay rates and the reduced form's log denominators. Row-mode
+columns are evaluated per query, so a reduced pair needs O(M) work and
+memory at any size. The dense eigenvector and eigenvalue matrices are
+built on first access, for verification only, and are size-capped.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from mpmath import mp
@@ -44,6 +47,15 @@ _FORMS = ("reduced", "double_sum")
 
 def dense_cap() -> int:
     return env_cap(DENSE_CAP_ENV, DEFAULT_DENSE_CAP)
+
+
+def _require_dense(spec: HammockSpec, what: str, cap: int | None = None) -> None:
+    limit = dense_cap() if cap is None else cap
+    if spec.interior_count > limit:
+        raise SizeCapError(
+            f"dense {what} for {spec.rows}x{spec.cols} has "
+            f"{spec.interior_count} nodes, above the cap of {limit}"
+        )
 
 
 def _chain_free(n: int) -> np.ndarray:
@@ -74,32 +86,63 @@ def build_second_minor(spec: HammockSpec, cap: int | None = None) -> np.ndarray:
     boundary row keep one spoke conductance of 1/s per adjacent hub.
     Dense construction is for verification only, hence the size cap.
     """
-    limit = dense_cap() if cap is None else cap
-    if spec.interior_count > limit:
-        raise SizeCapError(
-            f"dense minor for {spec.rows}x{spec.cols} has "
-            f"{spec.interior_count} nodes, above the cap of {limit}"
-        )
+    _require_dense(spec, "minor", cap)
     return (1.0 / float(spec.s)) * np.kron(_chain_fixed(spec.rows), np.eye(spec.cols)) \
         + (1.0 / float(spec.r)) * np.kron(np.eye(spec.rows), _chain_free(spec.cols))
 
 
 @dataclass(frozen=True)
 class MinorEigenSystem:
-    """Analytic eigensystem of the hub-deleted minor.
+    """Analytic eigensystem of the hub-deleted minor, in O(M + N) memory.
 
-    ``col_modes[n, x-1]`` and ``row_modes[m, y-1]`` hold the orthonormal
-    chain eigenvectors; ``eigenvalues[m, n]`` the conductance eigenvalue of
-    the product mode; ``omegas[m]`` the per-row-mode decay rate defined by
-    cosh(2*omega) = 1 + (r/s) * (1 - cos(2*phi)).
+    ``thetas[n]`` and ``phis[m]`` are the column and row mode angles;
+    ``omegas[m]`` the per-row-mode decay rate defined by
+    cosh(2*omega) = 1 + (r/s) * (1 - cos(2*phi)); ``log_den[m]`` the
+    pair-independent log denominator log sinh(2*omega) + log sinh(2*N*omega)
+    of the reduced form. :meth:`row_mode` gives one row-mode column.
+
+    The dense orthonormal chain eigenvectors ``col_modes[n, x-1]`` and
+    ``row_modes[m, y-1]`` and the product-mode conductance eigenvalues
+    ``eigenvalues[m, n]`` are built on first access, for checks only, and
+    raise :class:`SizeCapError` above :func:`dense_cap` interior nodes.
     """
 
+    spec: HammockSpec
     thetas: np.ndarray
     phis: np.ndarray
-    eigenvalues: np.ndarray
-    col_modes: np.ndarray
-    row_modes: np.ndarray
     omegas: np.ndarray
+    log_den: np.ndarray
+
+    def row_mode(self, y: int) -> np.ndarray:
+        """Row-mode column ``row_modes[:, y-1]``: every row mode at row y."""
+        return math.sqrt(2.0 / (self.spec.rows + 1)) * np.sin(2.0 * y * self.phis)
+
+    @cached_property
+    def col_modes(self) -> np.ndarray:
+        _require_dense(self.spec, "col_modes")
+        cols = self.spec.cols
+        xs = np.arange(1, cols + 1, dtype=float)
+        modes = math.sqrt(2.0 / cols) * np.cos((xs[None, :] - 0.5) * self.thetas[:, None])
+        modes[0, :] = math.sqrt(1.0 / cols)
+        return _frozen(modes)
+
+    @cached_property
+    def row_modes(self) -> np.ndarray:
+        _require_dense(self.spec, "row_modes")
+        return _frozen(np.stack([self.row_mode(y) for y in range(1, self.spec.rows + 1)],
+                                axis=1))
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        _require_dense(self.spec, "eigenvalues")
+        spec = self.spec
+        return _frozen((2.0 / float(spec.r)) * (1.0 - np.cos(self.thetas))[None, :]
+                       + (2.0 / float(spec.s)) * (1.0 - np.cos(2.0 * self.phis))[:, None])
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 @lru_cache(maxsize=64)
@@ -108,21 +151,10 @@ def eigen_system(spec: HammockSpec) -> MinorEigenSystem:
     rows, cols = spec.rows, spec.cols
     thetas = np.pi * np.arange(cols) / cols
     phis = np.pi * (np.arange(rows) + 1.0) / (2.0 * rows + 2.0)
-    eigenvalues = (2.0 / float(spec.r)) * (1.0 - np.cos(thetas))[None, :] \
-        + (2.0 / float(spec.s)) * (1.0 - np.cos(2.0 * phis))[:, None]
-
-    xs = np.arange(1, cols + 1, dtype=float)
-    col_modes = math.sqrt(2.0 / cols) * np.cos((xs[None, :] - 0.5) * thetas[:, None])
-    col_modes[0, :] = math.sqrt(1.0 / cols)
-
-    ys = np.arange(1, rows + 1, dtype=float)
-    row_modes = math.sqrt(2.0 / (rows + 1)) * np.sin(2.0 * ys[None, :] * phis[:, None])
-
     omegas = 0.5 * np.arccosh(1.0 + spec.ratio * (1.0 - np.cos(2.0 * phis)))
-    for array in (thetas, phis, eigenvalues, col_modes, row_modes, omegas):
-        array.flags.writeable = False
-    return MinorEigenSystem(thetas=thetas, phis=phis, eigenvalues=eigenvalues,
-                            col_modes=col_modes, row_modes=row_modes, omegas=omegas)
+    log_den = log_sinh(2.0 * omegas) + log_sinh(2.0 * cols * omegas)
+    return MinorEigenSystem(spec=spec, thetas=_frozen(thetas), phis=_frozen(phis),
+                            omegas=_frozen(omegas), log_den=_frozen(log_den))
 
 
 def cosine_sum_identity(cols: int, ell: int, omega: float) -> tuple[float, float]:
@@ -171,7 +203,7 @@ def inverse_minor_element(spec: HammockSpec, a: NodeLike, b: NodeLike,
     if (a.x, a.y) > (b.x, b.y):
         a, b = b, a
     system = eigen_system(spec)
-    row_weight = system.row_modes[:, a.y - 1] * system.row_modes[:, b.y - 1]
+    row_weight = system.row_mode(a.y) * system.row_mode(b.y)
 
     if form == "double_sum":
         cols = spec.cols
@@ -185,8 +217,7 @@ def inverse_minor_element(spec: HammockSpec, a: NodeLike, b: NodeLike,
 
     log_ratio = log_cosh((2 * spec.cols - 2 * b.x + 1) * system.omegas) \
         + log_cosh((2 * a.x - 1) * system.omegas) \
-        - log_sinh(2.0 * system.omegas) \
-        - log_sinh(2.0 * spec.cols * system.omegas)
+        - system.log_den
     return float(spec.r) * float(row_weight @ np.exp(log_ratio))
 
 

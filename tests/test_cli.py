@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from hammocknet import oracle
+from hammocknet import cli, oracle
 from hammocknet.cli import EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, RunConfig, main
 
 
@@ -182,6 +182,27 @@ class TestBench:
     def test_unknown_method(self, capsys):
         code, _, err = run(capsys, "bench", "--sizes", "2", "--methods", "magic")
         assert code == EXIT_USAGE
+
+
+class TestRawFailures:
+    @pytest.mark.parametrize("failure", [
+        MemoryError(),
+        MemoryError("Unable to allocate 74.5 GiB for an array\nwith shape (100000, 100000)"),
+        OverflowError("math range error"),
+    ])
+    def test_usage_error_without_traceback(self, capsys, monkeypatch, failure):
+        def command(*args):
+            raise failure
+
+        monkeypatch.setattr(cli, "cmd_resist", command)
+        monkeypatch.setattr(cli, "cmd_currents", command)
+        for argv in (["resist", "--M", "2", "--N", "2", "--from", "1,1", "--to", "2,2"],
+                     ["currents", "--M", "2", "--N", "2", "--from", "1,1", "--to", "2,2"]):
+            code, out, err = run(capsys, *argv)
+            assert code == EXIT_USAGE
+            assert out == ""
+            assert err.startswith(f"error: {type(failure).__name__}: ")
+            assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestRunConfig:

@@ -1,6 +1,7 @@
 """Node addressing, span coordinates and graph construction."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -60,6 +61,14 @@ class TestHammockSpec:
         spec = HammockSpec(9, 17, r=2.5, s=0.75)
         assert HammockSpec.from_json(spec.to_json()) == spec
         assert spec.as_dict() == {"M": 9, "N": 17, "r": 2.5, "s": 0.75}
+
+    def test_from_dict_keeps_exact_resistances(self):
+        spec = HammockSpec.from_dict({"M": 3, "N": 4, "r": Fraction(1, 3), "s": Fraction(2)})
+        assert type(spec.r) is Fraction and spec.r == Fraction(1, 3)
+        assert type(spec.s) is Fraction and spec.s == 2
+        spec = HammockSpec.from_dict({"M": 3, "N": 4, "r": 2, "s": "0.5"})
+        assert type(spec.r) is int and spec.r == 2
+        assert spec.s == 0.5
 
 
 class TestNodes:

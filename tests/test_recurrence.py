@@ -25,6 +25,7 @@ from hammocknet import (
     span_coords,
     transformed_columns,
 )
+from hammocknet import recurrence
 
 from _util import interior_pairs, region_amplitudes, rel_dev, specs_upto
 
@@ -295,6 +296,22 @@ class TestReconstructCurrents:
         reference = resistance_general(spec, (5, 1), (2, 3)).ohms
         assert rel_dev([rail, lattice]) < 1e-10
         assert rail == pytest.approx(reference, rel=1e-10)
+
+    def test_subnormals_flushed(self, monkeypatch):
+        # near the left end, columns ~250 from the nodes decay below the
+        # smallest normal double
+        spec = HammockSpec(8, 400, r=4.0)
+        coords = span_coords(spec, (1, 2), (3, 7))
+        sol, _, _ = solve_modes(spec, coords, 1.0)
+        flushed = transformed_columns(sol)
+        monkeypatch.setattr(recurrence, "_flush_subnormals", lambda values: None)
+        raw = transformed_columns(sol)
+        tiny = np.finfo(float).tiny
+        assert np.count_nonzero((raw != 0.0) & (np.abs(raw) < tiny)) > 0
+        assert np.count_nonzero((flushed != 0.0) & (np.abs(flushed) < tiny)) == 0
+        inverse = mode_transform(spec.rows).inverse
+        # the flushed entries sit far below every product's last digit
+        np.testing.assert_allclose(inverse @ flushed, inverse @ raw, rtol=1e-15, atol=1e-300)
 
 
 class TestFieldsWithoutWarnings:

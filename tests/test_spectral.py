@@ -134,6 +134,41 @@ class TestEigenSystem:
                 assert system.omegas[m] == pytest.approx(
                     mode_params(spec, m + 2).half_log, rel=1e-12)
 
+    def test_row_mode_matches_dense(self):
+        for spec in (HammockSpec(4, 5, r=2.0), HammockSpec(1, 6), HammockSpec(7, 3)):
+            system = eigen_system(spec)
+            for y in range(1, spec.rows + 1):
+                assert np.array_equal(system.row_mode(y), system.row_modes[:, y - 1])
+
+    def test_log_den(self):
+        spec = HammockSpec(9, 13, r=0.5, s=2.0)
+        system = eigen_system(spec)
+        # small enough for plain sinh: sinh(2*N*omega) stays finite
+        expected = np.log(np.sinh(2.0 * system.omegas)) \
+            + np.log(np.sinh(2.0 * spec.cols * system.omegas))
+        assert np.allclose(system.log_den, expected, rtol=1e-13, atol=0.0)
+
+    def test_dense_matrices_capped(self, monkeypatch):
+        monkeypatch.setenv("HAMMOCKNET_DENSE_VERIFY_CAP", "50")
+        spec = HammockSpec(6, 9, r=1.5)
+        system = eigen_system(spec)
+        for name in ("col_modes", "row_modes", "eigenvalues"):
+            with pytest.raises(SizeCapError):
+                getattr(system, name)
+        # the reduced form never needs them
+        assert resistance_spectral(spec, (1, 1), (9, 6)).ohms == pytest.approx(
+            resistance_general(spec, (1, 1), (9, 6)).ohms, rel=1e-12)
+
+    def test_lean_at_1e5(self):
+        spec = HammockSpec(10 ** 5, 10 ** 5)
+        a, b = (33_333, 25_000), (66_666, 60_000)
+        spectral = resistance_spectral(spec, a, b).ohms
+        closed = resistance_general(spec, a, b).ohms
+        assert rel_dev([spectral, closed]) < 1e-9
+        held = sum(value.nbytes for value in vars(eigen_system(spec)).values()
+                   if isinstance(value, np.ndarray))
+        assert held < 8 * 2 ** 20
+
 
 class TestCosineSumIdentity:
     def test_two_term_collapse(self):
