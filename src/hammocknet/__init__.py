@@ -31,10 +31,12 @@ from .lattice import (
     UnsupportedNodeError,
     as_node,
     build_edge_list,
+    edge_indices,
     edge_list_csv,
     flat_index,
     node_code,
     node_from_flat,
+    node_index,
     parse_node,
     require_interior,
     span_coords,
@@ -43,7 +45,6 @@ from .oracle import (
     FullLaplacian,
     build_full_laplacian,
     kirchhoff_index,
-    node_index,
     resistance_dense,
     resistance_eigen_full,
     resistance_matrix,

@@ -35,6 +35,7 @@ from .lattice import (
     ResistanceResult,
     Terminal,
     node_code,
+    node_index,
     parse_node,
 )
 
@@ -61,21 +62,15 @@ class RunConfig:
     sink: str = ""
     fmt: str = "human"
     tolerance: float = 1e-10
-    float_cap: int | None = None
-    rational_cap: int | None = None
 
     def __post_init__(self) -> None:
         if self.tolerance <= 0.0:
             raise LatticeError(f"tolerance must be positive, got {self.tolerance!r}")
-        for cap in (self.float_cap, self.rational_cap):
-            if cap is not None and cap < 1:
-                raise LatticeError(f"dense cap must be positive, got {cap!r}")
 
     _JSON_KEYS = {
         "rows": "M", "cols": "N", "r": "r", "s": "s", "method": "method",
         "source": "from", "sink": "to", "fmt": "format",
-        "tolerance": "tolerance", "float_cap": "float_cap",
-        "rational_cap": "rational_cap",
+        "tolerance": "tolerance",
     }
 
     def to_dict(self) -> dict:
@@ -176,6 +171,12 @@ def cmd_resist(config: RunConfig) -> int:
             methods = ["oracle-float", "oracle-rational"]
         else:
             methods = ["closed", "spectral", "rt", "oracle-rational"]
+        notes = {name: _skip_note(name, spec) for name in methods}
+        if not all(notes.values()):
+            # skip what is above its size cap; if nothing fits, the first
+            # method raises its SizeCapError below
+            warnings += [f"{name} {note}" for name, note in notes.items() if note]
+            methods = [name for name in methods if not notes[name]]
     else:
         methods = [config.method]
 
@@ -202,13 +203,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for cols in range(args.min_N, args.max_N + 1):
             spec = HammockSpec(rows=rows, cols=cols, r=args.r, s=args.s)
             table = oracle.resistance_matrix(spec, arithmetic="rational")
-            full = oracle.build_full_laplacian(spec)
             nodes = list(spec.interior_nodes())
             pairs = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]]
             if args.samples is not None and len(pairs) > args.samples:
                 pairs = rng.sample(pairs, args.samples)
             for a, b in pairs:
-                reference = float(table[full.index(a)][full.index(b)])
+                reference = float(table[node_index(spec, a)][node_index(spec, b)])
                 values = [
                     closed_form.resistance_general(spec, a, b).ohms,
                     spectral.resistance_spectral(spec, a, b).ohms,
@@ -283,30 +283,29 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _skip_note(name: str, spec: HammockSpec) -> str:
+    """Why a size-capped method is skipped on ``spec``; empty if it fits."""
+    if name == "spectral-double":
+        nodes, label, cap = spec.interior_count, "double-sum", spectral.dense_cap()
+    elif name == "oracle-float":
+        nodes, label, cap = spec.node_count, "float", oracle.float_cap()
+    elif name == "oracle-rational":
+        nodes, label, cap = spec.node_count, "rational", oracle.rational_cap()
+    else:
+        return ""
+    return f"skipped: {nodes} nodes above {label} cap {cap}" if nodes > cap else ""
+
+
 def _bench_runner(name: str, spec: HammockSpec):
-    """Resolve a bench contender, or explain why it is skipped."""
-    if name == "closed":
-        return closed_form.resistance_general, ""
-    if name == "rt":
-        return recurrence.resistance_rt, ""
+    """Resolve a validated bench contender, or explain why it is skipped."""
+    note = _skip_note(name, spec)
+    if note:
+        return None, note
     if name == "spectral-reduced":
         return (lambda s, a, b: spectral.resistance_spectral(s, a, b, "reduced")), ""
     if name == "spectral-double":
-        if spec.interior_count > spectral.dense_cap():
-            return None, (f"skipped: {spec.interior_count} nodes above "
-                          f"double-sum cap {spectral.dense_cap()}")
         return (lambda s, a, b: spectral.resistance_spectral(s, a, b, "double_sum")), ""
-    if name == "oracle-float":
-        if spec.node_count > oracle.float_cap():
-            return None, (f"skipped: {spec.node_count} nodes above "
-                          f"float cap {oracle.float_cap()}")
-        return (lambda s, a, b: oracle.resistance_dense(s, a, b, "float")), ""
-    if name == "oracle-rational":
-        if spec.node_count > oracle.rational_cap():
-            return None, (f"skipped: {spec.node_count} nodes above "
-                          f"rational cap {oracle.rational_cap()}")
-        return (lambda s, a, b: oracle.resistance_dense(s, a, b, "rational")), ""
-    raise LatticeError(f"unknown bench method {name!r}")
+    return _method_runner(name), ""
 
 
 def _build_parser() -> argparse.ArgumentParser:

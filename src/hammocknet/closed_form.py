@@ -133,16 +133,27 @@ def coefficient_triple(spec: HammockSpec, coords: SpanCoords,
     return CoefficientTriple(float(log_alpha), float(log_beta), float(log_gamma))
 
 
-def _mode_sum(spec: HammockSpec, coords: SpanCoords) -> float:
-    """Hyperbolic mode sum shared by the general form."""
+def _span_ratios(spec: HammockSpec, coords: SpanCoords):
+    """alpha, beta, gamma over sinh(2h) * sinh(2Nh) for modes 2..M+1.
+
+    The span-frame kernel read by both the general form and the
+    recurrence route's boundary values.
+    """
     half = _decay_table(spec.rows, spec.ratio)
     log_alpha, log_beta, log_gamma = _log_triple(coords, half)
     log_den = log_sinh(2.0 * half) + log_sinh(2.0 * spec.cols * half)
+    return (np.exp(log_alpha - log_den), np.exp(log_beta - log_den),
+            np.exp(log_gamma - log_den))
+
+
+def _mode_sum(spec: HammockSpec, coords: SpanCoords) -> float:
+    """Hyperbolic mode sum shared by the general form."""
+    alpha, beta, gamma = _span_ratios(spec, coords)
     sin_in = _sine_table(spec.rows, coords.y_in)
     sin_out = _sine_table(spec.rows, coords.y_out)
-    terms = (sin_in * sin_in * np.exp(log_alpha - log_den)
-             - 2.0 * sin_in * sin_out * np.exp(log_beta - log_den)
-             + sin_out * sin_out * np.exp(log_gamma - log_den))
+    terms = (sin_in * sin_in * alpha
+             - 2.0 * sin_in * sin_out * beta
+             + sin_out * sin_out * gamma)
     return float(terms.sum())
 
 

@@ -287,6 +287,38 @@ def node_from_flat(spec: HammockSpec, index: int) -> GridNode:
     return GridNode((index - 1) % spec.cols + 1, (index - 1) // spec.cols + 1)
 
 
+def node_index(spec: HammockSpec, node: NodeLike) -> int:
+    """Full-graph position: hub O 0, interior by flat index, hub OP M*N + 1."""
+    node = as_node(node)
+    if node is Terminal.BOTTOM:
+        return 0
+    if node is Terminal.TOP:
+        return spec.node_count - 1
+    return flat_index(spec, node)
+
+
+def edge_indices(spec: HammockSpec) -> Iterator[Tuple[int, int, Any]]:
+    """Every link of the hammock as ``(i, j, ohms)`` in :func:`node_index` order.
+
+    This is the one definition of the graph's wiring. Horizontal links
+    (x,y)-(x+1,y) carry r, vertical links (x,y)-(x,y+1) carry s, and each
+    column is closed off by hub spokes O-(x,1) and (x,M)-OP of resistance
+    s. ``spec.r`` and ``spec.s`` pass through unconverted, so exact values
+    stay exact. Total edge count is M*(N-1) + N*(M-1) + 2*N.
+    """
+    rows, cols = spec.rows, spec.cols
+    for y in range(rows):
+        for x in range(1, cols):
+            yield x + y * cols, x + 1 + y * cols, spec.r
+    for x in range(1, cols + 1):
+        for y in range(rows - 1):
+            yield x + y * cols, x + (y + 1) * cols, spec.s
+    for x in range(1, cols + 1):
+        yield 0, x, spec.s
+    for x in range(1, cols + 1):
+        yield x + (rows - 1) * cols, spec.node_count - 1, spec.s
+
+
 class Edge(NamedTuple):
     a: Node
     b: Node
@@ -294,26 +326,13 @@ class Edge(NamedTuple):
 
 
 def build_edge_list(spec: HammockSpec) -> list[Edge]:
-    """Weighted edge list of the hammock graph over M*N + 2 nodes.
+    """Weighted edge list over M*N + 2 nodes, one :class:`Edge` per link.
 
-    Horizontal links (x,y)-(x+1,y) carry r, vertical links (x,y)-(x,y+1)
-    carry s, and each column is closed off by hub spokes O-(x,1) and
-    OP-(x,M) of resistance s. Total edge count is
-    M*(N-1) + N*(M-1) + 2*N.
+    Links come from :func:`edge_indices` in its order, with node objects in
+    place of indices and float resistances.
     """
-    edges: list[Edge] = []
-    r, s = float(spec.r), float(spec.s)
-    for y in range(1, spec.rows + 1):
-        for x in range(1, spec.cols):
-            edges.append(Edge(GridNode(x, y), GridNode(x + 1, y), r))
-    for x in range(1, spec.cols + 1):
-        for y in range(1, spec.rows):
-            edges.append(Edge(GridNode(x, y), GridNode(x, y + 1), s))
-    for x in range(1, spec.cols + 1):
-        edges.append(Edge(Terminal.BOTTOM, GridNode(x, 1), s))
-    for x in range(1, spec.cols + 1):
-        edges.append(Edge(GridNode(x, spec.rows), Terminal.TOP, s))
-    return edges
+    nodes = [Terminal.BOTTOM, *spec.interior_nodes(), Terminal.TOP]
+    return [Edge(nodes[i], nodes[j], float(ohms)) for i, j, ohms in edge_indices(spec)]
 
 
 def edge_list_csv(spec: HammockSpec) -> str:

@@ -1,12 +1,15 @@
 """Ground-truth resistance computations on the full hammock graph.
 
 Everything here works on the complete (M*N + 2)-node Kirchhoff matrix, so
-hub terminals are first-class citizens. Three independent evaluations are
-provided: a grounded linear solve in floating point, the same solve in
-exact rational arithmetic (fraction-free integer elimination, so results
-are exact ratios whenever r and s are rational), and the eigenpair sum
-over the full matrix. Dense cubic cost limits these to a few thousand
-nodes; the closed-form engines cover everything larger.
+hub terminals are first-class citizens. The float and the exact matrix are
+both stamped link by link from :func:`hammocknet.lattice.edge_indices`, the
+one definition of the graph, and share nothing with the other routes.
+Three independent evaluations are provided: a grounded linear solve in
+floating point, the same solve in exact rational arithmetic (fraction-free
+integer elimination, so results are exact ratios whenever r and s are
+rational), and the eigenpair sum over the full matrix. Dense cubic cost
+limits these to a few thousand nodes; the closed-form engines cover
+everything larger.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import List, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 
@@ -25,11 +28,11 @@ from .lattice import (
     SizeCapError,
     Terminal,
     as_node,
+    edge_indices,
     env_cap,
-    flat_index,
+    node_index,
     require_interior,
 )
-from .spectral import build_second_minor
 
 DEFAULT_FLOAT_CAP = 2500
 DEFAULT_RATIONAL_CAP = 400
@@ -55,14 +58,16 @@ def _check_cap(spec: HammockSpec, cap: int | None, default: int, label: str) -> 
         )
 
 
-def node_index(spec: HammockSpec, node: NodeLike) -> int:
-    """Full-matrix position: bottom hub 0, interior by flat index, top hub last."""
-    node = as_node(node)
-    if node is Terminal.BOTTOM:
-        return 0
-    if node is Terminal.TOP:
-        return spec.node_count - 1
-    return flat_index(spec, node)
+def _stamp(spec: HammockSpec, lap, conductance: Callable):
+    """Add every link's ``conductance(ohms)`` into ``lap[i][j]``; return ``lap``."""
+    for i, j, ohms in edge_indices(spec):
+        g = conductance(ohms)
+        row_i, row_j = lap[i], lap[j]
+        row_i[i] += g
+        row_j[j] += g
+        row_i[j] -= g
+        row_j[i] -= g
+    return lap
 
 
 @dataclass(frozen=True)
@@ -86,25 +91,14 @@ class FullLaplacian:
 
 
 def build_full_laplacian(spec: HammockSpec, cap: int | None = None) -> FullLaplacian:
-    """Assemble the full Kirchhoff matrix.
+    """Assemble the full Kirchhoff matrix in floats, one link at a time.
 
-    The interior block is byte-identical to the deleted-hub minor built by
-    :func:`hammocknet.spectral.build_second_minor`; the hub rows add the
-    spoke conductances.
+    Built from :func:`hammocknet.lattice.edge_indices` alone, so it is
+    independent of the Kronecker minor that the spectral route builds.
     """
     _check_cap(spec, cap, float_cap(), "float")
-    n_int = spec.interior_count
-    dim = n_int + 2
-    s_cond = 1.0 / float(spec.s)
-    matrix = np.zeros((dim, dim))
-    matrix[1:-1, 1:-1] = build_second_minor(spec, cap=n_int)
-    for x in range(1, spec.cols + 1):
-        bottom = flat_index(spec, (x, 1))
-        top = flat_index(spec, (x, spec.rows))
-        matrix[0, bottom] = matrix[bottom, 0] = -s_cond
-        matrix[-1, top] = matrix[top, -1] = -s_cond
-    matrix[0, 0] = spec.cols * s_cond
-    matrix[-1, -1] = spec.cols * s_cond
+    dim = spec.node_count
+    matrix = _stamp(spec, np.zeros((dim, dim)), lambda ohms: 1.0 / float(ohms))
     matrix.flags.writeable = False
     return FullLaplacian(spec=spec, matrix=matrix)
 
@@ -117,28 +111,8 @@ def build_full_laplacian(spec: HammockSpec, cap: int | None = None) -> FullLapla
 def _rational_laplacian(spec: HammockSpec) -> List[List[Fraction]]:
     """Exact Kirchhoff matrix; Fraction() of int/float/Fraction is exact."""
     dim = spec.node_count
-    lap = [[Fraction(0) for _ in range(dim)] for _ in range(dim)]
-    horizontal = Fraction(1) / Fraction(spec.r)
-    vertical = Fraction(1) / Fraction(spec.s)
-
-    def stamp(i: int, j: int, cond: Fraction) -> None:
-        lap[i][j] -= cond
-        lap[j][i] -= cond
-        lap[i][i] += cond
-        lap[j][j] += cond
-
-    def interior(x: int, y: int) -> int:
-        return x + (y - 1) * spec.cols
-
-    for y in range(1, spec.rows + 1):
-        for x in range(1, spec.cols):
-            stamp(interior(x, y), interior(x + 1, y), horizontal)
-    for x in range(1, spec.cols + 1):
-        for y in range(1, spec.rows):
-            stamp(interior(x, y), interior(x, y + 1), vertical)
-        stamp(0, interior(x, 1), vertical)
-        stamp(interior(x, spec.rows), dim - 1, vertical)
-    return lap
+    return _stamp(spec, [[Fraction(0)] * dim for _ in range(dim)],
+                  lambda ohms: 1 / Fraction(ohms))
 
 
 def _bareiss_solve(matrix: Sequence[Sequence[Fraction]],

@@ -30,8 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .closed_form import _decay_table
-from .hyperbolic import log_cosh, log_sinh
+from .closed_form import _decay_table, _span_ratios
 from .lattice import (
     GridNode,
     HammockSpec,
@@ -144,20 +143,11 @@ def _boundary_modes(spec: HammockSpec, coords: SpanCoords,
                     injected: float) -> tuple[np.ndarray, np.ndarray]:
     """Stable transformed values at the output and input columns.
 
-    Everything is assembled from log-domain hyperbolic ratios, so this is
-    the path that scales to 10^4+ rows and columns.
+    Everything is assembled from the closed form's log-domain span-frame
+    ratios, so this is the path that scales to 10^4+ rows and columns.
     """
     rows, cols = spec.rows, spec.cols
-    left, right = coords.span_left, coords.span_right
-    p, q = coords.p_offset, coords.q_offset
-    half = _decay_table(rows, spec.ratio)
-    log_den = log_sinh(2.0 * half) + log_sinh(2.0 * cols * half)
-    ratio_out = np.exp(log_cosh((2 * (right - q) + 1) * half)
-                       + log_cosh((2 * (left + q) + 1) * half) - log_den)
-    ratio_cross = np.exp(log_cosh((2 * (right - q) + 1) * half)
-                         + log_cosh((2 * (left - p) + 1) * half) - log_den)
-    ratio_in = np.exp(log_cosh((2 * (right + p) + 1) * half)
-                      + log_cosh((2 * (left - p) + 1) * half) - log_den)
+    ratio_in, ratio_cross, ratio_out = _span_ratios(spec, coords)
     zeta_in = _zeta(rows, coords.y_in)[1:]
     zeta_out = _zeta(rows, coords.y_out)[1:]
     scale = spec.ratio * injected

@@ -42,6 +42,29 @@ class TestResist:
         assert "falling back" in err
         assert "oracle-rational" in out
 
+    def test_all_skips_rational_above_cap(self, capsys):
+        code, out, err = run(capsys, "resist", "--M", "30", "--N", "30",
+                             "--from", "3,3", "--to", "20,20", "--method", "all")
+        assert code == EXIT_OK
+        assert [line.split()[0] for line in out.splitlines()[:-1]] == [
+            "closed", "spectral", "rt"]
+        assert err == ("warning: oracle-rational skipped: 902 nodes above "
+                       "rational cap 400\n")
+
+    def test_terminal_skips_capped_oracles(self, capsys, monkeypatch):
+        monkeypatch.setenv(oracle.RATIONAL_CAP_ENV, "5")
+        argv = ("resist", "--M", "3", "--N", "3", "--from", "O", "--to", "2,2",
+                "--method", "all")
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert out.split()[0] == "oracle-float" and "oracle-rational" not in out
+        assert "oracle-rational skipped" in err
+        monkeypatch.setenv(oracle.FLOAT_CAP_ENV, "5")
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and "float cap of 5" in err
+
     def test_tolerance_breach_exit_code(self, capsys):
         # last-ulp differences between methods exceed an absurd tolerance
         code, _, _ = run(capsys, "resist", "--M", "1", "--N", "2",
@@ -209,7 +232,7 @@ class TestRunConfig:
     def test_json_round_trip(self):
         config = RunConfig(rows=3, cols=4, r=2.0, s=0.5, method="rt",
                            source="1,1", sink="3,2", fmt="json",
-                           tolerance=1e-9, float_cap=100, rational_cap=50)
+                           tolerance=1e-9)
         through = RunConfig.from_dict(json.loads(json.dumps(config.to_dict())))
         assert through == config
 

@@ -15,10 +15,12 @@ from hammocknet import (
     UnsupportedNodeError,
     as_node,
     build_edge_list,
+    edge_indices,
     edge_list_csv,
     flat_index,
     node_code,
     node_from_flat,
+    node_index,
     parse_node,
     span_coords,
 )
@@ -222,3 +224,19 @@ class TestEdgeList:
     def test_edge_type(self):
         edge = build_edge_list(HammockSpec(1, 1))[0]
         assert isinstance(edge, Edge)
+
+    def test_indices_match_edge_list(self):
+        for rows, cols in [(1, 1), (1, 5), (4, 1), (3, 4), (5, 5)]:
+            spec = HammockSpec(rows, cols, r=2.0, s=0.5)
+            edges = build_edge_list(spec)
+            indexed = list(edge_indices(spec))
+            assert len(indexed) == len(edges)
+            for (i, j, ohms), edge in zip(indexed, edges):
+                assert (i, j) == (node_index(spec, edge.a), node_index(spec, edge.b))
+                assert float(ohms) == edge.ohms
+
+    def test_indices_keep_exact_resistances(self):
+        spec = HammockSpec(2, 3, r=Fraction(1, 3), s=Fraction(2, 7))
+        assert {ohms for *_, ohms in edge_indices(spec)} == {Fraction(1, 3), Fraction(2, 7)}
+        assert all(type(ohms) is Fraction for *_, ohms in edge_indices(spec))
+        assert all(type(edge.ohms) is float for edge in build_edge_list(spec))

@@ -1,5 +1,7 @@
 """Dense float/rational/eigen oracles on the full graph."""
 
+import ast
+import inspect
 import itertools
 from fractions import Fraction
 
@@ -56,6 +58,18 @@ class TestFullLaplacian:
         for spec in (HammockSpec(3, 4), HammockSpec(2, 2, r=2.0, s=1.0)):
             full = build_full_laplacian(spec).matrix
             assert np.array_equal(full[1:-1, 1:-1], build_second_minor(spec))
+
+    def test_float_matches_exact_stamping(self):
+        spec = HammockSpec(3, 4, r=0.3, s=1.7)
+        exact = np.array(oracle._rational_laplacian(spec), dtype=float)
+        assert np.allclose(build_full_laplacian(spec).matrix, exact, rtol=1e-15, atol=0.0)
+
+    def test_independent_of_spectral(self):
+        tree = ast.parse(inspect.getsource(oracle))
+        imported = {node.module for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)}
+        assert "spectral" not in imported
+        assert "build_second_minor" not in inspect.getsource(oracle)
 
     def test_node_indexing(self):
         spec = HammockSpec(2, 3)
