@@ -8,10 +8,15 @@ h = r/s and c_i = 2 + 2h*(1 - cos((i-1)*pi/(M+1))), the growth factor per
 column pair is the larger root of g*g - c_i*g + 1 = 0, and the decay rate
 is half its logarithm.
 
-All hyperbolic ratios are evaluated in log space (see
-:mod:`hammocknet.hyperbolic`), so lattices with 10^4..10^6 rows and
-columns evaluate without overflow at O(M) cost per node pair. Functions
-are pure; node pairs can be evaluated in parallel by callers.
+Every hyperbolic ratio is scaled by its largest exponential before it is
+evaluated: cosh(a*h) becomes e^{a*h} * (1 + e^{-2a*h}) / 2, the large
+factors cancel analytically, and what is left is built from exponentials
+of arguments <= 0. Lattices with 10^4..10^6 rows and columns therefore
+evaluate without overflow, and without the rounding of a difference of
+two large logarithms, at O(M) cost per node pair. The mode sums run over
+blocks of ``_BLOCK`` modes, so a query holds O(_BLOCK) temporaries on top
+of the cached decay table. Functions are pure; node pairs can be
+evaluated in parallel by callers.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hyperbolic import larger_root, log_cosh, log_sinh
+from .hyperbolic import larger_root, log_cosh
 from .lattice import (
     HammockSpec,
     LatticeError,
@@ -66,7 +71,10 @@ def mode_params(spec: HammockSpec, mode: int) -> ModeParams:
 
 @lru_cache(maxsize=64)
 def _decay_table(rows: int, ratio: float) -> np.ndarray:
-    """Half-log decay rates for modes 2..rows+1, cached per instance shape."""
+    """Half-log decay rates for modes 2..rows+1, cached per instance shape.
+
+    The rates ascend with the mode, which :func:`_decay` relies on.
+    """
     idx = np.arange(1, rows + 1, dtype=float)
     coeff = 2.0 + 2.0 * ratio * (1.0 - np.cos(idx * np.pi / (rows + 1)))
     table = 0.5 * np.log(larger_root(coeff))
@@ -74,9 +82,24 @@ def _decay_table(rows: int, ratio: float) -> np.ndarray:
     return table
 
 
-def _sine_table(rows: int, height: int) -> np.ndarray:
-    """sin((i-1)*pi*height/(M+1)) for modes i = 2..M+1."""
-    idx = np.arange(1, rows + 1, dtype=float)
+# Modes per block of a mode sum: the temporaries of one query stay near
+# 1 MB however many rows the lattice has.
+_BLOCK = 1 << 14
+
+
+def _mode_blocks(rows: int):
+    """Yield (slice, idx) over modes i = 2..M+1 in blocks of ``_BLOCK``.
+
+    ``slice`` selects the block's entries of a per-mode table such as the
+    decay table; ``idx`` holds their i - 1 as floats.
+    """
+    for start in range(0, rows, _BLOCK):
+        stop = min(start + _BLOCK, rows)
+        yield slice(start, stop), np.arange(start + 1, stop + 1, dtype=float)
+
+
+def _sine_table(rows: int, height: int, idx: np.ndarray) -> np.ndarray:
+    """sin((i-1)*pi*height/(M+1)) for the modes whose i - 1 is ``idx``."""
     return np.sin(idx * np.pi * height / (rows + 1))
 
 
@@ -107,17 +130,6 @@ class CoefficientTriple:
         return math.exp(self.log_gamma)
 
 
-def _log_triple(coords: SpanCoords, half_log):
-    """Log-domain alpha/beta/gamma for one or many decay rates."""
-    left, right = coords.span_left, coords.span_right
-    p, q = coords.p_offset, coords.q_offset
-    near_in = log_cosh((2 * left - 2 * p + 1) * half_log)
-    near_out = log_cosh((2 * left + 2 * q + 1) * half_log)
-    far_in = log_cosh((2 * right + 2 * p + 1) * half_log)
-    far_out = log_cosh((2 * right - 2 * q + 1) * half_log)
-    return far_in + near_in, far_out + near_in, far_out + near_out
-
-
 def coefficient_triple(spec: HammockSpec, coords: SpanCoords,
                        params: ModeParams) -> CoefficientTriple:
     """Mode coefficients for a node pair in its column-span frame.
@@ -129,32 +141,71 @@ def coefficient_triple(spec: HammockSpec, coords: SpanCoords,
         raise LatticeError(
             f"span frame covers {coords.cols} columns, spec has {spec.cols}"
         )
-    log_alpha, log_beta, log_gamma = _log_triple(coords, params.half_log)
-    return CoefficientTriple(float(log_alpha), float(log_beta), float(log_gamma))
+    left, right = coords.span_left, coords.span_right
+    p, q = coords.p_offset, coords.q_offset
+    half_log = params.half_log
+    near_in = log_cosh((2 * left - 2 * p + 1) * half_log)
+    near_out = log_cosh((2 * left + 2 * q + 1) * half_log)
+    far_in = log_cosh((2 * right + 2 * p + 1) * half_log)
+    far_out = log_cosh((2 * right - 2 * q + 1) * half_log)
+    return CoefficientTriple(float(far_in + near_in), float(far_out + near_in),
+                             float(far_out + near_out))
 
 
-def _span_ratios(spec: HammockSpec, coords: SpanCoords):
-    """alpha, beta, gamma over sinh(2h) * sinh(2Nh) for modes 2..M+1.
+# e^{-z} for z > 708 is subnormal or zero: below rounding in every ratio
+# built here, and many times slower for numpy to produce than a normal
+# result.
+_UNDERFLOW = 708.0
+
+
+def _decay(half: np.ndarray, length: int) -> np.ndarray:
+    """e^{-2*length*h} over the ascending decay rates ``half``.
+
+    Only the rates with 2*length*h < ``_UNDERFLOW`` are exponentiated; the
+    rest, a suffix because the rates ascend, are zero.
+    """
+    out = np.zeros(half.shape)
+    stop = half.size if length == 0 else np.searchsorted(half, _UNDERFLOW / (2 * length))
+    np.exp(-2.0 * length * half[:stop], out=out[:stop])
+    return out
+
+
+def _span_ratios(coords: SpanCoords, half: np.ndarray):
+    """alpha, beta, gamma over sinh(2h) * sinh(2Nh) for the decay rates ``half``.
 
     The span-frame kernel read by both the general form and the
-    recurrence route's boundary values.
+    recurrence route's boundary values. With C(a) = (1 + e^{-2ah}) / 2
+    and D = 2 / (sinh(2h) * (1 - e^{-4Nh})), alpha = D*C(near_in)*C(far_in),
+    gamma = D*C(near_out)*C(far_out) and beta = D*C(near_in)*C(far_out)
+    times e^{-2*separation*h}: near and far arguments sum to 2N, so the
+    growing exponentials cancel exactly and every exponent left is <= 0.
     """
-    half = _decay_table(spec.rows, spec.ratio)
-    log_alpha, log_beta, log_gamma = _log_triple(coords, half)
-    log_den = log_sinh(2.0 * half) + log_sinh(2.0 * spec.cols * half)
-    return (np.exp(log_alpha - log_den), np.exp(log_beta - log_den),
-            np.exp(log_gamma - log_den))
+    x_in, x_out, cols = coords.x_in, coords.x_out, coords.cols
+    scale = 0.5 / (np.sinh(2.0 * half) * -np.expm1(-4.0 * cols * half))
+    near_in = 1.0 + _decay(half, 2 * x_in - 1)
+    far_in = 1.0 + _decay(half, 2 * cols - 2 * x_in + 1)
+    near_out = 1.0 + _decay(half, 2 * x_out - 1)
+    far_out = 1.0 + _decay(half, 2 * cols - 2 * x_out + 1)
+    near_in *= scale
+    near_out *= scale
+    return (near_in * far_in,
+            near_in * far_out * _decay(half, coords.separation),
+            near_out * far_out)
 
 
 def _mode_sum(spec: HammockSpec, coords: SpanCoords) -> float:
-    """Hyperbolic mode sum shared by the general form."""
-    alpha, beta, gamma = _span_ratios(spec, coords)
-    sin_in = _sine_table(spec.rows, coords.y_in)
-    sin_out = _sine_table(spec.rows, coords.y_out)
-    terms = (sin_in * sin_in * alpha
-             - 2.0 * sin_in * sin_out * beta
-             + sin_out * sin_out * gamma)
-    return float(terms.sum())
+    """Hyperbolic mode sum of the general form, one block of modes at a time."""
+    table = _decay_table(spec.rows, spec.ratio)
+    total = 0.0
+    for block, idx in _mode_blocks(spec.rows):
+        alpha, beta, gamma = _span_ratios(coords, table[block])
+        sin_in = _sine_table(spec.rows, coords.y_in, idx)
+        sin_out = _sine_table(spec.rows, coords.y_out, idx)
+        terms = (sin_in * sin_in * alpha
+                 - 2.0 * sin_in * sin_out * beta
+                 + sin_out * sin_out * gamma)
+        total += float(terms.sum())
+    return total
 
 
 def _uniform_term(spec: HammockSpec, y1: int, y2: int) -> float:
@@ -187,12 +238,17 @@ def resistance_same_column(spec: HammockSpec, x: int, y1: int, y2: int) -> Resis
     require_interior(spec, (x, y2))
     if y1 == y2:
         return ResistanceResult(0.0, "closed", {"specialization": "same_column"})
-    half = _decay_table(spec.rows, spec.ratio)
-    log_coef = log_cosh((2 * x - 1) * half) \
-        + log_cosh((2 * spec.cols - 2 * x + 1) * half)
-    log_den = log_sinh(2.0 * half) + log_sinh(2.0 * spec.cols * half)
-    sine_diff = _sine_table(spec.rows, y2) - _sine_table(spec.rows, y1)
-    total = float((sine_diff * sine_diff * np.exp(log_coef - log_den)).sum())
+    # cosh((2x-1)h) * cosh((2N-2x+1)h) / (sinh(2h) * sinh(2Nh)): the two
+    # arguments sum to 2N, so e^{2Nh} cancels against the denominator.
+    table = _decay_table(spec.rows, spec.ratio)
+    total = 0.0
+    for block, idx in _mode_blocks(spec.rows):
+        step = -2.0 * table[block]
+        coef = (1.0 + np.exp((2 * x - 1) * step)) \
+            * (1.0 + np.exp((2 * spec.cols - 2 * x + 1) * step)) \
+            / (2.0 * np.sinh(-step) * -np.expm1(2 * spec.cols * step))
+        sine_diff = _sine_table(spec.rows, y2, idx) - _sine_table(spec.rows, y1, idx)
+        total += float((sine_diff * sine_diff * coef).sum())
     value = (2.0 * float(spec.r) / (spec.rows + 1)) * total \
         + _uniform_term(spec, y1, y2)
     return ResistanceResult(value, "closed", {"specialization": "same_column"})
@@ -216,11 +272,15 @@ def resistance_same_row(spec: HammockSpec, y: int, x1: int, x2: int) -> Resistan
     distance = abs(x2 - x1)
     if distance == 0:
         return ResistanceResult(0.0, "closed", {"specialization": "same_row"})
-    half = _decay_table(spec.rows, spec.ratio)
-    log_num = log_sinh(distance * half) \
-        + log_cosh((spec.cols - distance) * half)
-    log_den = log_sinh(2.0 * half) + log_cosh(spec.cols * half)
-    sines = _sine_table(spec.rows, y)
-    total = float((sines * sines * np.exp(log_num - log_den)).sum())
+    # sinh(dh) * cosh((N-d)h) / (sinh(2h) * cosh(Nh)) with e^{Nh} cancelled
+    table = _decay_table(spec.rows, spec.ratio)
+    total = 0.0
+    for block, idx in _mode_blocks(spec.rows):
+        step = -2.0 * table[block]
+        coef = -np.expm1(distance * step) \
+            * (1.0 + np.exp((spec.cols - distance) * step)) \
+            / (2.0 * np.sinh(-step) * (1.0 + np.exp(spec.cols * step)))
+        sines = _sine_table(spec.rows, y, idx)
+        total += float((sines * sines * coef).sum())
     value = (4.0 * float(spec.r) / (spec.rows + 1)) * total
     return ResistanceResult(value, "closed", {"specialization": "same_row"})

@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .closed_form import _decay_table, _span_ratios
+from .closed_form import _decay_table, _mode_blocks, _span_ratios
 from .lattice import (
     GridNode,
     HammockSpec,
@@ -139,23 +139,32 @@ class RegionSolution:
     injected: float
 
 
+def _column_values(scale: float, ratios, zeta_in: np.ndarray,
+                   zeta_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Non-uniform transformed values at the output and input columns.
+
+    ``ratios`` are the span-frame ratios of the same modes as the
+    injection profiles; ``scale`` is (r/s) times the injected current.
+    """
+    ratio_in, ratio_cross, ratio_out = ratios
+    return (scale * (ratio_out * zeta_out - ratio_cross * zeta_in),
+            -scale * (ratio_in * zeta_in - ratio_cross * zeta_out))
+
+
 def _boundary_modes(spec: HammockSpec, coords: SpanCoords,
                     injected: float) -> tuple[np.ndarray, np.ndarray]:
     """Stable transformed values at the output and input columns.
 
-    Everything is assembled from the closed form's log-domain span-frame
+    Everything is assembled from the closed form's scaled span-frame
     ratios, so this is the path that scales to 10^4+ rows and columns.
     """
     rows, cols = spec.rows, spec.cols
-    ratio_in, ratio_cross, ratio_out = _span_ratios(spec, coords)
-    zeta_in = _zeta(rows, coords.y_in)[1:]
-    zeta_out = _zeta(rows, coords.y_out)[1:]
-    scale = spec.ratio * injected
     x_out = np.empty(rows + 1)
     x_in = np.empty(rows + 1)
     x_out[0] = x_in[0] = -injected * (coords.y_out - coords.y_in) / cols
-    x_out[1:] = scale * (ratio_out * zeta_out - ratio_cross * zeta_in)
-    x_in[1:] = -scale * (ratio_in * zeta_in - ratio_cross * zeta_out)
+    x_out[1:], x_in[1:] = _column_values(
+        spec.ratio * injected, _span_ratios(coords, _decay_table(rows, spec.ratio)),
+        _zeta(rows, coords.y_in)[1:], _zeta(rows, coords.y_out)[1:])
     return x_out, x_in
 
 
@@ -263,15 +272,32 @@ def resistance_rt(spec: HammockSpec, a: NodeLike, b: NodeLike) -> ResistanceResu
     Potential differences are summed along the path through the common
     top hub: R = (s/J) * (sum_i X_out(i) * w_i(y_out) -
     sum_i X_in(i) * w_i(y_in)) with the weights of
-    :func:`mode_weights`. Scales to very large lattices.
+    :func:`mode_weights`. Scales to very large lattices: the boundary
+    values and weights of :func:`_boundary_modes` and :func:`mode_weights`
+    are formed one block of modes at a time, from one sine table per
+    height and one of sin(chi_i), and only the block sums are kept.
     """
     a = require_interior(spec, a)
     b = require_interior(spec, b)
     coords = span_coords(spec, a, b)
-    x_out, x_in = _boundary_modes(spec, coords, 1.0)
-    w_out = mode_weights(spec.rows, coords.y_out)
-    w_in = mode_weights(spec.rows, coords.y_in)
-    value = float(spec.s) * (float(x_out @ w_out) - float(x_in @ w_in))
+    n = spec.rows + 1
+    y_in, y_out = coords.y_in, coords.y_out
+    # uniform mode: value -(y_out - y_in)/N, weight (n - height)/n
+    uniform = -(y_out - y_in) / spec.cols
+    total = uniform * ((n - y_out) - (n - y_in)) / n
+    table = _decay_table(spec.rows, spec.ratio)
+    for block, idx in _mode_blocks(spec.rows):
+        chis = idx * np.pi / (2.0 * n)
+        sin_chi = np.sin(chis)
+        lift_in = np.sin(2.0 * y_in * chis)
+        lift_out = np.sin(2.0 * y_out * chis)
+        x_out, x_in = _column_values(
+            spec.ratio, _span_ratios(coords, table[block]),
+            -2.0 * lift_in * sin_chi, -2.0 * lift_out * sin_chi)
+        w_out = -lift_out / (n * sin_chi)
+        w_in = -lift_in / (n * sin_chi)
+        total += float((x_out * w_out).sum()) - float((x_in * w_in).sum())
+    value = float(spec.s) * total
     return ResistanceResult(value, "rt", {"swapped": coords.swapped})
 
 

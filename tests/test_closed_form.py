@@ -3,6 +3,8 @@
 import math
 from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
 
 from hammocknet import (
@@ -13,10 +15,13 @@ from hammocknet import (
     coefficient_triple,
     mode_params,
     resistance_general,
+    resistance_rt,
     resistance_same_column,
     resistance_same_row,
+    resistance_spectral,
     span_coords,
 )
+from hammocknet.closed_form import _BLOCK, _decay_table
 
 from _util import interior_pairs, rel_dev
 
@@ -197,3 +202,82 @@ def test_exchange_is_bitwise():
     for spec in (HammockSpec(3, 4, r=2.0, s=0.5), HammockSpec(2, 2)):
         for a, b in interior_pairs(spec):
             assert resistance_general(spec, a, b).ohms == resistance_general(spec, b, a).ohms
+
+
+def _mp_mode_sum(spec, a, b):
+    """The closed form's mode sum for one pair, evaluated by mpmath at 40 digits.
+
+    Each decay rate comes from its defining quadratic and each hyperbolic
+    ratio from plain cosh/sinh: mpmath's exponent range needs no scaling,
+    so nothing here is shared with the double-precision kernel.
+    """
+    (x_in, y_in), (x_out, y_out) = sorted([tuple(a), tuple(b)])
+    rows, cols = spec.rows, spec.cols
+    with mpmath.workdps(40):
+        ratio = mpmath.mpf(spec.r) / mpmath.mpf(spec.s)
+        total = mpmath.mpf(0)
+        for mode in range(1, rows + 1):
+            theta = mode * mpmath.pi / (rows + 1)
+            half_coeff = 1 + ratio * (1 - mpmath.cos(theta))
+            h = mpmath.log(half_coeff + mpmath.sqrt(half_coeff ** 2 - 1)) / 2
+            near_in, near_out = (mpmath.cosh((2 * x - 1) * h) for x in (x_in, x_out))
+            far_in, far_out = (mpmath.cosh((2 * cols - 2 * x + 1) * h)
+                               for x in (x_in, x_out))
+            sin_in, sin_out = (mpmath.sin(theta * y) for y in (y_in, y_out))
+            total += (sin_in ** 2 * near_in * far_in
+                      - 2 * sin_in * sin_out * near_in * far_out
+                      + sin_out ** 2 * near_out * far_out) \
+                / (mpmath.sinh(2 * h) * mpmath.sinh(2 * cols * h))
+        uniform = mpmath.mpf(spec.s) * (y_out - y_in) ** 2 / (cols * (rows + 1))
+        return float(2 * mpmath.mpf(spec.r) / (rows + 1) * total + uniform)
+
+
+class TestAccuracyAtScale:
+    """Every closed-form spelling against mpmath on a million columns.
+
+    The hyperbolic arguments reach 2N*h ~ 10^5 here, where a difference
+    of two logarithms of that size would cost ~1e-11 relative.
+    """
+
+    COLS = 10 ** 6
+
+    @pytest.mark.parametrize("rows", [20, 50])
+    @pytest.mark.parametrize("ratio", [0.5, 1.0, 3.0])
+    def test_within_1e13_of_mpmath(self, rows, ratio):
+        cols = self.COLS
+        spec = HammockSpec(rows, cols, r=ratio, s=1.0)
+        for a, b in [((1, 1), (cols, rows)), ((3, 2), (7, rows - 1)),
+                     ((cols // 2, 5), (cols // 2 + 1000, 9)), ((cols - 2, 3), (17, 11))]:
+            exact = _mp_mode_sum(spec, a, b)
+            assert resistance_general(spec, a, b).ohms == pytest.approx(exact, rel=1e-13)
+            assert resistance_rt(spec, a, b).ohms == pytest.approx(exact, rel=1e-13)
+        for x in (1, 40, cols):
+            exact = _mp_mode_sum(spec, (x, 2), (x, rows - 3))
+            assert resistance_same_column(spec, x, 2, rows - 3).ohms == pytest.approx(
+                exact, rel=1e-13)
+        for x1 in (1, cols // 2 - 300, cols // 2):
+            x2 = cols + 1 - x1
+            exact = _mp_mode_sum(spec, (x1, 4), (x2, 4))
+            assert resistance_same_row(spec, 4, x1, x2).ohms == pytest.approx(
+                exact, rel=1e-13)
+
+
+class TestModeBlocks:
+    """Mode sums split into blocks of _BLOCK modes at the block edges."""
+
+    @pytest.mark.parametrize("rows", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+    def test_routes_agree_across_block_edges(self, rows):
+        spec = HammockSpec(rows, 5, r=3.0, s=2.0)
+        for a, b in [((1, 1), (5, rows)), ((2, rows // 2), (4, rows // 2 + 7)),
+                     ((3, 1), (3, rows)), ((5, rows - 1), (1, 2))]:
+            closed = resistance_general(spec, a, b).ohms
+            assert rel_dev([closed, resistance_rt(spec, a, b).ohms]) < 1e-13
+            assert rel_dev([closed, resistance_spectral(spec, a, b).ohms]) < 1e-10
+        for node in [(1, 1), (3, rows // 2), (5, rows)]:
+            assert resistance_general(spec, node, node).ohms == 0.0
+
+    def test_decay_rates_ascend(self):
+        # underflowing exponentials are skipped as a suffix of each block
+        for rows in (1, 7, 1000, 2 * _BLOCK + 1):
+            for ratio in (0.5, 1.0, 3.0):
+                assert np.all(np.diff(_decay_table(rows, ratio)) > 0.0)
