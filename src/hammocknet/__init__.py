@@ -10,10 +10,6 @@ all of them.
 """
 
 from .closed_form import (
-    CoefficientTriple,
-    ModeParams,
-    coefficient_triple,
-    mode_params,
     resistance_general,
     resistance_same_column,
     resistance_same_row,

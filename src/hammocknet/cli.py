@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import random
 import statistics
 import sys
@@ -64,8 +65,9 @@ class RunConfig:
     tolerance: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.tolerance <= 0.0:
-            raise LatticeError(f"tolerance must be positive, got {self.tolerance!r}")
+        if not 0.0 < self.tolerance < math.inf:
+            raise LatticeError(
+                f"tolerance must be positive and finite, got {self.tolerance!r}")
 
     _JSON_KEYS = {
         "rows": "M", "cols": "N", "r": "r", "s": "s", "method": "method",
@@ -255,7 +257,6 @@ def _bench_pair(spec: HammockSpec) -> tuple[GridNode, GridNode]:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    sizes = [int(token) for token in args.sizes.split(",") if token]
     methods = [token for token in args.methods.split(",") if token]
     for name in methods:
         if name not in BENCH_METHODS:
@@ -264,7 +265,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             )
     writer = csv.writer(sys.stdout)
     writer.writerow(["M", "N", "method", "seconds_per_pair", "ohms", "note"])
-    for size in sizes:
+    for size in args.sizes:
         spec = HammockSpec(rows=size, cols=size, r=args.r, s=args.s)
         a, b = _bench_pair(spec)
         for name in methods:
@@ -308,6 +309,28 @@ def _bench_runner(name: str, spec: HammockSpec):
     return _method_runner(name), ""
 
 
+def _positive(convert: Callable[[str], Any]) -> Callable[[str], Any]:
+    """argparse ``type=``: ``convert(token)`` if positive and finite.
+
+    Anything else raises ValueError, which argparse turns into a usage
+    error (exit 2) that names the option.
+    """
+    def positive(token: str) -> Any:
+        value = convert(token)
+        if not 0 < value < math.inf:
+            raise ValueError(token)
+        return value
+    positive.__name__ = f"positive {convert.__name__}"
+    return positive
+
+
+def _sizes(text: str) -> list[int]:
+    return [_positive(int)(token) for token in text.split(",") if token]
+
+
+_sizes.__name__ = "comma-separated positive int"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hammocknet",
@@ -330,7 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
     resist.add_argument("--method", default="all", choices=ALL_METHODS)
     resist.add_argument("--format", default="human",
                         choices=("human", "json", "csv"))
-    resist.add_argument("--tolerance", type=float, default=1e-10)
+    resist.add_argument("--tolerance", type=_positive(float), default=1e-10)
 
     verify = sub.add_parser("verify", help="cross-method equivalence sweep")
     verify.add_argument("--min-M", type=int, default=1)
@@ -339,10 +362,10 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--max-N", type=int, required=True)
     verify.add_argument("--r", type=float, default=1.0)
     verify.add_argument("--s", type=float, default=1.0)
-    verify.add_argument("--samples", type=int, default=None,
+    verify.add_argument("--samples", type=_positive(int), default=None,
                         help="random pairs per instance (default: all)")
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--tolerance", type=float, default=1e-10)
+    verify.add_argument("--tolerance", type=_positive(float), default=1e-10)
 
     currents = sub.add_parser("currents", help="dump a full current field")
     add_spec_args(currents)
@@ -353,10 +376,10 @@ def _build_parser() -> argparse.ArgumentParser:
     currents.add_argument("--format", default="csv", choices=("csv", "json"))
 
     bench = sub.add_parser("bench", help="per-method timing table (CSV)")
-    bench.add_argument("--sizes", required=True,
+    bench.add_argument("--sizes", required=True, type=_sizes,
                        help="comma-separated square sizes, e.g. 10,100,1000")
     bench.add_argument("--methods", default=",".join(BENCH_METHODS))
-    bench.add_argument("--reps", type=int, default=5)
+    bench.add_argument("--reps", type=_positive(int), default=5)
     bench.add_argument("--r", type=float, default=1.0)
     bench.add_argument("--s", type=float, default=1.0)
     return parser

@@ -151,38 +151,28 @@ def _column_values(scale: float, ratios, zeta_in: np.ndarray,
             -scale * (ratio_in * zeta_in - ratio_cross * zeta_out))
 
 
-def _boundary_modes(spec: HammockSpec, coords: SpanCoords,
-                    injected: float) -> tuple[np.ndarray, np.ndarray]:
-    """Stable transformed values at the output and input columns.
-
-    Everything is assembled from the closed form's scaled span-frame
-    ratios, so this is the path that scales to 10^4+ rows and columns.
-    """
-    rows, cols = spec.rows, spec.cols
-    x_out = np.empty(rows + 1)
-    x_in = np.empty(rows + 1)
-    x_out[0] = x_in[0] = -injected * (coords.y_out - coords.y_in) / cols
-    x_out[1:], x_in[1:] = _column_values(
-        spec.ratio * injected, _span_ratios(coords, _decay_table(rows, spec.ratio)),
-        _zeta(rows, coords.y_in)[1:], _zeta(rows, coords.y_out)[1:])
-    return x_out, x_in
-
-
 def solve_modes(spec: HammockSpec, coords: SpanCoords,
                 injected: float) -> tuple[RegionSolution, np.ndarray, np.ndarray]:
     """Set up the decoupled recurrences; return them and boundary values.
 
     The returned arrays are the transformed column values at the output
     column (k = q_offset) and input column (k = -p_offset); the uniform
-    mode is the analytic limit -J*(y_out - y_in)/N.
+    mode is the analytic limit -J*(y_out - y_in)/N. They are assembled
+    from the closed form's scaled span-frame ratios, so they scale to
+    10^4+ rows and columns.
     """
     if coords.cols != spec.cols:
         raise LatticeError(
             f"span frame covers {coords.cols} columns, spec has {spec.cols}"
         )
-    solution = RegionSolution(spec=spec, coords=coords, injected=injected)
-    x_out, x_in = _boundary_modes(spec, coords, injected)
-    return solution, x_out, x_in
+    rows = spec.rows
+    x_out = np.empty(rows + 1)
+    x_in = np.empty(rows + 1)
+    x_out[0] = x_in[0] = -injected * (coords.y_out - coords.y_in) / spec.cols
+    x_out[1:], x_in[1:] = _column_values(
+        spec.ratio * injected, _span_ratios(coords, _decay_table(rows, spec.ratio)),
+        _zeta(rows, coords.y_in)[1:], _zeta(rows, coords.y_out)[1:])
+    return RegionSolution(spec=spec, coords=coords, injected=injected), x_out, x_in
 
 
 def transformed_columns(solution: RegionSolution) -> np.ndarray:
@@ -273,8 +263,8 @@ def resistance_rt(spec: HammockSpec, a: NodeLike, b: NodeLike) -> ResistanceResu
     top hub: R = (s/J) * (sum_i X_out(i) * w_i(y_out) -
     sum_i X_in(i) * w_i(y_in)) with the weights of
     :func:`mode_weights`. Scales to very large lattices: the boundary
-    values and weights of :func:`_boundary_modes` and :func:`mode_weights`
-    are formed one block of modes at a time, from one sine table per
+    values that :func:`solve_modes` returns and the weights are formed
+    here one block of modes at a time, from one sine table per
     height and one of sin(chi_i), and only the block sums are kept.
     """
     a = require_interior(spec, a)

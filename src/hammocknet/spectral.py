@@ -58,23 +58,20 @@ def _require_dense(spec: HammockSpec, what: str, cap: int | None = None) -> None
         )
 
 
-def _chain_free(n: int) -> np.ndarray:
-    """Second-difference matrix of an n-node chain with open ends."""
-    matrix = 2.0 * np.eye(n)
-    matrix[0, 0] -= 1.0
-    matrix[-1, -1] -= 1.0
-    idx = np.arange(n - 1)
-    matrix[idx, idx + 1] = -1.0
-    matrix[idx + 1, idx] = -1.0
-    return matrix
-
-
 def _chain_fixed(n: int) -> np.ndarray:
     """Second-difference matrix of an n-node chain with both ends pinned."""
     matrix = 2.0 * np.eye(n)
     idx = np.arange(n - 1)
     matrix[idx, idx + 1] = -1.0
     matrix[idx + 1, idx] = -1.0
+    return matrix
+
+
+def _chain_free(n: int) -> np.ndarray:
+    """Second-difference matrix of an n-node chain with open ends."""
+    matrix = _chain_fixed(n)
+    matrix[0, 0] -= 1.0
+    matrix[-1, -1] -= 1.0
     return matrix
 
 
@@ -97,7 +94,9 @@ class MinorEigenSystem:
 
     ``thetas[n]`` and ``phis[m]`` are the column and row mode angles;
     ``omegas[m]`` the per-row-mode decay rate defined by
-    cosh(2*omega) = 1 + (r/s) * (1 - cos(2*phi)); ``log_den[m]`` the
+    cosh(2*omega) = 1 + u, u = (r/s) * (1 - cos(2*phi)) = 2*(r/s)*sin(phi)^2,
+    and evaluated as log1p(u + sqrt(u*(u + 2))) / 2: unlike 1 - cos and an
+    arccosh near 1, that loses no digits in the slow modes. ``log_den[m]`` the
     pair-independent log denominator log sinh(2*omega) + log sinh(2*N*omega)
     of the reduced form. :meth:`row_mode` gives one row-mode column.
 
@@ -151,7 +150,8 @@ def eigen_system(spec: HammockSpec) -> MinorEigenSystem:
     rows, cols = spec.rows, spec.cols
     thetas = np.pi * np.arange(cols) / cols
     phis = np.pi * (np.arange(rows) + 1.0) / (2.0 * rows + 2.0)
-    omegas = 0.5 * np.arccosh(1.0 + spec.ratio * (1.0 - np.cos(2.0 * phis)))
+    u = 2.0 * spec.ratio * np.sin(phis) ** 2
+    omegas = 0.5 * np.log1p(u + np.sqrt(u * (u + 2.0)))
     log_den = log_sinh(2.0 * omegas) + log_sinh(2.0 * cols * omegas)
     return MinorEigenSystem(spec=spec, thetas=_frozen(thetas), phis=_frozen(phis),
                             omegas=_frozen(omegas), log_den=_frozen(log_den))

@@ -7,7 +7,8 @@ import math
 
 import numpy as np
 
-from hammocknet import GridNode, HammockSpec, SpanCoords, mode_params
+from hammocknet import GridNode, HammockSpec, SpanCoords
+from hammocknet.closed_form import _decay_table
 
 
 def interior_pairs(spec: HammockSpec, distinct: bool = True):
@@ -55,7 +56,7 @@ def region_amplitudes(spec: HammockSpec, coords: SpanCoords, injected: float = 1
     """
     rows, cols = spec.rows, spec.cols
     chis = np.arange(1, rows + 1) * math.pi / (2 * rows + 2)
-    lam = np.array([mode_params(spec, i).root for i in range(2, rows + 2)])
+    lam = np.exp(2.0 * _decay_table(rows, spec.ratio))
     left, right = coords.span_left, coords.span_right
     p, q = coords.p_offset, coords.q_offset
 

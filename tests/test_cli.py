@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from hammocknet import cli, oracle
+from hammocknet import LatticeError, cli, oracle
 from hammocknet.cli import EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, RunConfig, main
 
 
@@ -101,6 +101,17 @@ class TestResist:
                            "--from", "9,9", "--to", "1,1", "--method", "closed")
         assert code == EXIT_USAGE
         assert "error:" in err
+
+    def test_routes_agree_at_1e5(self, capsys):
+        # the slow modes' decay rates once put closed and spectral 1.9e-10
+        # apart here, above the default tolerance
+        code, out, _ = run(capsys, "resist", "--M", "100000", "--N", "100000",
+                           "--from", "3802,61031", "--to", "32644,85063",
+                           "--method", "all", "--format", "json")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert len(payload["results"]) == 3
+        assert payload["max_relative_deviation"] <= 1e-11
 
     def test_terminal_with_explicit_closed_method(self, capsys):
         code, _, err = run(capsys, "resist", "--M", "2", "--N", "2",
@@ -207,6 +218,30 @@ class TestBench:
         assert code == EXIT_USAGE
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--max-M", "2", "--max-N", "2", "--samples", "-1"],
+        ["verify", "--max-M", "2", "--max-N", "2", "--samples", "0"],
+        ["verify", "--max-M", "2", "--max-N", "2", "--tolerance", "nan"],
+        ["verify", "--max-M", "2", "--max-N", "2", "--tolerance", "-1"],
+        ["resist", "--M", "2", "--N", "2", "--from", "1,1", "--to", "2,2",
+         "--tolerance", "nan"],
+        ["resist", "--M", "2", "--N", "2", "--from", "1,1", "--to", "2,2",
+         "--tolerance", "inf"],
+        ["bench", "--sizes", "3", "--reps", "0"],
+        ["bench", "--sizes", "3,x"],
+        ["bench", "--sizes", "3,0"],
+    ])
+    def test_bad_value_exits_2_without_traceback(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == EXIT_USAGE
+        assert captured.out == ""
+        assert "error: argument --" in captured.err
+        assert "Traceback" not in captured.err
+
+
 class TestRawFailures:
     @pytest.mark.parametrize("failure", [
         MemoryError(),
@@ -237,5 +272,6 @@ class TestRunConfig:
         assert through == config
 
     def test_tolerance_validated(self):
-        with pytest.raises(Exception):
-            RunConfig(rows=1, cols=1, tolerance=0.0)
+        for tolerance in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(LatticeError):
+                RunConfig(rows=1, cols=1, tolerance=tolerance)

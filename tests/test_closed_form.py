@@ -1,6 +1,7 @@
-"""Closed-form resistance: mode parameters, coefficients and pinned values."""
+"""Closed-form resistance: decay table, span-frame ratios and pinned values."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -12,8 +13,7 @@ from hammocknet import (
     LatticeError,
     Terminal,
     UnsupportedNodeError,
-    coefficient_triple,
-    mode_params,
+    eigen_system,
     resistance_general,
     resistance_rt,
     resistance_same_column,
@@ -21,89 +21,96 @@ from hammocknet import (
     resistance_spectral,
     span_coords,
 )
-from hammocknet.closed_form import _BLOCK, _decay_table
+from hammocknet.closed_form import _BLOCK, _decay_table, _span_ratios
 
 from _util import interior_pairs, rel_dev
 
 
 class TestModeParams:
+    """Per-mode parameters, read from the one decay table.
+
+    Entry i - 2 of ``_decay_table`` is mode i's rate h; its root is
+    e^{2h} and its recurrence coefficient 2*cosh(2h).
+    """
+
     def test_uniform_mode(self):
+        # the table starts at mode 2: the uniform mode's rate is exactly 0
+        # and lives in the separate quadratic term
         for spec in (HammockSpec(1, 1), HammockSpec(5, 3, r=2.0), HammockSpec(2, 7, s=3.0)):
-            params = mode_params(spec, 1)
-            assert params.coeff == 2.0
-            assert params.root == 1.0
-            assert params.half_log == 0.0
+            table = _decay_table(spec.rows, spec.ratio)
+            assert table.shape == (spec.rows,)
+            assert np.all(table > 0.0)
 
     def test_first_nonuniform(self):
-        params = mode_params(HammockSpec(1, 5), 2)
-        assert params.coeff == pytest.approx(4.0, abs=1e-14)
-        assert params.root == pytest.approx(2.0 + math.sqrt(3.0), rel=1e-14)
-        assert params.half_log == pytest.approx(0.5 * math.log(2.0 + math.sqrt(3.0)), rel=1e-14)
+        (half,) = _decay_table(1, 1.0)
+        assert 2.0 * math.cosh(2.0 * half) == pytest.approx(4.0, abs=1e-14)
+        assert math.exp(2.0 * half) == pytest.approx(2.0 + math.sqrt(3.0), rel=1e-14)
+        assert half == pytest.approx(0.5 * math.log(2.0 + math.sqrt(3.0)), rel=1e-14)
 
     def test_third_mode(self):
-        params = mode_params(HammockSpec(2, 4), 3)
-        assert params.coeff == pytest.approx(5.0, abs=1e-14)
-        assert params.root == pytest.approx((5.0 + math.sqrt(21.0)) / 2.0, rel=1e-14)
-
-    def test_range_checked(self):
-        spec = HammockSpec(3, 3)
-        with pytest.raises(LatticeError):
-            mode_params(spec, 0)
-        with pytest.raises(LatticeError):
-            mode_params(spec, 5)
+        half = _decay_table(2, 1.0)[1]
+        assert 2.0 * math.cosh(2.0 * half) == pytest.approx(5.0, abs=1e-14)
+        assert math.exp(2.0 * half) == pytest.approx((5.0 + math.sqrt(21.0)) / 2.0, rel=1e-14)
 
     def test_root_identities(self):
+        # 2*cosh(2h) is the defining coefficient 2 + 2(r/s)(1 - cos theta)
         for spec in (HammockSpec(6, 4, r=2.0, s=0.5), HammockSpec(9, 2)):
+            table = _decay_table(spec.rows, spec.ratio)
             for mode in range(2, spec.rows + 2):
-                params = mode_params(spec, mode)
-                assert params.root >= 1.0
-                assert params.root * (1.0 / params.root) == pytest.approx(1.0, rel=1e-15)
-                assert math.cosh(2.0 * params.half_log) == pytest.approx(
-                    params.coeff / 2.0, rel=1e-13)
+                half = table[mode - 2]
+                coeff = 2.0 + 2.0 * spec.ratio * (
+                    1.0 - math.cos((mode - 1) * math.pi / (spec.rows + 1)))
+                assert math.exp(2.0 * half) > 1.0
+                assert 2.0 * math.cosh(2.0 * half) == pytest.approx(coeff, rel=1e-13)
+
+
+def _plain_ratios(spec, coords, half):
+    """alpha, beta, gamma over sinh(2h) * sinh(2Nh) from plain cosh/sinh."""
+    x1, x2, cols = coords.x_in, coords.x_out, spec.cols
+    den = math.sinh(2.0 * half) * math.sinh(2.0 * cols * half)
+    near_in, near_out = (math.cosh((2 * x - 1) * half) for x in (x1, x2))
+    far_in, far_out = (math.cosh((2 * cols - 2 * x + 1) * half) for x in (x1, x2))
+    return near_in * far_in / den, near_in * far_out / den, near_out * far_out / den
 
 
 class TestCoefficientTriple:
+    """The span-frame ratios alpha, beta, gamma of ``_span_ratios``."""
+
     def test_same_column_collapses(self):
         spec = HammockSpec(3, 5, r=2.0)
         coords = span_coords(spec, (2, 1), (2, 3))
-        triple = coefficient_triple(spec, coords, mode_params(spec, 2))
-        assert triple.log_alpha == triple.log_beta == triple.log_gamma
+        alpha, beta, gamma = _span_ratios(coords, _decay_table(spec.rows, spec.ratio))
+        assert np.array_equal(alpha, beta) and np.array_equal(beta, gamma)
 
     def test_direct_cosh_cross_check(self):
         # small instance where plain cosh evaluation cannot overflow
         spec = HammockSpec(2, 3)
         coords = span_coords(spec, (1, 1), (3, 2))
-        params = mode_params(spec, 2)
-        triple = coefficient_triple(spec, coords, params)
-        decay = params.half_log
-        x1, x2, cols = coords.x_in, coords.x_out, spec.cols
-        alpha = math.cosh((2 * cols - 2 * x1 + 1) * decay) * math.cosh((2 * x1 - 1) * decay)
-        beta = math.cosh((2 * cols - 2 * x2 + 1) * decay) * math.cosh((2 * x1 - 1) * decay)
-        gamma = math.cosh((2 * cols - 2 * x2 + 1) * decay) * math.cosh((2 * x2 - 1) * decay)
-        assert triple.alpha == pytest.approx(alpha, rel=1e-12)
-        assert triple.beta == pytest.approx(beta, rel=1e-12)
-        assert triple.gamma == pytest.approx(gamma, rel=1e-12)
+        table = _decay_table(spec.rows, spec.ratio)
+        ratios = _span_ratios(coords, table)
+        for got, want in zip(ratios, _plain_ratios(spec, coords, table[0])):
+            assert got[0] == pytest.approx(want, rel=1e-12)
 
     def test_column_frame_matches_plain_coordinates(self):
         # span-frame and plain-coordinate spellings of the products agree
         for spec in (HammockSpec(4, 6, r=3.0, s=2.0), HammockSpec(2, 9)):
+            table = _decay_table(spec.rows, spec.ratio)
             for a, b in [((1, 1), (5, 2)), ((2, 2), (4, 1)), ((3, 1), (3, 2))]:
                 b = (min(b[0], spec.cols), min(b[1], spec.rows))
                 coords = span_coords(spec, a, b)
+                ratios = _span_ratios(coords, table)
                 for mode in (2, spec.rows + 1):
-                    params = mode_params(spec, mode)
-                    triple = coefficient_triple(spec, coords, params)
-                    decay = params.half_log
-                    x1, x2 = coords.x_in, coords.x_out
-                    direct = math.log(math.cosh((2 * spec.cols - 2 * x1 + 1) * decay)) \
-                        + math.log(math.cosh((2 * x1 - 1) * decay))
-                    assert triple.log_alpha == pytest.approx(direct, rel=1e-12)
+                    plain = _plain_ratios(spec, coords, table[mode - 2])
+                    for got, want in zip(ratios, plain):
+                        assert got[mode - 2] == pytest.approx(want, rel=1e-12)
 
     def test_uniform_limit(self):
+        # as h -> 0 every ratio tends to 1 / (sinh(2h) * sinh(2Nh)) ~ 1 / (4N h^2)
         spec = HammockSpec(3, 4)
         coords = span_coords(spec, (1, 1), (4, 2))
-        triple = coefficient_triple(spec, coords, mode_params(spec, 1))
-        assert triple.alpha == triple.beta == triple.gamma == 1.0
+        half = np.array([1e-9])
+        for ratio in _span_ratios(coords, half):
+            assert ratio[0] * 4.0 * spec.cols * half[0] ** 2 == pytest.approx(1.0, rel=1e-12)
 
 
 class TestResistanceGeneral:
@@ -204,6 +211,16 @@ def test_exchange_is_bitwise():
             assert resistance_general(spec, a, b).ohms == resistance_general(spec, b, a).ohms
 
 
+def _mp_rate(ratio, theta):
+    """Decay rate of the mode at angle theta from its defining quadratic.
+
+    Half the log of the larger root of g*g - c*g + 1 with
+    c = 2 + 2*ratio*(1 - cos(theta)), in the current mpmath precision.
+    """
+    half_coeff = 1 + ratio * (1 - mpmath.cos(theta))
+    return mpmath.log(half_coeff + mpmath.sqrt(half_coeff ** 2 - 1)) / 2
+
+
 def _mp_mode_sum(spec, a, b):
     """The closed form's mode sum for one pair, evaluated by mpmath at 40 digits.
 
@@ -218,8 +235,7 @@ def _mp_mode_sum(spec, a, b):
         total = mpmath.mpf(0)
         for mode in range(1, rows + 1):
             theta = mode * mpmath.pi / (rows + 1)
-            half_coeff = 1 + ratio * (1 - mpmath.cos(theta))
-            h = mpmath.log(half_coeff + mpmath.sqrt(half_coeff ** 2 - 1)) / 2
+            h = _mp_rate(ratio, theta)
             near_in, near_out = (mpmath.cosh((2 * x - 1) * h) for x in (x_in, x_out))
             far_in, far_out = (mpmath.cosh((2 * cols - 2 * x + 1) * h)
                                for x in (x_in, x_out))
@@ -260,6 +276,41 @@ class TestAccuracyAtScale:
             exact = _mp_mode_sum(spec, (x1, 4), (x2, 4))
             assert resistance_same_row(spec, 4, x1, x2).ohms == pytest.approx(
                 exact, rel=1e-13)
+
+
+class TestWellConditionedRates:
+    """Decay rates and resistances where 1 - cos(theta) would lose digits.
+
+    Forming the rate from 1 - cos(theta) and then the larger root (or an
+    arccosh near 1) loses digits like eps/theta^2 in the slow modes: up to
+    7.6e-6 relative at 10^6 rows, and every digit once (r/s)*theta^2 drops
+    below eps.
+    """
+
+    @pytest.mark.parametrize("rows", [2000, 10 ** 5, 10 ** 6])
+    @pytest.mark.parametrize("ratio", [1e-12, 0.5, 1.0, 3.0])
+    def test_rates_within_1e15_of_mpmath(self, rows, ratio):
+        # uncached builds, so the large tables are not retained
+        closed = _decay_table.__wrapped__(rows, ratio)
+        spectral = eigen_system.__wrapped__(HammockSpec(rows, 2, r=ratio)).omegas
+        with mpmath.workdps(60):
+            for mode in [*range(1, 21), *range(rows - 4, rows + 1)]:
+                exact = _mp_rate(mpmath.mpf(ratio), mode * mpmath.pi / (rows + 1))
+                for table in (closed, spectral):
+                    assert abs(float((table[mode - 1] - exact) / exact)) <= 1e-15
+
+    @pytest.mark.parametrize("r", [1e-16, 1e-12, 1e-9])
+    def test_small_ratio_pair_against_mpmath(self, r):
+        spec = HammockSpec(40, 6, r=r)
+        a, b = (1, 3), (6, 30)
+        exact = _mp_mode_sum(spec, a, b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            values = [route(spec, a, b).ohms for route in
+                      (resistance_general, resistance_rt, resistance_spectral)]
+        for value in values:
+            assert math.isfinite(value)
+            assert value == pytest.approx(exact, rel=1e-13)
 
 
 class TestModeBlocks:

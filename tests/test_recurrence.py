@@ -13,7 +13,6 @@ from hammocknet import (
     LatticeError,
     coupling_matrix,
     kirchhoff_residual,
-    mode_params,
     mode_transform,
     mode_weights,
     potential_path_check,
@@ -26,8 +25,14 @@ from hammocknet import (
     transformed_columns,
 )
 from hammocknet import recurrence
+from hammocknet.closed_form import _decay_table
 
 from _util import interior_pairs, region_amplitudes, rel_dev, specs_upto
+
+
+def _mode_coeffs(spec):
+    """Recurrence coefficients 2*cosh(2h) of modes 1..M+1 from the decay table."""
+    return np.concatenate(([2.0], 2.0 * np.cosh(2.0 * _decay_table(spec.rows, spec.ratio))))
 
 
 class TestCouplingMatrix:
@@ -71,10 +76,10 @@ class TestModeTransform:
                 spec = HammockSpec(rows, 2, r=ratio, s=1.0)
                 chis = np.arange(rows + 1) * math.pi / (2 * rows + 2)
                 w = 2.0 * np.cos(2.0 * chis)
+                expected = _mode_coeffs(spec)
                 for i in range(1, rows + 2):
-                    expected = mode_params(spec, i).coeff
                     assert 2 * ratio + 2 - ratio * w[i - 1] == pytest.approx(
-                        expected, rel=1e-13, abs=1e-13)
+                        expected[i - 1], rel=1e-13, abs=1e-13)
 
 
 class TestModeWeights:
@@ -170,7 +175,7 @@ class TestSolveModes:
         coords = span_coords(spec, (3, 1), (5, 2))
         sol, _, _ = solve_modes(spec, coords, 1.0)
         values = transformed_columns(sol)
-        coeffs = np.array([mode_params(spec, i).coeff for i in range(1, spec.rows + 2)])
+        coeffs = _mode_coeffs(spec)
         offset = coords.span_left
         for k in range(-coords.span_left + 1, coords.span_right):
             if k in (-coords.p_offset, coords.q_offset):
@@ -186,7 +191,7 @@ class TestSolveModes:
         sol, x_out, x_in = solve_modes(spec, coords, 1.0)
         values = transformed_columns(sol)
         chis = np.arange(spec.rows + 1) * math.pi / (2 * spec.rows + 2)
-        coeffs = np.array([mode_params(spec, i).coeff for i in range(1, spec.rows + 2)])
+        coeffs = _mode_coeffs(spec)
         offset = coords.span_left
 
         def zeta(height):

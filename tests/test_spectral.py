@@ -18,10 +18,10 @@ from hammocknet import (
     eigen_system,
     flat_index,
     inverse_minor_element,
-    mode_params,
     resistance_general,
     resistance_spectral,
 )
+from hammocknet.closed_form import _decay_table
 
 from _util import interior_pairs, rel_dev, specs_upto
 
@@ -129,10 +129,11 @@ class TestEigenSystem:
             ratio = spec.ratio
             assert np.allclose(np.sinh(system.omegas),
                                math.sqrt(ratio) * np.sin(system.phis), atol=1e-12)
-            # row-mode decay rates coincide with the mode table, shifted by two
+            # row-mode decay rates coincide with the closed form's table, an
+            # independent formula for the same rates
+            table = _decay_table(spec.rows, spec.ratio)
             for m in range(spec.rows):
-                assert system.omegas[m] == pytest.approx(
-                    mode_params(spec, m + 2).half_log, rel=1e-12)
+                assert system.omegas[m] == pytest.approx(table[m], rel=1e-12)
 
     def test_row_mode_matches_dense(self):
         for spec in (HammockSpec(4, 5, r=2.0), HammockSpec(1, 6), HammockSpec(7, 3)):
