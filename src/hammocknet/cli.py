@@ -195,6 +195,10 @@ def cmd_resist(config: RunConfig) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     """Cross-method sweep; reports the worst pair over the whole range."""
+    for axis, low, high in (("M", args.min_M, args.max_M), ("N", args.min_N, args.max_N)):
+        if low > high:
+            raise LatticeError(
+                f"--min-{axis} {low} is above --max-{axis} {high}: empty size range")
     tolerance = args.tolerance
     rng = random.Random(args.seed)
     worst = 0.0
@@ -324,6 +328,20 @@ def _positive(convert: Callable[[str], Any]) -> Callable[[str], Any]:
     return positive
 
 
+def _finite(token: str) -> float:
+    """argparse ``type=``: a finite float; zero and negative values pass.
+
+    nan and inf raise ValueError, which argparse turns into a usage error.
+    """
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(token)
+    return value
+
+
+_finite.__name__ = "finite float"
+
+
 def _sizes(text: str) -> list[int]:
     return [_positive(int)(token) for token in text.split(",") if token]
 
@@ -371,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_spec_args(currents)
     currents.add_argument("--from", required=True, dest="from_", metavar="NODE")
     currents.add_argument("--to", required=True, metavar="NODE")
-    currents.add_argument("--J", type=float, default=1.0,
+    currents.add_argument("--J", type=_finite, default=1.0,
                           help="injected current, amperes")
     currents.add_argument("--format", default="csv", choices=("csv", "json"))
 

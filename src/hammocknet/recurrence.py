@@ -175,8 +175,26 @@ def solve_modes(spec: HammockSpec, coords: SpanCoords,
     return RegionSolution(spec=spec, coords=coords, injected=injected), x_out, x_in
 
 
-def transformed_columns(solution: RegionSolution) -> np.ndarray:
-    """Transformed column values for every column.
+# Largest transformed term that truncation drops, per unit of |J|. Two
+# terms per column, at most M dropped modes and |inverse| <= 2/(M+1)
+# keep every link current within 4 * this * |J| = eps*|J| of the full sum.
+_DROP_TOLERANCE = np.finfo(float).eps / 4.0
+# Columns per truncation chunk and per inverse-product call. Narrower
+# calls cost the threaded BLAS more per column than the modes they skip.
+_CHUNK = 256
+
+
+def _chunks(first: int, stop: int):
+    """(start, stop) pairs covering first..stop-1, each >= _CHUNK wide
+    except when the whole range is narrower."""
+    starts = list(range(first, stop, _CHUNK))
+    if len(starts) > 1 and stop - starts[-1] < _CHUNK:
+        starts.pop()  # fold a narrow tail into the chunk before it
+    return zip(starts, starts[1:] + [stop])
+
+
+def transformed_columns(solution: RegionSolution) -> tuple[np.ndarray, np.ndarray]:
+    """Transformed column values for every column, and each column's modes.
 
     Column k follows the right-region solution for k > q_offset, the
     middle one for -p_offset <= k <= q_offset and the left one below, and
@@ -185,15 +203,29 @@ def transformed_columns(solution: RegionSolution) -> np.ndarray:
     numerators j and one or two column exponents e(k). With top the
     largest base_j, each column term factors into root**(e(k) + top - 2N)
     times the per-mode sum of coeff_j * root**(base_j - top). Both
-    exponents are <= 0 inside the region, so nothing overflows, and each
-    column exponent costs one exponential per mode and column. Subnormal
-    results, far below rounding, are flushed to zero (see
-    :func:`_flush_subnormals`).
+    exponents are <= 0 inside the region, so nothing overflows.
+
+    The roots ascend with the mode, so a column far from both nodes needs
+    only a prefix of the modes. For each chunk of a region's columns, a
+    term keeps the modes before the first one whose bound env_i *
+    root_i**m falls below eps*|J|/4, with env the suffix maximum of
+    |weight| and m the chunk's largest column exponent; both factors fall
+    with i, so every dropped entry is below that too. Returns the values
+    (dropped entries are zero) and the number of non-uniform modes kept in
+    each column. Subnormal results, far below rounding, are flushed to
+    zero (see :func:`_flush_subnormals`).
     """
     spec, coords = solution.spec, solution.coords
     rows, cols = spec.rows, spec.cols
     left_s, right_s = coords.span_left, coords.span_right
     p, q = coords.p_offset, coords.q_offset
+
+    values = np.zeros((rows + 1, cols))
+    values[0, :] = -solution.injected * (coords.y_out - coords.y_in) / cols
+    kept = np.zeros(cols, dtype=np.intp)
+    if solution.injected == 0.0:
+        return values, kept
+    tolerance = _DROP_TOLERANCE * abs(solution.injected)
 
     two_log = 2.0 * _decay_table(rows, spec.ratio)
     gap = 2.0 * np.sinh(two_log)
@@ -201,21 +233,33 @@ def transformed_columns(solution: RegionSolution) -> np.ndarray:
     c_out = spec.ratio * solution.injected * _zeta(rows, coords.y_out)[1:] / gap
     shrink = -np.expm1(-2.0 * cols * two_log)  # 1 - root**(-2N)
 
-    values = np.zeros((rows + 1, cols))
-    values[0, :] = -solution.injected * (coords.y_out - coords.y_in) / cols
-
     def region(first: int, last: int, terms) -> None:
         """Fill columns first <= k <= last from (numerators, exponent) terms."""
-        ks = np.arange(first, last + 1)
-        block = values[1:, first + left_s:last + left_s + 1]
+        prepared = []
         for numerators, exponent in terms:
             top = max(base for _, base in numerators)
             weight = sum(coeff * np.exp((base - top) * two_log)
                          for coeff, base in numerators) / shrink
-            column = np.multiply.outer(two_log, exponent(ks) + (top - 2 * cols))
-            np.exp(column, out=column)
-            column *= weight[:, None]
-            block -= column
+            envelope = np.maximum.accumulate(np.abs(weight)[::-1])[::-1]
+            prepared.append((weight, envelope, exponent, top - 2 * cols))
+        for start, stop in _chunks(first, last + 1):
+            ks = np.arange(start, stop)
+            span = slice(start + left_s, stop + left_s)
+            deepest = 0
+            for weight, envelope, exponent, shift in prepared:
+                exponents = exponent(ks) + shift
+                below = envelope * np.exp(two_log * exponents.max()) < tolerance
+                keep = int(below.argmax()) if below.any() else rows
+                if keep == 0:
+                    continue
+                column = np.multiply.outer(two_log[:keep], exponents)
+                np.exp(column, out=column)
+                column *= weight[:keep, None]
+                values[1:keep + 1, span] -= column
+                deepest = max(deepest, keep)
+            if deepest:
+                _flush_subnormals(values[1:deepest + 1, span])
+            kept[span] = deepest
 
     right_numerators = [(c_in, p), (c_in, 2 * left_s - p + 1),
                         (-c_out, -q), (-c_out, q + 2 * left_s + 1)]
@@ -237,8 +281,7 @@ def transformed_columns(solution: RegionSolution) -> np.ndarray:
         (left_numerators, lambda ks: 2 * left_s + 1 + ks),
         (left_numerators, lambda ks: -ks),
     ])
-    _flush_subnormals(values)
-    return values
+    return values, kept
 
 
 def _flush_subnormals(values: np.ndarray) -> None:
@@ -298,7 +341,9 @@ class CurrentField:
     ``currents[i-1, x-1]`` is the upward current through the i-th link
     (i = 1..M+1, counted from the bottom hub) of column x. A current of
     ``injected`` amperes enters at ``source`` and leaves at ``sink``; rail
-    currents inside the hubs are implied, not stored. Immutable.
+    currents inside the hubs are implied, not stored. ``truncation_bound``
+    (eps*|J|) bounds how far each current lies from the sum over every
+    mode (see :func:`transformed_columns`). Immutable.
     """
 
     spec: HammockSpec
@@ -307,6 +352,7 @@ class CurrentField:
     injected: float
     coords: SpanCoords
     currents: np.ndarray
+    truncation_bound: float
 
     def column_label(self, x: int) -> int:
         """Span-frame label k of grid column x."""
@@ -329,6 +375,7 @@ class CurrentField:
             "source": node_code(self.source),
             "sink": node_code(self.sink),
             "J": self.injected,
+            "truncation_bound": self.truncation_bound,
             "span_left": self.coords.span_left,
             "columns": [
                 {"k": self.column_label(x),
@@ -343,39 +390,30 @@ def reconstruct_currents(spec: HammockSpec, a: NodeLike, b: NodeLike,
                          injected: float = 1.0) -> CurrentField:
     """Reconstruct every vertical link current for injection a -> b.
 
-    Inverse-transforms the region solution column by column with one
-    dense (M+1) x (M+1) product and orients the result so ``injected``
-    amperes enter at ``a`` and leave at ``b``. ``injected`` may be zero
-    (zero field). Every intermediate is bounded, so any size that fits in
-    memory reconstructs without overflow.
+    Inverse-transforms the region solution with the dense (M+1) x (M+1)
+    inverse, one chunk of columns at a time over the modes that chunk
+    keeps, and orients the result so ``injected`` amperes enter at ``a``
+    and leave at ``b``. ``injected`` may be zero (zero field). Every
+    intermediate is bounded, so any size that fits in memory reconstructs
+    without overflow.
     """
     a = require_interior(spec, a)
     b = require_interior(spec, b)
     coords = span_coords(spec, a, b)
     solution, _, _ = solve_modes(spec, coords, injected)
-    transformed = transformed_columns(solution)
-    raw = mode_transform(spec.rows).inverse @ transformed
-    currents = raw if coords.swapped else -raw
+    transformed, kept = transformed_columns(solution)
+    inverse = mode_transform(spec.rows).inverse
+    currents = np.empty((spec.rows + 1, spec.cols))
+    for start, stop in _chunks(0, spec.cols):
+        depth = 1 + int(kept[start:stop].max())
+        product = inverse[:, :depth] @ transformed[:depth, start:stop]
+        if not coords.swapped:
+            np.negative(product, out=product)
+        currents[:, start:stop] = product
     currents.flags.writeable = False
     return CurrentField(spec=spec, source=a, sink=b, injected=injected,
-                        coords=coords, currents=currents)
-
-
-def _external_injection(field: CurrentField) -> np.ndarray:
-    """(M, N) array of external current into each interior node."""
-    spec = field.spec
-    ext = np.zeros((spec.rows, spec.cols))
-    ext[field.source.y - 1, field.source.x - 1] += field.injected
-    ext[field.sink.y - 1, field.sink.x - 1] -= field.injected
-    return ext
-
-
-def _potentials(field: CurrentField) -> np.ndarray:
-    """(M+2, N) node potentials, bottom hub pinned to zero per column."""
-    drops = float(field.spec.s) * field.currents
-    potentials = np.zeros((field.spec.rows + 2, field.spec.cols))
-    potentials[1:, :] = -np.cumsum(drops, axis=0)
-    return potentials
+                        coords=coords, currents=currents,
+                        truncation_bound=4.0 * _DROP_TOLERANCE * abs(injected))
 
 
 def kirchhoff_residual(field: CurrentField) -> float:
@@ -383,23 +421,42 @@ def kirchhoff_residual(field: CurrentField) -> float:
 
     Horizontal link currents are recovered from Ohm's law on the column
     potentials; the residual covers every interior node, both hubs, and
-    the spread of the top-rail potential (scaled to amperes).
+    the spread of the top-rail potential (scaled to amperes). Works in
+    row blocks of about 2**16 entries, carrying the running sum of the
+    column drops (minus the potential, bottom hub pinned to zero) from
+    block to block, so it needs O(M + N) memory beyond the field.
     """
     spec = field.spec
     currents = field.currents
-    potentials = _potentials(field)
-    horizontal = (potentials[1:-1, :-1] - potentials[1:-1, 1:]) / float(spec.r)
+    rows, cols = spec.rows, spec.cols
+    s, r = float(spec.s), float(spec.r)
+    injections = [(field.source, field.injected), (field.sink, -field.injected)]
 
-    imbalance = currents[:-1, :] - currents[1:, :] + _external_injection(field)
-    imbalance[:, 1:] += horizontal
-    imbalance[:, :-1] -= horizontal
+    worst = 0.0
+    climbed = np.zeros(cols)  # sum of s * current over the links below
+    step = max(1, (1 << 16) // cols)
+    for start in range(0, rows, step):
+        stop = min(start + step, rows)
+        # node rows start..stop-1 sit above link rows start..stop-1
+        block = s * currents[start:stop]
+        block[0] += climbed
+        np.cumsum(block, axis=0, out=block)
+        climbed = block[-1].copy()
+        horizontal = (block[:, 1:] - block[:, :-1]) / r
 
-    residuals = [float(np.abs(imbalance).max()) if imbalance.size else 0.0,
-                 abs(float(currents[0, :].sum())),
-                 abs(float(currents[-1, :].sum()))]
-    top = potentials[-1, :]
-    residuals.append(float(np.abs(top - top[0]).max()) / float(spec.s))
-    return max(residuals)
+        imbalance = currents[start:stop] - currents[start + 1:stop + 1]
+        for node, amount in injections:
+            if start <= node.y - 1 < stop:
+                imbalance[node.y - 1 - start, node.x - 1] += amount
+        imbalance[:, 1:] += horizontal
+        imbalance[:, :-1] -= horizontal
+        worst = max(worst, float(np.abs(imbalance).max()))
+
+    top = climbed + s * currents[-1]
+    return max(worst,
+               abs(float(currents[0, :].sum())),
+               abs(float(currents[-1, :].sum())),
+               float(np.abs(top - top[0]).max()) / s)
 
 
 def recurrence_residual(field: CurrentField) -> float:
@@ -466,8 +523,12 @@ def potential_path_check(field: CurrentField) -> tuple[float, float]:
     # horizontal currents along the source row, by charge conservation
     # over the columns left of each link
     row = y1 - 1
+    injection = np.zeros(spec.cols)
+    injection[c1] += field.injected
+    if y2 == y1:
+        injection[c2] -= field.injected
     conserved = np.cumsum(currents[row, :-1] - currents[row + 1, :-1]
-                          + _external_injection(field)[row, :-1])
+                          + injection[:-1])
 
     drop = 0.0
     if c1 < c2:

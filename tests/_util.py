@@ -86,3 +86,32 @@ def region_amplitudes(spec: HammockSpec, coords: SpanCoords, injected: float = 1
         "left": (with_uniform(s_growth), with_uniform(s_decay)),
     }
     return roots, regions
+
+
+def full_kirchhoff_residual(field) -> float:
+    """Worst node imbalance of a current field, from full M x N arrays.
+
+    The direct formula: node potentials from one cumulative sum of the
+    column drops, horizontal currents by Ohm's law, and every interior
+    node's balance in one (M, N) array; plus both hub sums and the
+    top-rail spread. A reference for the row-blocked library audit.
+    """
+    spec = field.spec
+    currents = field.currents
+    s, r = float(spec.s), float(spec.r)
+    potentials = np.zeros((spec.rows + 2, spec.cols))
+    potentials[1:, :] = -np.cumsum(s * currents, axis=0)
+    horizontal = (potentials[1:-1, :-1] - potentials[1:-1, 1:]) / r
+
+    external = np.zeros((spec.rows, spec.cols))
+    external[field.source.y - 1, field.source.x - 1] += field.injected
+    external[field.sink.y - 1, field.sink.x - 1] -= field.injected
+    imbalance = currents[:-1, :] - currents[1:, :] + external
+    imbalance[:, 1:] += horizontal
+    imbalance[:, :-1] -= horizontal
+
+    top = potentials[-1, :]
+    return max(float(np.abs(imbalance).max()),
+               abs(float(currents[0, :].sum())),
+               abs(float(currents[-1, :].sum())),
+               float(np.abs(top - top[0]).max()) / s)

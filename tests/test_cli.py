@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import sys
 
 import pytest
 
@@ -132,6 +133,16 @@ class TestVerify:
         assert code == EXIT_OK
         assert "0 pairs" in out
 
+    @pytest.mark.parametrize("option, bound", [("--min-M", "--max-M"),
+                                               ("--min-N", "--max-N")])
+    def test_empty_range_is_usage_error(self, capsys, option, bound):
+        code, out, err = run(capsys, "verify", "--max-M", "2", "--max-N", "2",
+                             option, "3")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert option in err and bound in err
+        assert "Traceback" not in err
+
     def test_negative_control(self, capsys):
         code, out, _ = run(capsys, "verify", "--max-M", "2", "--max-N", "2",
                            "--tolerance", "1e-300")
@@ -172,7 +183,16 @@ class TestCurrents:
         assert code == EXIT_OK
         payload = json.loads(out)
         assert payload["kirchhoff_residual"] < 1e-10
+        assert payload["truncation_bound"] == sys.float_info.epsilon
         assert len(payload["columns"]) == 2
+
+    @pytest.mark.parametrize("injected", ["0", "-2.5"])
+    def test_zero_and_reversed_injection_accepted(self, capsys, injected):
+        code, out, _ = run(capsys, "currents", "--M", "2", "--N", "2",
+                           "--from", "1,1", "--to", "2,2", "--J", injected,
+                           "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["J"] == float(injected)
 
     def test_terminal_rejected(self, capsys):
         code, _, err = run(capsys, "currents", "--M", "2", "--N", "2",
@@ -231,6 +251,12 @@ class TestUsageErrors:
         ["bench", "--sizes", "3", "--reps", "0"],
         ["bench", "--sizes", "3,x"],
         ["bench", "--sizes", "3,0"],
+        ["currents", "--M", "2", "--N", "2", "--from", "1,1", "--to", "2,2",
+         "--J", "nan"],
+        ["currents", "--M", "2", "--N", "2", "--from", "1,1", "--to", "2,2",
+         "--J", "inf"],
+        ["currents", "--M", "2", "--N", "2", "--from", "1,1", "--to", "2,2",
+         "--J=-inf"],
     ])
     def test_bad_value_exits_2_without_traceback(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

@@ -1,7 +1,9 @@
 """Recurrence-transform route: transform, mode solve, fields and audits."""
 
+import dataclasses
 import json
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -27,7 +29,13 @@ from hammocknet import (
 from hammocknet import recurrence
 from hammocknet.closed_form import _decay_table
 
-from _util import interior_pairs, region_amplitudes, rel_dev, specs_upto
+from _util import (
+    full_kirchhoff_residual,
+    interior_pairs,
+    region_amplitudes,
+    rel_dev,
+    specs_upto,
+)
 
 
 def _mode_coeffs(spec):
@@ -152,7 +160,7 @@ class TestSolveModes:
         spec = HammockSpec(3, 7)
         coords = span_coords(spec, (2, 1), (5, 2))
         sol, _, _ = solve_modes(spec, coords, 1.5)
-        values = transformed_columns(sol)
+        values, _ = transformed_columns(sol)
         roots, regions = region_amplitudes(spec, coords, 1.5)
         seen = set()
         for k in range(-coords.span_left, coords.span_right + 1):
@@ -174,7 +182,7 @@ class TestSolveModes:
         spec = HammockSpec(3, 7)
         coords = span_coords(spec, (3, 1), (5, 2))
         sol, _, _ = solve_modes(spec, coords, 1.0)
-        values = transformed_columns(sol)
+        values, _ = transformed_columns(sol)
         coeffs = _mode_coeffs(spec)
         offset = coords.span_left
         for k in range(-coords.span_left + 1, coords.span_right):
@@ -189,7 +197,7 @@ class TestSolveModes:
         spec = HammockSpec(2, 3)
         coords = span_coords(spec, (1, 1), (3, 2))
         sol, x_out, x_in = solve_modes(spec, coords, 1.0)
-        values = transformed_columns(sol)
+        values, _ = transformed_columns(sol)
         chis = np.arange(spec.rows + 1) * math.pi / (2 * spec.rows + 2)
         coeffs = _mode_coeffs(spec)
         offset = coords.span_left
@@ -308,15 +316,92 @@ class TestReconstructCurrents:
         spec = HammockSpec(8, 400, r=4.0)
         coords = span_coords(spec, (1, 2), (3, 7))
         sol, _, _ = solve_modes(spec, coords, 1.0)
-        flushed = transformed_columns(sol)
+        flushed, _ = transformed_columns(sol)
         monkeypatch.setattr(recurrence, "_flush_subnormals", lambda values: None)
-        raw = transformed_columns(sol)
+        raw, _ = transformed_columns(sol)
         tiny = np.finfo(float).tiny
         assert np.count_nonzero((raw != 0.0) & (np.abs(raw) < tiny)) > 0
         assert np.count_nonzero((flushed != 0.0) & (np.abs(flushed) < tiny)) == 0
         inverse = mode_transform(spec.rows).inverse
         # the flushed entries sit far below every product's last digit
         np.testing.assert_allclose(inverse @ flushed, inverse @ raw, rtol=1e-15, atol=1e-300)
+
+
+class TestModeTruncation:
+    """Each column keeps a prefix of the modes; the dropped ones move no
+    link current by more than the field's stated bound."""
+
+    @pytest.mark.parametrize("spec, a, b, injected", [
+        (HammockSpec(400, 1200), (3, 50), (40, 300), 1.3),
+        (HammockSpec(400, 1200, r=0.5, s=2.0), (1195, 390), (1150, 12), -0.6),
+        # 300 rows x 1000 columns; 1000 rows x 300 columns is one chunk wide
+        (HammockSpec(300, 1000, r=3.0), (990, 10), (960, 280), 2.0),
+        # the product chunk of columns 256..511 covers the full-depth region
+        # chunk next to the sink column (99) and a shallow one after it
+        (HammockSpec(300, 2000), (20, 40), (100, 250), 1.0),
+    ])
+    def test_within_bound_of_every_mode(self, monkeypatch, spec, a, b, injected):
+        sol, _, _ = solve_modes(spec, span_coords(spec, a, b), injected)
+        _, kept = transformed_columns(sol)
+        assert kept.sum() < 0.6 * spec.rows * spec.cols
+        field = reconstruct_currents(spec, a, b, injected)
+        assert field.truncation_bound == np.finfo(float).eps * abs(injected)
+
+        monkeypatch.setattr(recurrence, "_DROP_TOLERANCE", 0.0)
+        _, every = transformed_columns(sol)
+        assert np.all(every == spec.rows)
+        full = reconstruct_currents(spec, a, b, injected)
+        assert np.abs(field.currents - full.currents).max() <= field.truncation_bound
+
+    def test_zero_injection_keeps_no_mode(self):
+        spec = HammockSpec(40, 600)
+        sol, _, _ = solve_modes(spec, span_coords(spec, (3, 5), (300, 30)), 0.0)
+        values, kept = transformed_columns(sol)
+        assert not kept.any()
+        assert not values.any()
+        field = reconstruct_currents(spec, (3, 5), (300, 30), 0.0)
+        assert field.truncation_bound == 0.0
+        assert not field.currents.any()
+
+
+class TestRowBlockedAudits:
+    @pytest.mark.parametrize("spec, a, b, injected", [
+        # 163-row blocks: the source sits in the last row of the first
+        # block, the sink in the first row of the second
+        (HammockSpec(300, 400, r=2.0), (7, 163), (390, 164), 1.3),
+        # source and sink on one row
+        (HammockSpec(200, 500), (10, 77), (480, 77), -0.7),
+        # more columns than a block holds: one row per block
+        (HammockSpec(3, 70000, r=0.5), (5, 1), (69000, 3), 1.0),
+        (HammockSpec(1, 5), (1, 1), (5, 1), 2.0),
+        (HammockSpec(5, 1), (1, 5), (1, 2), 1.0),
+    ])
+    def test_kirchhoff_matches_full_array_formula(self, spec, a, b, injected):
+        field = reconstruct_currents(spec, a, b, injected)
+        rows, cols = spec.rows, spec.cols
+        # a consistent field, then one bad link near each end of the audit
+        for link in (None, (0, 0), (rows - 1, cols - 1), (rows, cols // 2)):
+            currents = field.currents.copy()
+            if link is not None:
+                currents[link] += 1e-6 * injected
+            audited = dataclasses.replace(field, currents=currents)
+            expected = full_kirchhoff_residual(audited)
+            assert kirchhoff_residual(audited) == pytest.approx(
+                expected, rel=0.0, abs=1e-15 * abs(injected))
+            if link is not None:
+                assert expected >= 1e-7 * abs(injected)
+
+    def test_audits_allocate_no_full_array(self):
+        spec = HammockSpec(1000, 1000)
+        field = reconstruct_currents(spec, (200, 300), (800, 700), 1.0)
+        tracemalloc.start()
+        try:
+            kirchhoff_residual(field)
+            potential_path_check(field)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < spec.rows * spec.cols * np.dtype(float).itemsize
 
 
 class TestFieldsWithoutWarnings:
@@ -358,6 +443,7 @@ class TestCurrentFieldExport:
         field = reconstruct_currents(HammockSpec(2, 3), (1, 1), (3, 2), 2.0)
         payload = json.loads(field.to_json())
         assert payload["J"] == 2.0
+        assert payload["truncation_bound"] == field.truncation_bound
         assert payload["source"] == "1,1"
         assert payload["sink"] == "3,2"
         columns = {entry["k"]: entry["currents"] for entry in payload["columns"]}
