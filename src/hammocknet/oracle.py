@@ -6,23 +6,27 @@ both stamped link by link from :func:`hammocknet.lattice.edge_indices`, the
 one definition of the graph, and share nothing with the other routes.
 Three independent evaluations are provided: a grounded linear solve in
 floating point, the same solve in exact rational arithmetic (fraction-free
-integer elimination, so results are exact ratios whenever r and s are
-rational), and the eigenpair sum over the full matrix. Dense cubic cost
-limits these to a few thousand nodes; the closed-form engines cover
-everything larger.
+integer elimination and back substitution, so results are exact ratios
+whenever r and s are rational), and the eigenpair sum over the full
+matrix, decomposed once per instance. Dense cubic cost limits these to
+a few thousand nodes; the closed-form engines cover everything larger.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
-from typing import Callable, List, Sequence
+from numbers import Rational
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
 from .lattice import (
     HammockSpec,
+    LatticeError,
+    Node,
     NodeLike,
     ResistanceResult,
     SizeCapError,
@@ -115,50 +119,86 @@ def _rational_laplacian(spec: HammockSpec) -> List[List[Fraction]]:
                   lambda ohms: 1 / Fraction(ohms))
 
 
-def _bareiss_solve(matrix: Sequence[Sequence[Fraction]],
-                   rhs_columns: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
-    """Solve ``A x = b`` for several right-hand sides, exactly.
+def _bareiss_numerators(matrix: Sequence[Sequence[Rational]],
+                        rhs_columns: Sequence[Sequence[Rational]]
+                        ) -> Tuple[List[List[int]], int]:
+    """Solve ``A x = b`` for several right-hand sides in integers alone.
 
-    Each row (with its rhs entries) is scaled to integers, then eliminated
-    fraction-free: every intermediate division is exact integer division,
-    which keeps entry growth polynomial instead of exponential.
+    Returns ``(Y, D)`` with ``x_c[i] == Fraction(Y[i][c], D)``. Each row
+    (with its rhs entries) is scaled to integers, then eliminated
+    fraction-free (Bareiss): every intermediate division is exact, which
+    keeps entry growth polynomial. D, the last pivot, is the determinant
+    of the row-scaled matrix up to sign, so by Cramer's rule every
+    y = D*x is an integer, and back substitution
+    y_i = (D*b'_i - sum_j U_ij*y_j) / U_ii divides exactly as well.
+    Entries must be ints or Fractions.
     """
     n = len(matrix)
     m = len(rhs_columns)
     aug: List[List[int]] = []
     for i in range(n):
-        row = list(matrix[i]) + [rhs_columns[j][i] for j in range(m)]
-        row = [Fraction(v) for v in row]
+        row = list(matrix[i]) + [column[i] for column in rhs_columns]
         scale = lcm(*(v.denominator for v in row)) if row else 1
-        aug.append([int(v * scale) for v in row])
+        aug.append([v.numerator * (scale // v.denominator) for v in row])
 
-    prev = 1
+    # A row left alone since step t holds its value then; Bareiss's
+    # scaling by pivot/previous pivot telescopes, so after step k it is
+    # that value times pivots[k] / pivots[t], exactly. Rows are brought
+    # up to date only when a step touches them.
+    pivots = [1]
+    level = [0] * n
+
+    def current(i: int, k: int) -> List[int]:
+        if level[i] < k:
+            num, den = pivots[k], pivots[level[i]]
+            aug[i] = [x * num // den for x in aug[i]]
+            level[i] = k
+        return aug[i]
+
     for k in range(n):
         if aug[k][k] == 0:
             for i in range(k + 1, n):
                 if aug[i][k] != 0:
                     aug[k], aug[i] = aug[i], aug[k]
+                    level[k], level[i] = level[i], level[k]
                     break
             else:
                 raise ArithmeticError("singular Kirchhoff system; graph should be connected")
-        pivot = aug[k][k]
+        row_k = current(k, k)
+        pivot, prev = row_k[k], pivots[k]
         for i in range(k + 1, n):
-            head = aug[i][k]
-            row_i, row_k = aug[i], aug[k]
-            for j in range(k + 1, n + m):
-                row_i[j] = (pivot * row_i[j] - head * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
+            if aug[i][k]:
+                row_i = current(i, k)
+                head = row_i[k]
+                aug[i] = [(pivot * x - head * y) // prev for x, y in zip(row_i, row_k)]
+                level[i] = k + 1
+        pivots.append(pivot)
+    det = pivots[-1]
 
-    solutions: List[List[Fraction]] = [[Fraction(0)] * n for _ in range(m)]
-    for col in range(m):
-        sol = solutions[col]
-        for i in range(n - 1, -1, -1):
-            acc = Fraction(aug[i][n + col])
-            for j in range(i + 1, n):
-                acc -= aug[i][j] * sol[j]
-            sol[i] = acc / aug[i][i]
-    return solutions
+    numerators: List[List[int]] = [[]] * n
+    for i in range(n - 1, -1, -1):
+        row = aug[i]
+        acc = [det * v for v in row[n:]]
+        for j in range(i + 1, n):
+            u = row[j]
+            if u:
+                acc = [a - u * y for a, y in zip(acc, numerators[j])]
+        diagonal = row[i]
+        solved = []
+        for a in acc:
+            y, rest = divmod(a, diagonal)
+            if rest:
+                raise ArithmeticError("inexact back substitution; Bareiss invariant broken")
+            solved.append(y)
+        numerators[i] = solved
+    return numerators, det
+
+
+def _bareiss_solve(matrix: Sequence[Sequence[Rational]],
+                   rhs_columns: Sequence[Sequence[Rational]]) -> List[List[Fraction]]:
+    """Exact solutions of ``A x = b``, one list per right-hand side."""
+    numerators, det = _bareiss_numerators(matrix, rhs_columns)
+    return [[Fraction(row[c], det) for row in numerators] for c in range(len(rhs_columns))]
 
 
 def _grounded_system_rational(spec: HammockSpec, ground: int) -> List[List[Fraction]]:
@@ -167,9 +207,56 @@ def _grounded_system_rational(spec: HammockSpec, ground: int) -> List[List[Fract
     return [[lap[i][j] for j in keep] for i in keep]
 
 
+def _green_numerators(spec: HammockSpec) -> Tuple[List[List[int]], int]:
+    """``(Y, D)``: the top-hub-grounded inverse is exactly Y / D.
+
+    Y is an integer matrix over every node but the top hub (the last
+    index) and D one common denominator, so callers combine numerators
+    in integers and divide once.
+    """
+    n = spec.node_count - 1
+    reduced = _grounded_system_rational(spec, ground=n)
+    identity = [[int(i == j) for i in range(n)] for j in range(n)]
+    return _bareiss_numerators(reduced, identity)
+
+
+# ---------------------------------------------------------------------------
+# eigenpairs of the full matrix, decomposed once per instance
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=1)
+def _eigenpairs(spec: HammockSpec) -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(eigenvalues, vectors)`` of the full matrix.
+
+    One entry serves the queries made on one instance in turn, such as
+    its three hub pairs; at the float cap it holds about 50 MB.
+    """
+    full = build_full_laplacian(spec, cap=spec.node_count)
+    pair = np.linalg.eigh(full.matrix)
+    for array in pair:
+        array.flags.writeable = False
+    return pair
+
+
 # ---------------------------------------------------------------------------
 # resistance queries
 # ---------------------------------------------------------------------------
+
+
+def _check_arithmetic(arithmetic: str) -> None:
+    if arithmetic not in ("float", "rational"):
+        raise LatticeError(f"unknown arithmetic {arithmetic!r}; use 'float' or 'rational'")
+
+
+def _query_nodes(spec: HammockSpec, a: NodeLike, b: NodeLike) -> Tuple[Node, Node]:
+    """Coerce both nodes; grid nodes must lie inside the instance."""
+    a = as_node(a)
+    b = as_node(b)
+    for node in (a, b):
+        if not isinstance(node, Terminal):
+            require_interior(spec, node)
+    return a, b
 
 
 def resistance_dense(spec: HammockSpec, a: NodeLike, b: NodeLike,
@@ -179,16 +266,11 @@ def resistance_dense(spec: HammockSpec, a: NodeLike, b: NodeLike,
 
     Node ``b`` is grounded (its row and column deleted), a unit current is
     injected at ``a`` and the resistance is the resulting potential there.
-    ``arithmetic="rational"`` runs the whole solve in exact fractions and
+    ``arithmetic="rational"`` runs the whole solve in exact integers and
     reports the exact value in ``meta["exact"]``.
     """
-    if arithmetic not in ("float", "rational"):
-        raise ValueError(f"unknown arithmetic {arithmetic!r}")
-    a = as_node(a)
-    b = as_node(b)
-    for node in (a, b):
-        if not isinstance(node, Terminal):
-            require_interior(spec, node)
+    _check_arithmetic(arithmetic)
+    a, b = _query_nodes(spec, a, b)
     method = f"oracle-{arithmetic}"
     if a == b:
         meta = {"exact": Fraction(0)} if arithmetic == "rational" else {}
@@ -210,10 +292,9 @@ def resistance_dense(spec: HammockSpec, a: NodeLike, b: NodeLike,
     ia, ib = node_index(spec, a), node_index(spec, b)
     reduced = _grounded_system_rational(spec, ground=ib)
     pos = ia if ia < ib else ia - 1
-    rhs = [Fraction(0)] * len(reduced)
-    rhs[pos] = Fraction(1)
-    solution = _bareiss_solve(reduced, [rhs])[0]
-    exact = solution[pos]
+    rhs = [0] * len(reduced)
+    rhs[pos] = 1
+    exact = _bareiss_solve(reduced, [rhs])[0][pos]
     return ResistanceResult(float(exact), method, {"exact": exact})
 
 
@@ -223,16 +304,14 @@ def resistance_eigen_full(spec: HammockSpec, a: NodeLike, b: NodeLike,
 
     Sums |psi_i(a) - psi_i(b)|^2 / lambda_i over the numerically computed
     nonzero eigenpairs; the single zero mode of the connected graph is
-    dropped.
+    dropped. The eigenpairs are decomposed once per instance and cached.
     """
     _check_cap(spec, cap, float_cap(), "float")
-    full = build_full_laplacian(spec, cap=spec.node_count)
-    a = as_node(a)
-    b = as_node(b)
+    a, b = _query_nodes(spec, a, b)
     if a == b:
         return ResistanceResult(0.0, "oracle-eigen", {})
-    eigenvalues, vectors = np.linalg.eigh(full.matrix)
-    ia, ib = full.index(a), full.index(b)
+    eigenvalues, vectors = _eigenpairs(spec)
+    ia, ib = node_index(spec, a), node_index(spec, b)
     diffs = vectors[ia, 1:] - vectors[ib, 1:]  # eigh sorts; column 0 is the zero mode
     value = float(np.sum(diffs * diffs / eigenvalues[1:]))
     return ResistanceResult(value, "oracle-eigen", {"zero_mode": float(eigenvalues[0])})
@@ -245,10 +324,10 @@ def resistance_matrix(spec: HammockSpec, arithmetic: str = "float",
     One grounded factorisation serves every pair: with G the inverse of
     the top-hub-grounded matrix, R(a, b) = G[a,a] + G[b,b] - 2 G[a,b] and
     R(a, ground) = G[a,a]. Returns a dense (T, T) float array, or nested
-    lists of Fractions for ``arithmetic="rational"``.
+    lists of Fractions for ``arithmetic="rational"``, each entry formed
+    once from the integer numerators of G over their common denominator.
     """
-    if arithmetic not in ("float", "rational"):
-        raise ValueError(f"unknown arithmetic {arithmetic!r}")
+    _check_arithmetic(arithmetic)
     dim = spec.node_count
     n = dim - 1  # ground the top hub (last index)
     if arithmetic == "float":
@@ -263,30 +342,28 @@ def resistance_matrix(spec: HammockSpec, arithmetic: str = "float",
         return table
 
     _check_cap(spec, cap, rational_cap(), "rational")
-    reduced = _grounded_system_rational(spec, ground=n)
-    identity = [[Fraction(1) if i == j else Fraction(0) for i in range(n)]
-                for j in range(n)]
-    columns = _bareiss_solve(reduced, identity)
-    green_exact = [[columns[j][i] for j in range(n)] for i in range(n)]
-    table_exact = [[Fraction(0)] * dim for _ in range(dim)]
+    numerators, det = _green_numerators(spec)
+    table = [[Fraction(0)] * dim for _ in range(dim)]
     for i in range(n):
-        for j in range(n):
-            table_exact[i][j] = (green_exact[i][i] + green_exact[j][j]
-                                 - 2 * green_exact[i][j])
-        table_exact[i][n] = green_exact[i][i]
-        table_exact[n][i] = green_exact[i][i]
-    return table_exact
+        row_i, y_i, y_ii = table[i], numerators[i], numerators[i][i]
+        for j in range(i + 1, n):
+            row_i[j] = table[j][i] = Fraction(y_ii + numerators[j][j] - 2 * y_i[j], det)
+        row_i[n] = table[n][i] = Fraction(y_ii, det)
+    return table
 
 
 def kirchhoff_index(spec: HammockSpec, arithmetic: str = "float",
                     cap: int | None = None):
     """Sum of resistances over all unordered node pairs, hubs included."""
-    table = resistance_matrix(spec, arithmetic=arithmetic, cap=cap)
-    dim = spec.node_count
+    _check_arithmetic(arithmetic)
     if arithmetic == "float":
+        table = resistance_matrix(spec, cap=cap)
         return float(np.triu(table, k=1).sum())
-    total = Fraction(0)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            total += table[i][j]
-    return total
+    # Summing the table's numerators: pairs (a, b) below the ground give
+    # (n - 1)·tr Y - (sum Y - tr Y), the ground pairs add tr Y, so the
+    # total is (n + 1)·tr Y - sum Y over the common denominator.
+    _check_cap(spec, cap, rational_cap(), "rational")
+    numerators, det = _green_numerators(spec)
+    trace = sum(row[i] for i, row in enumerate(numerators))
+    total = sum(sum(row) for row in numerators)
+    return Fraction(spec.node_count * trace - total, det)

@@ -3,6 +3,7 @@
 import ast
 import inspect
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from hammocknet import (
     GridNode,
     HammockSpec,
+    LatticeError,
     SizeCapError,
     Terminal,
     build_full_laplacian,
@@ -23,6 +25,37 @@ from hammocknet import (
 from hammocknet import oracle
 
 from _util import all_nodes, rel_dev, specs_upto
+
+
+def _gauss_jordan_inverse(matrix):
+    """Reference inverse in Fractions, by Gauss-Jordan with row swaps."""
+    n = len(matrix)
+    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(matrix)]
+    for k in range(n):
+        pivot_row = next((i for i in range(k, n) if aug[i][k] != 0), None)
+        if pivot_row is None:
+            return None
+        aug[k], aug[pivot_row] = aug[pivot_row], aug[k]
+        pivot = aug[k][k]
+        aug[k] = [v / pivot for v in aug[k]]
+        for i in range(n):
+            if i != k and aug[i][k] != 0:
+                factor = aug[i][k]
+                aug[i] = [v - factor * w for v, w in zip(aug[i], aug[k])]
+    return [row[n:] for row in aug]
+
+
+def _determinant(matrix):
+    """Reference determinant by cofactor expansion along the first row."""
+    if not matrix:
+        return 1
+    return sum((-1) ** j * v * _determinant([row[:j] + row[j + 1:] for row in matrix[1:]])
+               for j, v in enumerate(matrix[0]) if v)
+
+
+def _random_rational(rng, low=-5, high=5):
+    return Fraction(rng.randint(low, high), rng.randint(1, 4))
 
 
 class TestFullLaplacian:
@@ -140,11 +173,98 @@ class TestResistanceDense:
     def test_unknown_arithmetic(self):
         with pytest.raises(ValueError):
             resistance_dense(HammockSpec(1, 1), (1, 1), "O", "decimal")
+        with pytest.raises(LatticeError, match="decimal"):
+            resistance_dense(HammockSpec(1, 1), (1, 1), "O", "decimal")
+        with pytest.raises(LatticeError, match="decimal"):
+            resistance_matrix(HammockSpec(1, 1), "decimal")
+        with pytest.raises(LatticeError, match="decimal"):
+            kirchhoff_index(HammockSpec(1, 1), "decimal")
+
+
+class TestBareissSolve:
+    @staticmethod
+    def _check(matrix, rhs_columns):
+        solutions = oracle._bareiss_solve(matrix, rhs_columns)
+        assert len(solutions) == len(rhs_columns)
+        for x, b in zip(solutions, rhs_columns):
+            assert all(isinstance(v, Fraction) for v in x)
+            assert [sum(a * v for a, v in zip(row, x)) for row in matrix] == list(b)
+        return solutions
+
+    def test_random_systems_solve_exactly(self):
+        rng = random.Random(8)
+        solved = 0
+        for trial in range(120):
+            n = rng.randint(1, 5)
+            density = 1.0 if trial % 2 else 0.4  # sparse systems need row swaps
+            matrix = [[_random_rational(rng) if rng.random() < density else Fraction(0)
+                       for _ in range(n)] for _ in range(n)]
+            inverse = _gauss_jordan_inverse(matrix)
+            if inverse is None:
+                with pytest.raises(ArithmeticError):
+                    oracle._bareiss_solve(matrix, [[Fraction(1)] * n])
+                continue
+            rhs = [[_random_rational(rng) for _ in range(n)] for _ in range(3)]
+            solutions = self._check(matrix, rhs)
+            for x, b in zip(solutions, rhs):
+                assert x == [sum(g * v for g, v in zip(row, b)) for row in inverse]
+            solved += 1
+        assert solved > 60
+
+    def test_last_pivot_is_the_determinant(self):
+        # D must be +-det of the row-scaled matrix for y = D*x to be integral
+        rng = random.Random(5)
+        for _ in range(40):
+            n = rng.randint(1, 5)
+            matrix = [[rng.choice([0, 0, rng.randint(-4, 4)]) for _ in range(n)]
+                      for _ in range(n)]
+            determinant = _determinant(matrix)
+            if determinant == 0:
+                continue
+            _, det = oracle._bareiss_numerators(matrix, [[1] * n])
+            assert abs(det) == abs(determinant)
+
+    def test_zero_leading_pivot_swaps_rows(self):
+        matrix = [[0, Fraction(1, 2), 2], [3, 1, 0], [1, 0, Fraction(5, 3)]]
+        self._check(matrix, [[1, 0, 0], [Fraction(2, 7), -1, 3], [0, 0, 0]])
+
+    def test_zero_pivot_after_elimination_swaps_rows(self):
+        # step 0 leaves row 1 as [0, 0, 2], so step 1 must swap in row 2,
+        # which step 0 left alone and which still needs the first pivot's scale
+        matrix = [[2, 2, 0], [2, 2, 1], [0, 1, 1]]
+        self._check(matrix, [[1, 2, 3], [0, Fraction(1, 3), 0]])
+
+    def test_singular_system_raises(self):
+        with pytest.raises(ArithmeticError):
+            oracle._bareiss_solve([[1, 2], [2, 4]], [[1, 1]])
+
+    def test_numerators_share_one_denominator(self):
+        matrix = oracle._grounded_system_rational(HammockSpec(2, 2, r=Fraction(1, 3)), 5)
+        identity = [[int(i == j) for i in range(5)] for j in range(5)]
+        numerators, det = oracle._bareiss_numerators(matrix, identity)
+        assert all(isinstance(y, int) for row in numerators for y in row)
+        inverse = _gauss_jordan_inverse(matrix)
+        assert [[Fraction(y, det) for y in row] for row in numerators] == inverse
 
 
 class TestResistanceEigenFull:
     def test_identical_nodes(self):
         assert resistance_eigen_full(HammockSpec(2, 2), (1, 1), (1, 1)).ohms == 0.0
+
+    def test_identical_nodes_skip_the_laplacian(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Laplacian built for identical nodes")
+        monkeypatch.setattr(oracle, "build_full_laplacian", refuse)
+        oracle._eigenpairs.cache_clear()
+        assert resistance_eigen_full(HammockSpec(2, 3), "O", "O").ohms == 0.0
+        assert resistance_eigen_full(HammockSpec(2, 3), (2, 1), (2, 1)).ohms == 0.0
+
+    def test_rejects_nodes_outside_the_grid(self):
+        for a, b in [((9, 9), (9, 9)), ((1, 1), (4, 1)), ("O", (1, 0))]:
+            with pytest.raises(LatticeError):
+                resistance_eigen_full(HammockSpec(3, 3), a, b)
+            with pytest.raises(LatticeError):
+                resistance_dense(HammockSpec(3, 3), a, b)
 
     def test_three_parallel_paths(self):
         assert resistance_eigen_full(HammockSpec(1, 2), (1, 1), (2, 1)).ohms == \
@@ -169,6 +289,76 @@ class TestResistanceMatrix:
             direct = resistance_dense(spec, a, b, "rational").meta["exact"]
             assert exact[i][j] == direct
             assert table[i, j] == pytest.approx(float(direct), rel=1e-12)
+
+
+    def test_rational_table_matches_gauss_jordan(self):
+        rng = random.Random(3)
+        for rows, cols in itertools.product(range(1, 5), repeat=2):
+            spec = HammockSpec(rows, cols, Fraction(rng.randint(1, 5), rng.randint(1, 5)),
+                               Fraction(rng.randint(1, 5), rng.randint(1, 5)))
+            dim = spec.node_count
+            n = dim - 1
+            green = _gauss_jordan_inverse(oracle._grounded_system_rational(spec, n))
+            expected = [[Fraction(0)] * dim for _ in range(dim)]
+            for i, j in itertools.product(range(n), repeat=2):
+                expected[i][j] = green[i][i] + green[j][j] - 2 * green[i][j]
+            for i in range(n):
+                expected[i][n] = expected[n][i] = green[i][i]
+            assert resistance_matrix(spec, "rational") == expected
+            total = sum(expected[i][j] for i in range(dim) for j in range(i + 1, dim))
+            assert kirchhoff_index(spec, "rational") == total
+
+
+class TestEigenpairCache:
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        oracle._eigenpairs.cache_clear()
+        yield
+        oracle._eigenpairs.cache_clear()
+
+    @staticmethod
+    def _count_eigh(monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(matrix):
+            calls.append(matrix.shape)
+            return eigh(matrix)
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        return calls
+
+    def test_hub_queries_decompose_once(self, monkeypatch):
+        calls = self._count_eigh(monkeypatch)
+        spec = HammockSpec(4, 5, r=1.5, s=0.5)
+        for a, b in [("O", (2, 3)), ((2, 3), "OP"), ("O", "OP")]:
+            eig = resistance_eigen_full(spec, a, b).ohms
+            assert rel_dev([eig, resistance_dense(spec, a, b).ohms]) < 1e-8
+        assert calls == [(22, 22)]
+        info = oracle._eigenpairs.cache_info()
+        assert (info.hits, info.misses) == (2, 1)
+
+    def test_arrays_are_read_only(self):
+        eigenvalues, vectors = oracle._eigenpairs(HammockSpec(2, 3))
+        for array in (eigenvalues, vectors):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_one_entry_serves_the_instance_in_hand(self, monkeypatch):
+        calls = self._count_eigh(monkeypatch)
+        first, second = HammockSpec(2, 3), HammockSpec(3, 2)
+        for spec in (first, first, second, second, first):
+            resistance_eigen_full(spec, "O", "OP")
+        assert len(calls) == 3
+
+    def test_cache_clear_resets_counts(self):
+        spec = HammockSpec(2, 2)
+        resistance_eigen_full(spec, "O", (1, 1))
+        resistance_eigen_full(spec, "O", (2, 2))
+        info = oracle._eigenpairs.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        oracle._eigenpairs.cache_clear()
+        assert oracle._eigenpairs.cache_info() == (0, 0, 1, 0)
 
 
 class TestKirchhoffIndex:
