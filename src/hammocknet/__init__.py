@@ -38,7 +38,6 @@ from .lattice import (
     span_coords,
 )
 from .oracle import (
-    FullLaplacian,
     build_full_laplacian,
     kirchhoff_index,
     resistance_dense,
@@ -48,7 +47,6 @@ from .oracle import (
 from .recurrence import (
     CurrentField,
     RegionSolution,
-    TransformPair,
     coupling_matrix,
     kirchhoff_residual,
     mode_transform,

@@ -23,9 +23,8 @@ import random
 import statistics
 import sys
 import time
-from dataclasses import dataclass, fields as dataclass_fields
 from fractions import Fraction
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
 from . import closed_form, oracle, recurrence, spectral
 from .lattice import (
@@ -40,68 +39,27 @@ from .lattice import (
     parse_node,
 )
 
-METHODS = ("closed", "spectral", "rt", "oracle-float", "oracle-rational")
+# Every route the CLI runs, by name. Each entry looks its function up on
+# the module at call time, so a patched module attribute is honoured.
+ROUTES: dict[str, Callable[[HammockSpec, Node, Node], ResistanceResult]] = {
+    "closed": lambda spec, a, b: closed_form.resistance_general(spec, a, b),
+    "spectral": lambda spec, a, b: spectral.resistance_spectral(spec, a, b),
+    "rt": lambda spec, a, b: recurrence.resistance_rt(spec, a, b),
+    "spectral-reduced":
+        lambda spec, a, b: spectral.resistance_spectral(spec, a, b, "reduced"),
+    "spectral-double":
+        lambda spec, a, b: spectral.resistance_spectral(spec, a, b, "double_sum"),
+    "oracle-float": lambda spec, a, b: oracle.resistance_dense(spec, a, b, "float"),
+    "oracle-rational": lambda spec, a, b: oracle.resistance_dense(spec, a, b, "rational"),
+}
+# resist offers spectral in its default form; bench times both forms apart
+METHODS = tuple(name for name in ROUTES if not name.startswith("spectral-"))
 ALL_METHODS = METHODS + ("all",)
-BENCH_METHODS = ("closed", "rt", "spectral-reduced", "spectral-double",
-                 "oracle-float", "oracle-rational")
+BENCH_METHODS = tuple(name for name in ROUTES if name != "spectral")
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
 EXIT_USAGE = 2
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation; round-trips through a flat JSON object."""
-
-    rows: int
-    cols: int
-    r: float = 1.0
-    s: float = 1.0
-    method: str = "all"
-    source: str = ""
-    sink: str = ""
-    fmt: str = "human"
-    tolerance: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.tolerance < math.inf:
-            raise LatticeError(
-                f"tolerance must be positive and finite, got {self.tolerance!r}")
-
-    _JSON_KEYS = {
-        "rows": "M", "cols": "N", "r": "r", "s": "s", "method": "method",
-        "source": "from", "sink": "to", "fmt": "format",
-        "tolerance": "tolerance",
-    }
-
-    def to_dict(self) -> dict:
-        return {self._JSON_KEYS[f.name]: getattr(self, f.name)
-                for f in dataclass_fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RunConfig":
-        reverse = {v: k for k, v in cls._JSON_KEYS.items()}
-        kwargs = {reverse[key]: value for key, value in data.items()
-                  if key in reverse}
-        return cls(**kwargs)
-
-    def spec(self) -> HammockSpec:
-        return HammockSpec(rows=self.rows, cols=self.cols, r=self.r, s=self.s)
-
-
-def _method_runner(name: str) -> Callable[[HammockSpec, Node, Node], ResistanceResult]:
-    if name == "closed":
-        return closed_form.resistance_general
-    if name == "spectral":
-        return spectral.resistance_spectral
-    if name == "rt":
-        return recurrence.resistance_rt
-    if name == "oracle-float":
-        return lambda spec, a, b: oracle.resistance_dense(spec, a, b, "float")
-    if name == "oracle-rational":
-        return lambda spec, a, b: oracle.resistance_dense(spec, a, b, "rational")
-    raise LatticeError(f"unknown method {name!r}")
 
 
 def _max_relative_deviation(values: Sequence[float]) -> float:
@@ -117,11 +75,13 @@ def _format_result(result: ResistanceResult) -> str:
     return f"{result.ohms!r}{suffix}"
 
 
-def _emit_results(config: RunConfig, results: list[ResistanceResult],
+def _emit_results(args: argparse.Namespace, results: list[ResistanceResult],
                   deviation: float | None, warnings: list[str]) -> None:
-    if config.fmt == "json":
+    if args.format == "json":
         payload = {
-            "config": config.to_dict(),
+            "config": {"M": args.M, "N": args.N, "r": args.r, "s": args.s,
+                       "method": args.method, "from": args.from_, "to": args.to,
+                       "format": args.format, "tolerance": args.tolerance},
             "results": [
                 {"method": res.method, "ohms": res.ohms,
                  **({"exact": str(res.meta["exact"])}
@@ -134,7 +94,7 @@ def _emit_results(config: RunConfig, results: list[ResistanceResult],
             payload["max_relative_deviation"] = deviation
         print(json.dumps(payload))
         return
-    if config.fmt == "csv":
+    if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["method", "ohms", "exact"])
@@ -151,20 +111,20 @@ def _emit_results(config: RunConfig, results: list[ResistanceResult],
         print(f"{res.method:<{width}}  {_format_result(res)}")
     if deviation is not None:
         print(f"max relative deviation: {deviation:.3e} "
-              f"(tolerance {config.tolerance:g})")
+              f"(tolerance {args.tolerance:g})")
 
 
-def cmd_resist(config: RunConfig) -> int:
-    spec = config.spec()
-    source = parse_node(config.source)
-    sink = parse_node(config.sink)
+def cmd_resist(args: argparse.Namespace) -> int:
+    spec = HammockSpec(rows=args.M, cols=args.N, r=args.r, s=args.s)
+    source = parse_node(args.from_)
+    sink = parse_node(args.to)
     for node in (source, sink):
         if isinstance(node, GridNode) and not spec.contains(node):
             raise LatticeError(f"node {node_code(node)} outside the grid")
 
     has_terminal = isinstance(source, Terminal) or isinstance(sink, Terminal)
     warnings: list[str] = []
-    if config.method == "all":
+    if args.method == "all":
         if has_terminal:
             warnings.append(
                 "terminal node: closed/spectral/rt do not apply, "
@@ -180,15 +140,15 @@ def cmd_resist(config: RunConfig) -> int:
             warnings += [f"{name} {note}" for name, note in notes.items() if note]
             methods = [name for name in methods if not notes[name]]
     else:
-        methods = [config.method]
+        methods = [args.method]
 
-    results = [_method_runner(name)(spec, source, sink) for name in methods]
+    results = [ROUTES[name](spec, source, sink) for name in methods]
     deviation = (_max_relative_deviation([res.ohms for res in results])
                  if len(results) > 1 else None)
     for line in warnings:
         print(f"warning: {line}", file=sys.stderr)
-    _emit_results(config, results, deviation, warnings)
-    if deviation is not None and deviation > config.tolerance:
+    _emit_results(args, results, deviation, warnings)
+    if deviation is not None and deviation > args.tolerance:
         return EXIT_TOLERANCE
     return EXIT_OK
 
@@ -261,8 +221,7 @@ def _bench_pair(spec: HammockSpec) -> tuple[GridNode, GridNode]:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    methods = [token for token in args.methods.split(",") if token]
-    for name in methods:
+    for name in args.methods:
         if name not in BENCH_METHODS:
             raise LatticeError(
                 f"unknown bench method {name!r}; expected one of {BENCH_METHODS}"
@@ -272,16 +231,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for size in args.sizes:
         spec = HammockSpec(rows=size, cols=size, r=args.r, s=args.s)
         a, b = _bench_pair(spec)
-        for name in methods:
-            runner, note = _bench_runner(name, spec)
-            if runner is None:
+        for name in args.methods:
+            note = _skip_note(name, spec)
+            if note:
                 writer.writerow([size, size, name, "", "", note])
                 continue
             timings = []
             value = 0.0
             for _ in range(args.reps):
                 start = time.perf_counter()
-                value = runner(spec, a, b).ohms
+                value = ROUTES[name](spec, a, b).ohms
                 timings.append(time.perf_counter() - start)
             writer.writerow([size, size, name,
                              repr(statistics.median(timings)), repr(value), ""])
@@ -299,18 +258,6 @@ def _skip_note(name: str, spec: HammockSpec) -> str:
     else:
         return ""
     return f"skipped: {nodes} nodes above {label} cap {cap}" if nodes > cap else ""
-
-
-def _bench_runner(name: str, spec: HammockSpec):
-    """Resolve a validated bench contender, or explain why it is skipped."""
-    note = _skip_note(name, spec)
-    if note:
-        return None, note
-    if name == "spectral-reduced":
-        return (lambda s, a, b: spectral.resistance_spectral(s, a, b, "reduced")), ""
-    if name == "spectral-double":
-        return (lambda s, a, b: spectral.resistance_spectral(s, a, b, "double_sum")), ""
-    return _method_runner(name), ""
 
 
 def _positive(convert: Callable[[str], Any]) -> Callable[[str], Any]:
@@ -342,11 +289,19 @@ def _finite(token: str) -> float:
 _finite.__name__ = "finite float"
 
 
-def _sizes(text: str) -> list[int]:
-    return [_positive(int)(token) for token in text.split(",") if token]
+def _listed(convert: Callable[[str], Any], label: str) -> Callable[[str], list]:
+    """argparse ``type=``: a non-empty comma-separated list of ``convert(token)``.
 
-
-_sizes.__name__ = "comma-separated positive int"
+    An empty list raises ValueError, which argparse turns into a usage
+    error that names the option.
+    """
+    def listed(text: str) -> list:
+        values = [convert(token) for token in text.split(",") if token]
+        if not values:
+            raise ValueError(text)
+        return values
+    listed.__name__ = f"comma-separated {label}"
+    return listed
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -394,9 +349,11 @@ def _build_parser() -> argparse.ArgumentParser:
     currents.add_argument("--format", default="csv", choices=("csv", "json"))
 
     bench = sub.add_parser("bench", help="per-method timing table (CSV)")
-    bench.add_argument("--sizes", required=True, type=_sizes,
+    bench.add_argument("--sizes", required=True,
+                       type=_listed(_positive(int), "positive int"),
                        help="comma-separated square sizes, e.g. 10,100,1000")
-    bench.add_argument("--methods", default=",".join(BENCH_METHODS))
+    bench.add_argument("--methods", default=",".join(BENCH_METHODS),
+                       type=_listed(str, "method name"))
     bench.add_argument("--reps", type=_positive(int), default=5)
     bench.add_argument("--r", type=float, default=1.0)
     bench.add_argument("--s", type=float, default=1.0)
@@ -408,11 +365,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "resist":
-            config = RunConfig(rows=args.M, cols=args.N, r=args.r, s=args.s,
-                               method=args.method, source=args.from_,
-                               sink=args.to, fmt=args.format,
-                               tolerance=args.tolerance)
-            return cmd_resist(config)
+            return cmd_resist(args)
         if args.command == "verify":
             return cmd_verify(args)
         if args.command == "currents":

@@ -61,15 +61,22 @@ Node = Union[GridNode, Terminal]
 NodeLike = Union[GridNode, Terminal, Tuple[int, int], str]
 
 
+def _is_integer(value) -> bool:
+    """True for integral numbers; bools are refused though ``bool`` is an int."""
+    return type(value) is int or (isinstance(value, numbers.Integral)
+                                  and not isinstance(value, bool))
+
+
 def as_node(value: NodeLike) -> Node:
-    """Coerce ``(x, y)`` tuples and ``"O"``/``"OP"`` strings to nodes."""
+    """Coerce ``(x, y)`` integer tuples and ``"O"``/``"OP"`` strings to nodes."""
     if isinstance(value, (GridNode, Terminal)):
         return value
     if isinstance(value, str):
         return parse_node(value)
     if isinstance(value, tuple) and len(value) == 2:
         x, y = value
-        return GridNode(int(x), int(y))
+        if _is_integer(x) and _is_integer(y):
+            return GridNode(int(x), int(y))
     raise LatticeError(f"cannot interpret {value!r} as a lattice node")
 
 
@@ -134,8 +141,7 @@ class HammockSpec:
     def __post_init__(self) -> None:
         for name in ("rows", "cols"):
             value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                    or value < 1):
+            if not _is_integer(value) or value < 1:
                 raise LatticeError(f"{name} must be a positive integer, got {value!r}")
             object.__setattr__(self, name, int(value))
         _positive_resistance("r", self.r)
@@ -174,8 +180,14 @@ class HammockSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "HammockSpec":
-        """Inverse of :meth:`as_dict`; exact int and Fraction r/s stay exact."""
-        return cls(rows=int(data["M"]), cols=int(data["N"]),
+        """Inverse of :meth:`as_dict`; exact int and Fraction r/s stay exact.
+
+        M and N must be present and integral: nothing is rounded.
+        """
+        missing = [key for key in ("M", "N") if key not in data]
+        if missing:
+            raise LatticeError(f"spec is missing {', '.join(missing)}")
+        return cls(rows=data["M"], cols=data["N"],
                    r=_exact_or_float(data.get("r", 1.0)),
                    s=_exact_or_float(data.get("s", 1.0)))
 

@@ -14,7 +14,6 @@ a few thousand nodes; the closed-form engines cover everything larger.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -53,12 +52,14 @@ def rational_cap() -> int:
     return env_cap(RATIONAL_CAP_ENV, DEFAULT_RATIONAL_CAP)
 
 
-def _check_cap(spec: HammockSpec, cap: int | None, default: int, label: str) -> None:
-    limit = default if cap is None else cap
-    if spec.node_count > limit:
+def _check_cap(spec: HammockSpec, arithmetic: str, cap: int | None = None) -> None:
+    """Refuse ``spec`` above ``cap``, or the environment cap for ``arithmetic``."""
+    if cap is None:
+        cap = float_cap() if arithmetic == "float" else rational_cap()
+    if spec.node_count > cap:
         raise SizeCapError(
             f"{spec.rows}x{spec.cols} hammock has {spec.node_count} nodes, "
-            f"above the {label} cap of {limit}"
+            f"above the {arithmetic} cap of {cap}"
         )
 
 
@@ -74,37 +75,20 @@ def _stamp(spec: HammockSpec, lap, conductance: Callable):
     return lap
 
 
-@dataclass(frozen=True)
-class FullLaplacian:
-    """Conductance matrix of the whole graph, hubs included.
+def build_full_laplacian(spec: HammockSpec, cap: int | None = None) -> np.ndarray:
+    """Assemble the read-only full Kirchhoff matrix in floats, link by link.
 
-    Node order: bottom hub first, interior nodes by flat index, top hub
-    last. Row sums vanish and the rank is M*N + 1 (one zero mode for the
-    connected graph).
+    Node order is :func:`hammocknet.lattice.node_index`: bottom hub first,
+    interior nodes by flat index, top hub last. Row sums vanish and the
+    rank is M*N + 1. Built from :func:`hammocknet.lattice.edge_indices`
+    alone, so it is independent of the Kronecker minor that the spectral
+    route builds.
     """
-
-    spec: HammockSpec
-    matrix: np.ndarray
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-    def index(self, node: NodeLike) -> int:
-        return node_index(self.spec, node)
-
-
-def build_full_laplacian(spec: HammockSpec, cap: int | None = None) -> FullLaplacian:
-    """Assemble the full Kirchhoff matrix in floats, one link at a time.
-
-    Built from :func:`hammocknet.lattice.edge_indices` alone, so it is
-    independent of the Kronecker minor that the spectral route builds.
-    """
-    _check_cap(spec, cap, float_cap(), "float")
+    _check_cap(spec, "float", cap)
     dim = spec.node_count
     matrix = _stamp(spec, np.zeros((dim, dim)), lambda ohms: 1.0 / float(ohms))
     matrix.flags.writeable = False
-    return FullLaplacian(spec=spec, matrix=matrix)
+    return matrix
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +216,7 @@ def _eigenpairs(spec: HammockSpec) -> Tuple[np.ndarray, np.ndarray]:
     One entry serves the queries made on one instance in turn, such as
     its three hub pairs; at the float cap it holds about 50 MB.
     """
-    full = build_full_laplacian(spec, cap=spec.node_count)
-    pair = np.linalg.eigh(full.matrix)
+    pair = np.linalg.eigh(build_full_laplacian(spec, cap=spec.node_count))
     for array in pair:
         array.flags.writeable = False
     return pair
@@ -276,37 +259,32 @@ def resistance_dense(spec: HammockSpec, a: NodeLike, b: NodeLike,
         meta = {"exact": Fraction(0)} if arithmetic == "rational" else {}
         return ResistanceResult(0.0, method, meta)
 
-    if arithmetic == "float":
-        _check_cap(spec, cap, float_cap(), "float")
-        full = build_full_laplacian(spec, cap=spec.node_count)
-        ia, ib = full.index(a), full.index(b)
-        keep = [i for i in range(full.dimension) if i != ib]
-        reduced = full.matrix[np.ix_(keep, keep)]
-        rhs = np.zeros(len(keep))
-        rhs[keep.index(ia)] = 1.0
-        potentials = np.linalg.solve(reduced, rhs)
-        value = float(potentials[keep.index(ia)])
-        return ResistanceResult(value, method, {"nodes": full.dimension})
-
-    _check_cap(spec, cap, rational_cap(), "rational")
+    _check_cap(spec, arithmetic, cap)
     ia, ib = node_index(spec, a), node_index(spec, b)
+    pos = ia if ia < ib else ia - 1  # a's index once b's row and column are gone
+    if arithmetic == "float":
+        keep = np.arange(spec.node_count) != ib
+        reduced = build_full_laplacian(spec, cap=spec.node_count)[np.ix_(keep, keep)]
+        rhs = np.zeros(spec.node_count - 1)
+        rhs[pos] = 1.0
+        potentials = np.linalg.solve(reduced, rhs)
+        return ResistanceResult(float(potentials[pos]), method, {"nodes": spec.node_count})
+
     reduced = _grounded_system_rational(spec, ground=ib)
-    pos = ia if ia < ib else ia - 1
     rhs = [0] * len(reduced)
     rhs[pos] = 1
     exact = _bareiss_solve(reduced, [rhs])[0][pos]
     return ResistanceResult(float(exact), method, {"exact": exact})
 
 
-def resistance_eigen_full(spec: HammockSpec, a: NodeLike, b: NodeLike,
-                          cap: int | None = None) -> ResistanceResult:
+def resistance_eigen_full(spec: HammockSpec, a: NodeLike, b: NodeLike) -> ResistanceResult:
     """Resistance from the eigenpairs of the full Kirchhoff matrix.
 
     Sums |psi_i(a) - psi_i(b)|^2 / lambda_i over the numerically computed
     nonzero eigenpairs; the single zero mode of the connected graph is
     dropped. The eigenpairs are decomposed once per instance and cached.
     """
-    _check_cap(spec, cap, float_cap(), "float")
+    _check_cap(spec, "float")
     a, b = _query_nodes(spec, a, b)
     if a == b:
         return ResistanceResult(0.0, "oracle-eigen", {})
@@ -317,8 +295,7 @@ def resistance_eigen_full(spec: HammockSpec, a: NodeLike, b: NodeLike,
     return ResistanceResult(value, "oracle-eigen", {"zero_mode": float(eigenvalues[0])})
 
 
-def resistance_matrix(spec: HammockSpec, arithmetic: str = "float",
-                      cap: int | None = None):
+def resistance_matrix(spec: HammockSpec, arithmetic: str = "float"):
     """All-pairs resistance table over every node, hubs included.
 
     One grounded factorisation serves every pair: with G the inverse of
@@ -328,12 +305,11 @@ def resistance_matrix(spec: HammockSpec, arithmetic: str = "float",
     once from the integer numerators of G over their common denominator.
     """
     _check_arithmetic(arithmetic)
+    _check_cap(spec, arithmetic)
     dim = spec.node_count
     n = dim - 1  # ground the top hub (last index)
     if arithmetic == "float":
-        _check_cap(spec, cap, float_cap(), "float")
-        full = build_full_laplacian(spec, cap=dim)
-        green = np.linalg.inv(full.matrix[:n, :n])
+        green = np.linalg.inv(build_full_laplacian(spec, cap=dim)[:n, :n])
         diag = np.diag(green)
         table = np.zeros((dim, dim))
         table[:n, :n] = diag[:, None] + diag[None, :] - 2.0 * green
@@ -341,7 +317,6 @@ def resistance_matrix(spec: HammockSpec, arithmetic: str = "float",
         table[n, :n] = diag
         return table
 
-    _check_cap(spec, cap, rational_cap(), "rational")
     numerators, det = _green_numerators(spec)
     table = [[Fraction(0)] * dim for _ in range(dim)]
     for i in range(n):
@@ -352,17 +327,16 @@ def resistance_matrix(spec: HammockSpec, arithmetic: str = "float",
     return table
 
 
-def kirchhoff_index(spec: HammockSpec, arithmetic: str = "float",
-                    cap: int | None = None):
+def kirchhoff_index(spec: HammockSpec, arithmetic: str = "float"):
     """Sum of resistances over all unordered node pairs, hubs included."""
     _check_arithmetic(arithmetic)
     if arithmetic == "float":
-        table = resistance_matrix(spec, cap=cap)
+        table = resistance_matrix(spec)
         return float(np.triu(table, k=1).sum())
     # Summing the table's numerators: pairs (a, b) below the ground give
     # (n - 1)·tr Y - (sum Y - tr Y), the ground pairs add tr Y, so the
     # total is (n + 1)·tr Y - sum Y over the common denominator.
-    _check_cap(spec, cap, rational_cap(), "rational")
+    _check_cap(spec, "rational")
     numerators, det = _green_numerators(spec)
     trace = sum(row[i] for i, row in enumerate(numerators))
     total = sum(sum(row) for row in numerators)

@@ -62,33 +62,19 @@ def coupling_matrix(rows: int) -> np.ndarray:
     return matrix
 
 
-@dataclass(frozen=True)
-class TransformPair:
-    """Row-eigenvector matrix of the coupling pattern and its inverse.
-
-    ``inverse`` is the explicit inverse whose first column is 1/(M+1) and
-    whose other entries are (2/(M+1)) * cos((2j+1) * chi_i), with
-    chi_i = i*pi/(2M+2), 0-based. ``forward`` has the eigenvectors as rows
-    (entry [i, j] = cos((2j+1) * chi_i)); it is derived from ``inverse`` on
-    each access, so a cached pair holds one dense matrix.
-    """
-
-    inverse: np.ndarray
-
-    @property
-    def forward(self) -> np.ndarray:
-        forward = (self.inverse.shape[0] / 2.0) * self.inverse.T
-        forward[0, :] = 1.0
-        return forward
-
-
 def _mode_angles(rows: int) -> np.ndarray:
     return np.arange(rows + 1) * np.pi / (2.0 * (rows + 1))
 
 
 @lru_cache(maxsize=64)
-def mode_transform(rows: int) -> TransformPair:
-    """Build (and cache) the transform pair for M + 1 link rows."""
+def mode_transform(rows: int) -> np.ndarray:
+    """Read-only inverse mode transform for M + 1 link rows, cached.
+
+    The forward transform has the coupling pattern's eigenvectors as rows,
+    entry [i, j] = cos((2j+1) * chi_i) with chi_i = i*pi/(2M+2), 0-based.
+    Its inverse, returned here, has entry [j, i] = 1/(M+1) for i = 0 and
+    (2/(M+1)) * cos((2j+1) * chi_i) otherwise.
+    """
     if rows < 1:
         raise LatticeError(f"need at least one row, got {rows}")
     n = rows + 1
@@ -97,7 +83,7 @@ def mode_transform(rows: int) -> TransformPair:
     inverse = (2.0 / n) * np.cos((2 * j[:, None] + 1) * chis[None, :])
     inverse[:, 0] = 1.0 / n
     inverse.flags.writeable = False
-    return TransformPair(inverse=inverse)
+    return inverse
 
 
 def mode_weights(rows: int, height: int) -> np.ndarray:
@@ -402,7 +388,7 @@ def reconstruct_currents(spec: HammockSpec, a: NodeLike, b: NodeLike,
     coords = span_coords(spec, a, b)
     solution, _, _ = solve_modes(spec, coords, injected)
     transformed, kept = transformed_columns(solution)
-    inverse = mode_transform(spec.rows).inverse
+    inverse = mode_transform(spec.rows)
     currents = np.empty((spec.rows + 1, spec.cols))
     for start, stop in _chunks(0, spec.cols):
         depth = 1 + int(kept[start:stop].max())

@@ -49,8 +49,8 @@ def dense_cap() -> int:
     return env_cap(DENSE_CAP_ENV, DEFAULT_DENSE_CAP)
 
 
-def _require_dense(spec: HammockSpec, what: str, cap: int | None = None) -> None:
-    limit = dense_cap() if cap is None else cap
+def _require_dense(spec: HammockSpec, what: str) -> None:
+    limit = dense_cap()
     if spec.interior_count > limit:
         raise SizeCapError(
             f"dense {what} for {spec.rows}x{spec.cols} has "
@@ -75,7 +75,7 @@ def _chain_free(n: int) -> np.ndarray:
     return matrix
 
 
-def build_second_minor(spec: HammockSpec, cap: int | None = None) -> np.ndarray:
+def build_second_minor(spec: HammockSpec) -> np.ndarray:
     """Dense hub-deleted Kirchhoff minor, ordered by flat node index.
 
     Kronecker structure: (1/s) * fixed_chain(M) (x) I_N +
@@ -83,7 +83,7 @@ def build_second_minor(spec: HammockSpec, cap: int | None = None) -> np.ndarray:
     boundary row keep one spoke conductance of 1/s per adjacent hub.
     Dense construction is for verification only, hence the size cap.
     """
-    _require_dense(spec, "minor", cap)
+    _require_dense(spec, "minor")
     return (1.0 / float(spec.s)) * np.kron(_chain_fixed(spec.rows), np.eye(spec.cols)) \
         + (1.0 / float(spec.r)) * np.kron(np.eye(spec.rows), _chain_free(spec.cols))
 

@@ -7,8 +7,8 @@ import sys
 
 import pytest
 
-from hammocknet import LatticeError, cli, oracle
-from hammocknet.cli import EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, RunConfig, main
+from hammocknet import cli, oracle
+from hammocknet.cli import EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, main
 
 
 def run(capsys, *argv):
@@ -85,8 +85,10 @@ class TestResist:
                     if entry["method"] == "oracle-rational"][0]
         assert rational["exact"] == "5/6"
         assert payload["max_relative_deviation"] < 1e-10
-        # config block round-trips through the schema
-        assert RunConfig.from_dict(payload["config"]).to_dict() == payload["config"]
+        # the resolved invocation, one key per option, in a fixed order
+        assert list(payload["config"].items()) == [
+            ("M", 2), ("N", 2), ("r", 1.0), ("s", 1.0), ("method", "all"),
+            ("from", "1,1"), ("to", "2,2"), ("format", "json"), ("tolerance", 1e-10)]
 
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "resist", "--M", "1", "--N", "2",
@@ -257,6 +259,14 @@ class TestUsageErrors:
          "--J", "inf"],
         ["currents", "--M", "2", "--N", "2", "--from", "1,1", "--to", "2,2",
          "--J=-inf"],
+        ["resist", "--M", "2", "--N", "2", "--from", "1,1", "--to", "2,2",
+         "--tolerance", "0"],
+        ["resist", "--M", "2", "--N", "2", "--from", "1,1", "--to", "2,2",
+         "--tolerance", "-1"],
+        ["bench", "--sizes="],
+        ["bench", "--sizes", ","],
+        ["bench", "--sizes", "3", "--methods", ","],
+        ["bench", "--sizes", "3", "--methods="],
     ])
     def test_bad_value_exits_2_without_traceback(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -288,16 +298,3 @@ class TestRawFailures:
             assert err.startswith(f"error: {type(failure).__name__}: ")
             assert err.count("\n") == 1 and "Traceback" not in err
 
-
-class TestRunConfig:
-    def test_json_round_trip(self):
-        config = RunConfig(rows=3, cols=4, r=2.0, s=0.5, method="rt",
-                           source="1,1", sink="3,2", fmt="json",
-                           tolerance=1e-9)
-        through = RunConfig.from_dict(json.loads(json.dumps(config.to_dict())))
-        assert through == config
-
-    def test_tolerance_validated(self):
-        for tolerance in (0.0, -1.0, float("nan"), float("inf")):
-            with pytest.raises(LatticeError):
-                RunConfig(rows=1, cols=1, tolerance=tolerance)

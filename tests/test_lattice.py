@@ -22,6 +22,7 @@ from hammocknet import (
     node_from_flat,
     node_index,
     parse_node,
+    resistance_general,
     span_coords,
 )
 
@@ -72,6 +73,14 @@ class TestHammockSpec:
         assert type(spec.r) is int and spec.r == 2
         assert spec.s == 0.5
 
+    @pytest.mark.parametrize("data", [
+        {"M": 3.7, "N": 2}, {"M": 3, "N": 2.0}, {"M": True, "N": 2},
+        {"M": 3, "N": "2"}, {"M": 3}, {"N": 2}, {},
+    ])
+    def test_from_dict_rejects_missing_or_inexact_sizes(self, data):
+        with pytest.raises(LatticeError):
+            HammockSpec.from_dict(data)
+
 
 class TestNodes:
     def test_parse(self):
@@ -88,6 +97,15 @@ class TestNodes:
         assert node_code((4, 1)) == "4,1"
         assert node_code(Terminal.BOTTOM) == "O"
         assert node_code("OP") == "OP"
+
+    def test_as_node_refuses_non_integers(self):
+        assert as_node((np.int64(2), 3)) == GridNode(2, 3)
+        for value in [(1.9, 2), (2.0, 2), (True, 1), (1, False), ("a", 2), ("1", 2)]:
+            with pytest.raises(LatticeError):
+                as_node(value)
+        # a route refuses the node rather than answering for (1, 2)
+        with pytest.raises(LatticeError):
+            resistance_general(HammockSpec(3, 4), (1.9, 2), (4, 3))
 
 
 class TestSpanCoords:

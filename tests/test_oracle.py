@@ -18,6 +18,7 @@ from hammocknet import (
     build_full_laplacian,
     build_second_minor,
     kirchhoff_index,
+    node_index,
     resistance_dense,
     resistance_eigen_full,
     resistance_matrix,
@@ -62,11 +63,12 @@ class TestFullLaplacian:
     def test_two_spoke_path(self):
         full = build_full_laplacian(HammockSpec(1, 1))
         expected = np.array([[1., -1., 0.], [-1., 2., -1.], [0., -1., 1.]])
-        assert np.array_equal(full.matrix, expected)
+        assert np.array_equal(full, expected)
+        assert not full.flags.writeable
 
     def test_structure(self):
         for spec in specs_upto(4, 4, rs=[(1.0, 1.0), (2.0, 0.5)]):
-            matrix = build_full_laplacian(spec).matrix
+            matrix = build_full_laplacian(spec)
             assert np.array_equal(matrix, matrix.T)
             off = matrix - np.diag(np.diag(matrix))
             assert np.all(off <= 0.0)
@@ -74,28 +76,28 @@ class TestFullLaplacian:
 
     def test_rank_deficiency_is_one(self):
         spec = HammockSpec(3, 3, r=2.0)
-        eigenvalues = np.linalg.eigvalsh(build_full_laplacian(spec).matrix)
+        eigenvalues = np.linalg.eigvalsh(build_full_laplacian(spec))
         assert abs(eigenvalues[0]) < 1e-12
         assert eigenvalues[1] > 1e-8
 
     def test_hub_row_values(self):
         spec = HammockSpec(3, 4, s=2.0)
         full = build_full_laplacian(spec)
-        assert full.matrix[0, 0] == spec.cols * (1.0 / 2.0)
-        bottom = [full.index(GridNode(x, 1)) for x in range(1, 5)]
-        assert all(full.matrix[0, i] == -0.5 for i in bottom)
-        assert all(full.matrix[0, i] == 0.0
+        assert full[0, 0] == spec.cols * (1.0 / 2.0)
+        bottom = [node_index(spec, GridNode(x, 1)) for x in range(1, 5)]
+        assert all(full[0, i] == -0.5 for i in bottom)
+        assert all(full[0, i] == 0.0
                    for i in range(1, 13) if i not in bottom)
 
     def test_minor_deletion_matches_exactly(self):
         for spec in (HammockSpec(3, 4), HammockSpec(2, 2, r=2.0, s=1.0)):
-            full = build_full_laplacian(spec).matrix
+            full = build_full_laplacian(spec)
             assert np.array_equal(full[1:-1, 1:-1], build_second_minor(spec))
 
     def test_float_matches_exact_stamping(self):
         spec = HammockSpec(3, 4, r=0.3, s=1.7)
         exact = np.array(oracle._rational_laplacian(spec), dtype=float)
-        assert np.allclose(build_full_laplacian(spec).matrix, exact, rtol=1e-15, atol=0.0)
+        assert np.allclose(build_full_laplacian(spec), exact, rtol=1e-15, atol=0.0)
 
     def test_independent_of_spectral(self):
         tree = ast.parse(inspect.getsource(oracle))
@@ -105,11 +107,15 @@ class TestFullLaplacian:
         assert "build_second_minor" not in inspect.getsource(oracle)
 
     def test_node_indexing(self):
-        spec = HammockSpec(2, 3)
+        # rows follow node_index: hubs first and last, each of degree N/s
+        spec = HammockSpec(2, 3, s=2.0)
         full = build_full_laplacian(spec)
-        assert full.index(Terminal.BOTTOM) == 0
-        assert full.index(Terminal.TOP) == 7
-        assert full.index(GridNode(3, 2)) == 6
+        assert full.shape == (spec.node_count, spec.node_count)
+        assert node_index(spec, Terminal.BOTTOM) == 0
+        assert node_index(spec, Terminal.TOP) == 7
+        assert node_index(spec, GridNode(3, 2)) == 6
+        assert full[0, 0] == full[7, 7] == 1.5
+        assert full[7, 6] == -0.5 and full[0, 6] == 0.0
 
 
 class TestResistanceDense:
@@ -281,11 +287,10 @@ class TestResistanceEigenFull:
 class TestResistanceMatrix:
     def test_matches_pairwise_solves(self):
         spec = HammockSpec(2, 3, r=2.0, s=3.0)
-        full = build_full_laplacian(spec)
         table = resistance_matrix(spec)
         exact = resistance_matrix(spec, "rational")
         for a, b in itertools.combinations(all_nodes(spec), 2):
-            i, j = full.index(a), full.index(b)
+            i, j = node_index(spec, a), node_index(spec, b)
             direct = resistance_dense(spec, a, b, "rational").meta["exact"]
             assert exact[i][j] == direct
             assert table[i, j] == pytest.approx(float(direct), rel=1e-12)

@@ -1,12 +1,15 @@
-"""Every name the benchmark tracer looks up still exists in the package.
+"""Every name the benchmark tracer looks up still exists in the package,
+and accepts the call the tracer's wrapper makes.
 
 ``perfbench/spans.py`` finds the functions it traces and the caches it
-counts by name, with ``getattr``. A renamed or deleted function breaks
-the traced benchmark run, which the package suite would not notice
-without this check.
+counts by name, with ``getattr``, and some of its wrappers forward a fixed
+argument list. A renamed or deleted function, or a changed signature,
+breaks the traced benchmark run, which the package suite would not
+notice without this check.
 """
 
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -38,3 +41,24 @@ def test_cache_resolves(key):
     layer, name = key.split(".")
     cached = getattr(getattr(hammocknet, layer), name)
     assert callable(cached.cache_info) and callable(cached.cache_clear)
+
+
+def _wrapper_calls():
+    """(layer, name, positional count) for each wrapper with a fixed call.
+
+    A cache is wrapped, with one key, only if it is traced; the others are
+    read through ``cache_info`` alone.
+    """
+    calls = [("oracle", "resistance_dense", 5)]
+    calls += [("hyperbolic", name, 1) for name in spans.TRACED["hyperbolic"]]
+    for key in spans.CACHES:
+        layer, name = key.split(".")
+        if name in spans.TRACED.get(layer, ()):
+            calls.append((layer, name, 1))
+    return calls
+
+
+@pytest.mark.parametrize("layer,name,positionals", _wrapper_calls())
+def test_traced_signature_accepts_wrapper_call(layer, name, positionals):
+    func = getattr(getattr(hammocknet, layer), name)
+    inspect.signature(func).bind(*[None] * positionals)

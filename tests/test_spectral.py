@@ -67,10 +67,13 @@ class TestSecondMinor:
                 assert sums[flat_index(spec, node) - 1] == pytest.approx(
                     expected, abs=1e-12)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         with pytest.raises(SizeCapError):
             build_second_minor(HammockSpec(100, 100))
-        assert build_second_minor(HammockSpec(3, 3), cap=9).shape == (9, 9)
+        monkeypatch.setenv("HAMMOCKNET_DENSE_VERIFY_CAP", "9")
+        assert build_second_minor(HammockSpec(3, 3)).shape == (9, 9)
+        with pytest.raises(SizeCapError):
+            build_second_minor(HammockSpec(3, 4))
 
 
 class TestEigenSystem:
