@@ -51,10 +51,22 @@ class Terminal(enum.Enum):
 
 @dataclass(frozen=True, order=True)
 class GridNode:
-    """Interior node at column ``x`` (1..N) and row ``y`` (1..M)."""
+    """Interior node at column ``x`` (1..N) and row ``y`` (1..M).
+
+    Both coordinates must be integers, not bools; they are stored as int.
+    """
 
     x: int
     y: int
+
+    def __post_init__(self) -> None:
+        if type(self.x) is int and type(self.y) is int:
+            return
+        if not (_is_integer(self.x) and _is_integer(self.y)):
+            raise LatticeError(
+                f"node coordinates must be integers, got ({self.x!r}, {self.y!r})")
+        object.__setattr__(self, "x", int(self.x))
+        object.__setattr__(self, "y", int(self.y))
 
 
 Node = Union[GridNode, Terminal]
@@ -74,9 +86,7 @@ def as_node(value: NodeLike) -> Node:
     if isinstance(value, str):
         return parse_node(value)
     if isinstance(value, tuple) and len(value) == 2:
-        x, y = value
-        if _is_integer(x) and _is_integer(y):
-            return GridNode(int(x), int(y))
+        return GridNode(*value)
     raise LatticeError(f"cannot interpret {value!r} as a lattice node")
 
 
@@ -107,13 +117,18 @@ def node_code(node: NodeLike) -> str:
     return f"{node.x},{node.y}"
 
 
-def _positive_resistance(name: str, value) -> None:
+def _positive_resistance(name: str, value):
+    """``value`` as an exact rational or a float, checked finite and positive."""
+    if isinstance(value, bool):
+        raise LatticeError(f"{name} must be a number, got {value!r}")
     try:
+        value = _exact_or_float(value)
         as_float = float(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise LatticeError(f"{name} must be a number, got {value!r}") from exc
     if not math.isfinite(as_float) or as_float <= 0.0:
         raise LatticeError(f"{name} must be finite and positive, got {value!r}")
+    return value
 
 
 def _exact_or_float(value):
@@ -129,8 +144,9 @@ class HammockSpec:
     ``rows`` (M) counts interior rows, ``cols`` (N) counts columns. ``r``
     is the resistance of every horizontal link, ``s`` the resistance of
     every vertical link and of the hub spokes. ``r`` and ``s`` may be any
-    positive numbers; exact ``fractions.Fraction`` values are honoured by
-    the rational oracle.
+    positive numbers but bools. Rationals (int, ``fractions.Fraction``)
+    are kept exact for the rational oracle; anything else is stored as the
+    float it converts to, so ``s="2"`` and ``s=2.0`` give equal specs.
     """
 
     rows: int
@@ -144,8 +160,8 @@ class HammockSpec:
             if not _is_integer(value) or value < 1:
                 raise LatticeError(f"{name} must be a positive integer, got {value!r}")
             object.__setattr__(self, name, int(value))
-        _positive_resistance("r", self.r)
-        _positive_resistance("s", self.s)
+        object.__setattr__(self, "r", _positive_resistance("r", self.r))
+        object.__setattr__(self, "s", _positive_resistance("s", self.s))
 
     @property
     def ratio(self) -> float:
@@ -188,8 +204,7 @@ class HammockSpec:
         if missing:
             raise LatticeError(f"spec is missing {', '.join(missing)}")
         return cls(rows=data["M"], cols=data["N"],
-                   r=_exact_or_float(data.get("r", 1.0)),
-                   s=_exact_or_float(data.get("s", 1.0)))
+                   r=data.get("r", 1.0), s=data.get("s", 1.0))
 
     @classmethod
     def from_json(cls, text: str) -> "HammockSpec":

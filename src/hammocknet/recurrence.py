@@ -15,9 +15,9 @@ entering the network at the *output* column node and leaving at the input
 column node;
 the uniform mode is the limit value -J*(y_out - y_in)/N. The resistance
 difference formula in :func:`resistance_rt` is stated for that
-orientation, and :func:`reconstruct_currents` negates the reconstruction
-where needed so that in its field the injected current always enters the
-network at the requested source node and leaves at the sink.
+orientation, and :func:`reconstruct_currents` solves for the negated
+current where needed so that in its field the injected current always
+enters the network at the requested source node and leaves at the sink.
 """
 
 from __future__ import annotations
@@ -165,18 +165,100 @@ def solve_modes(spec: HammockSpec, coords: SpanCoords,
 # terms per column, at most M dropped modes and |inverse| <= 2/(M+1)
 # keep every link current within 4 * this * |J| = eps*|J| of the full sum.
 _DROP_TOLERANCE = np.finfo(float).eps / 4.0
-# Columns per truncation chunk and per inverse-product call. Narrower
-# calls cost the threaded BLAS more per column than the modes they skip.
+# Modes per fill block: narrow enough that the entries past a column's
+# depth, computed and then discarded, stay a small share of each block.
+_FILL_BAND = 64
+# Columns per inverse-product call. Narrower calls cost the threaded BLAS
+# more per column than the modes they skip, except in the chunks whose
+# depths vary most (those that hold or border a node), which run in
+# calls of _NARROW columns.
 _CHUNK = 256
+_NARROW = 64
+# Entries per row block of the Kirchhoff audit.
+_AUDIT_BLOCK = 1 << 14
 
 
-def _chunks(first: int, stop: int):
-    """(start, stop) pairs covering first..stop-1, each >= _CHUNK wide
+def _spans(first: int, stop: int, width: int):
+    """(start, stop) pairs covering first..stop-1, each >= ``width`` wide
     except when the whole range is narrower."""
-    starts = list(range(first, stop, _CHUNK))
-    if len(starts) > 1 and stop - starts[-1] < _CHUNK:
-        starts.pop()  # fold a narrow tail into the chunk before it
+    starts = list(range(first, stop, width))
+    if len(starts) > 1 and stop - starts[-1] < width:
+        starts.pop()  # fold a narrow tail into the span before it
     return zip(starts, starts[1:] + [stop])
+
+
+def _depth(kept: np.ndarray, first: int, stop: int) -> int:
+    """Modes, the uniform one included, kept by any column first..stop-1."""
+    return 1 + int(kept[first:stop].max())
+
+
+def _product_calls(kept: np.ndarray):
+    """Column ranges of the inverse-product calls.
+
+    Chunks of ``_CHUNK`` columns, each multiplied over the modes its
+    columns keep. A chunk is split into calls of ``_NARROW`` columns where
+    that skips at least a third of its multiply-adds.
+    """
+    for start, stop in _spans(0, len(kept), _CHUNK):
+        narrow = list(_spans(start, stop, _NARROW))
+        if 3 * sum(_depth(kept, *call) * (call[1] - call[0]) for call in narrow) \
+                <= 2 * _depth(kept, start, stop) * (stop - start):
+            yield from narrow
+        else:
+            yield start, stop
+
+
+def _region_terms(solution: RegionSolution, two_log: np.ndarray):
+    """Yield (first, weight, exponent arrays) for each term of each region.
+
+    Column first + j of a region holds minus the sum, over its terms and
+    their exponent arrays e, of weight * root**e[j]. Every exponent is
+    <= 0, and every array is monotone in the column.
+    """
+    spec, coords = solution.spec, solution.coords
+    cols = spec.cols
+    left_s, right_s = coords.span_left, coords.span_right
+    p, q = coords.p_offset, coords.q_offset
+    gap = 2.0 * np.sinh(two_log)
+    c_in = spec.ratio * solution.injected * _zeta(spec.rows, coords.y_in)[1:] / gap
+    c_out = spec.ratio * solution.injected * _zeta(spec.rows, coords.y_out)[1:] / gap
+    shrink = -np.expm1(-2.0 * cols * two_log)  # 1 - root**(-2N)
+
+    def term(first, numerators, *exponents):
+        top = max(base for _, base in numerators)
+        weight = sum(coeff * np.exp((base - top) * two_log)
+                     for coeff, base in numerators) / shrink
+        return first, weight, [e + (top - 2 * cols) for e in exponents]
+
+    ks = np.arange(q + 1, right_s + 1, dtype=float)
+    yield term(q + 1, [(c_in, p), (c_in, 2 * left_s - p + 1),
+                       (-c_out, -q), (-c_out, q + 2 * left_s + 1)],
+               ks, 2 * right_s + 1 - ks)
+    ks = np.arange(-p, q + 1, dtype=float)
+    yield term(-p, [(c_in, p), (c_in, 2 * left_s - p + 1),
+                    (-c_out, q + 2 * left_s + 1), (-c_out, 2 * cols - q)], ks)
+    yield term(-p, [(c_in, 2 * right_s + 1 + p), (c_in, 2 * cols - p),
+                    (-c_out, 2 * right_s + 1 - q), (-c_out, q)], -ks)
+    ks = np.arange(-left_s, -p, dtype=float)
+    yield term(-left_s, [(c_in, 2 * right_s + p + 1), (c_in, -p),
+                         (-c_out, 2 * right_s - q + 1), (-c_out, q)],
+               2 * left_s + 1 + ks, -ks)
+
+
+def _thresholds(weight: np.ndarray, two_log: np.ndarray,
+                tolerance: float) -> np.ndarray:
+    """Per-mode exponents from which a term keeps a mode.
+
+    Mode i is kept in a column with exponent e while env_i * root_i**e >=
+    tolerance, env being the suffix maximum of |weight|: while e >=
+    log(tolerance / env_i) / (2h_i). Both factors fall with i, so these
+    thresholds ascend over the modes an exponent <= 0 can reach.
+    """
+    envelope = np.maximum.accumulate(np.abs(weight)[::-1])[::-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        thresholds = np.log(tolerance / envelope) / two_log
+    thresholds[thresholds > 0.0] = np.inf  # out of reach of e <= 0
+    return thresholds
 
 
 def transformed_columns(solution: RegionSolution) -> tuple[np.ndarray, np.ndarray]:
@@ -192,81 +274,50 @@ def transformed_columns(solution: RegionSolution) -> tuple[np.ndarray, np.ndarra
     exponents are <= 0 inside the region, so nothing overflows.
 
     The roots ascend with the mode, so a column far from both nodes needs
-    only a prefix of the modes. For each chunk of a region's columns, a
-    term keeps the modes before the first one whose bound env_i *
-    root_i**m falls below eps*|J|/4, with env the suffix maximum of
-    |weight| and m the chunk's largest column exponent; both factors fall
-    with i, so every dropped entry is below that too. Returns the values
+    only a prefix of the modes. In each column a term keeps the modes
+    before the first one whose bound env_i * root_i**e falls below
+    eps*|J|/4 (see :func:`_thresholds`); both factors fall with i, so
+    every dropped entry is below that too. Each term is filled in bands of
+    ``_FILL_BAND`` modes over the columns that keep some of the band, the
+    entries past a column's depth set to exactly zero. Returns the values
     (dropped entries are zero) and the number of non-uniform modes kept in
-    each column. Subnormal results, far below rounding, are flushed to
-    zero (see :func:`_flush_subnormals`).
+    each column. No value is subnormal: each written band is flushed (see
+    :func:`_flush_subnormals`).
     """
     spec, coords = solution.spec, solution.coords
     rows, cols = spec.rows, spec.cols
-    left_s, right_s = coords.span_left, coords.span_right
-    p, q = coords.p_offset, coords.q_offset
-
     values = np.zeros((rows + 1, cols))
     values[0, :] = -solution.injected * (coords.y_out - coords.y_in) / cols
     kept = np.zeros(cols, dtype=np.intp)
     if solution.injected == 0.0:
         return values, kept
     tolerance = _DROP_TOLERANCE * abs(solution.injected)
-
     two_log = 2.0 * _decay_table(rows, spec.ratio)
-    gap = 2.0 * np.sinh(two_log)
-    c_in = spec.ratio * solution.injected * _zeta(rows, coords.y_in)[1:] / gap
-    c_out = spec.ratio * solution.injected * _zeta(rows, coords.y_out)[1:] / gap
-    shrink = -np.expm1(-2.0 * cols * two_log)  # 1 - root**(-2N)
 
-    def region(first: int, last: int, terms) -> None:
-        """Fill columns first <= k <= last from (numerators, exponent) terms."""
-        prepared = []
-        for numerators, exponent in terms:
-            top = max(base for _, base in numerators)
-            weight = sum(coeff * np.exp((base - top) * two_log)
-                         for coeff, base in numerators) / shrink
-            envelope = np.maximum.accumulate(np.abs(weight)[::-1])[::-1]
-            prepared.append((weight, envelope, exponent, top - 2 * cols))
-        for start, stop in _chunks(first, last + 1):
-            ks = np.arange(start, stop)
-            span = slice(start + left_s, stop + left_s)
-            deepest = 0
-            for weight, envelope, exponent, shift in prepared:
-                exponents = exponent(ks) + shift
-                below = envelope * np.exp(two_log * exponents.max()) < tolerance
-                keep = int(below.argmax()) if below.any() else rows
-                if keep == 0:
-                    continue
-                column = np.multiply.outer(two_log[:keep], exponents)
-                np.exp(column, out=column)
-                column *= weight[:keep, None]
-                values[1:keep + 1, span] -= column
-                deepest = max(deepest, keep)
-            if deepest:
-                _flush_subnormals(values[1:deepest + 1, span])
-            kept[span] = deepest
-
-    right_numerators = [(c_in, p), (c_in, 2 * left_s - p + 1),
-                        (-c_out, -q), (-c_out, q + 2 * left_s + 1)]
-    region(q + 1, right_s, [
-        (right_numerators, lambda ks: ks),
-        (right_numerators, lambda ks: 2 * right_s + 1 - ks),
-    ])
-    region(-p, q, [
-        ([(c_in, p), (c_in, 2 * left_s - p + 1),
-          (-c_out, q + 2 * left_s + 1), (-c_out, 2 * cols - q)],
-         lambda ks: ks),
-        ([(c_in, 2 * right_s + 1 + p), (c_in, 2 * cols - p),
-          (-c_out, 2 * right_s + 1 - q), (-c_out, q)],
-         lambda ks: -ks),
-    ])
-    left_numerators = [(c_in, 2 * right_s + p + 1), (c_in, -p),
-                       (-c_out, 2 * right_s - q + 1), (-c_out, q)]
-    region(-left_s, -p - 1, [
-        (left_numerators, lambda ks: 2 * left_s + 1 + ks),
-        (left_numerators, lambda ks: -ks),
-    ])
+    for first, weight, exponent_arrays in _region_terms(solution, two_log):
+        thresholds = _thresholds(weight, two_log, tolerance)
+        for exponents in exponent_arrays:
+            columns = slice(first + coords.span_left,
+                            first + coords.span_left + len(exponents))
+            target, kept_here = values[1:, columns], kept[columns]
+            if len(exponents) > 1 and exponents[0] > exponents[-1]:
+                # walk the columns backwards, so the exponents ascend
+                exponents, target, kept_here = \
+                    exponents[::-1], target[:, ::-1], kept_here[::-1]
+            depth = np.searchsorted(thresholds, exponents, side="right")
+            np.maximum(kept_here, depth, out=kept_here)
+            for b0, b1 in _spans(0, int(depth.max(initial=0)), _FILL_BAND):
+                # the columns from lo on keep some of the band, those from
+                # full on all of it
+                lo, full = np.searchsorted(depth, (b0 + 1, b1)).tolist()
+                block = np.multiply.outer(two_log[b0:b1], exponents[lo:])
+                if full > lo:
+                    np.copyto(block[:, :full - lo], -np.inf,
+                              where=np.arange(b0, b1)[:, None] >= depth[lo:full])
+                np.exp(block, out=block)
+                block *= weight[b0:b1, None]
+                target[b0:b1, lo:] -= block
+                _flush_subnormals(target[b0:b1, lo:])
     return values, kept
 
 
@@ -377,25 +428,26 @@ def reconstruct_currents(spec: HammockSpec, a: NodeLike, b: NodeLike,
     """Reconstruct every vertical link current for injection a -> b.
 
     Inverse-transforms the region solution with the dense (M+1) x (M+1)
-    inverse, one chunk of columns at a time over the modes that chunk
-    keeps, and orients the result so ``injected`` amperes enter at ``a``
-    and leave at ``b``. ``injected`` may be zero (zero field). Every
-    intermediate is bounded, so any size that fits in memory reconstructs
-    without overflow.
+    inverse, one call per column range of :func:`_product_calls` over the
+    modes its columns keep, and orients the result so ``injected`` amperes
+    enter at ``a`` and leave at ``b``. Each column is summed in one call,
+    so the columns around a node match the all-modes sum to rounding.
+    ``injected`` may be zero (zero field). Every intermediate is bounded,
+    so any size that fits in memory reconstructs without overflow.
     """
     a = require_interior(spec, a)
     b = require_interior(spec, b)
     coords = span_coords(spec, a, b)
-    solution, _, _ = solve_modes(spec, coords, injected)
+    # the solution is odd in the current, so solving for -J negates exactly
+    solution, _, _ = solve_modes(spec, coords,
+                                 injected if coords.swapped else -injected)
     transformed, kept = transformed_columns(solution)
     inverse = mode_transform(spec.rows)
     currents = np.empty((spec.rows + 1, spec.cols))
-    for start, stop in _chunks(0, spec.cols):
-        depth = 1 + int(kept[start:stop].max())
-        product = inverse[:, :depth] @ transformed[:depth, start:stop]
-        if not coords.swapped:
-            np.negative(product, out=product)
-        currents[:, start:stop] = product
+    for first, stop in _product_calls(kept):
+        depth = _depth(kept, first, stop)
+        np.matmul(inverse[:, :depth], transformed[:depth, first:stop],
+                  out=currents[:, first:stop])
     currents.flags.writeable = False
     return CurrentField(spec=spec, source=a, sink=b, injected=injected,
                         coords=coords, currents=currents,
@@ -408,9 +460,12 @@ def kirchhoff_residual(field: CurrentField) -> float:
     Horizontal link currents are recovered from Ohm's law on the column
     potentials; the residual covers every interior node, both hubs, and
     the spread of the top-rail potential (scaled to amperes). Works in
-    row blocks of about 2**16 entries, carrying the running sum of the
-    column drops (minus the potential, bottom hub pinned to zero) from
-    block to block, so it needs O(M + N) memory beyond the field.
+    row blocks of about ``_AUDIT_BLOCK`` entries in reused buffers,
+    carrying the running sum of the column drops (minus the potential,
+    bottom hub pinned to zero) from block to block, so it needs O(M + N)
+    memory beyond the field. The prefix sums run row by row, which adds in
+    the order of a cumulative sum down the columns and is faster on wide
+    blocks.
     """
     spec = field.spec
     currents = field.currents
@@ -418,25 +473,34 @@ def kirchhoff_residual(field: CurrentField) -> float:
     s, r = float(spec.s), float(spec.r)
     injections = [(field.source, field.injected), (field.sink, -field.injected)]
 
-    worst = 0.0
+    step = max(1, _AUDIT_BLOCK // cols)
     climbed = np.zeros(cols)  # sum of s * current over the links below
-    step = max(1, (1 << 16) // cols)
+    potential = np.empty((step, cols))  # reused by every block
+    drops = np.empty((step, cols - 1))
+    balance = np.empty((step, cols))
+    worst = 0.0
     for start in range(0, rows, step):
         stop = min(start + step, rows)
         # node rows start..stop-1 sit above link rows start..stop-1
-        block = s * currents[start:stop]
+        block = potential[:stop - start]
+        np.multiply(currents[start:stop], s, out=block)
         block[0] += climbed
-        np.cumsum(block, axis=0, out=block)
-        climbed = block[-1].copy()
-        horizontal = (block[:, 1:] - block[:, :-1]) / r
+        lines = list(block)
+        for below, line in zip(lines, lines[1:]):
+            np.add(below, line, line)
+        climbed[:] = block[-1]
+        horizontal = drops[:stop - start]
+        np.subtract(block[:, 1:], block[:, :-1], out=horizontal)
+        np.divide(horizontal, r, out=horizontal)
 
-        imbalance = currents[start:stop] - currents[start + 1:stop + 1]
+        imbalance = balance[:stop - start]
+        np.subtract(currents[start:stop], currents[start + 1:stop + 1], out=imbalance)
         for node, amount in injections:
             if start <= node.y - 1 < stop:
                 imbalance[node.y - 1 - start, node.x - 1] += amount
         imbalance[:, 1:] += horizontal
         imbalance[:, :-1] -= horizontal
-        worst = max(worst, float(np.abs(imbalance).max()))
+        worst = max(worst, float(imbalance.max()), -float(imbalance.min()))
 
     top = climbed + s * currents[-1]
     return max(worst,

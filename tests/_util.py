@@ -115,3 +115,37 @@ def full_kirchhoff_residual(field) -> float:
                abs(float(currents[0, :].sum())),
                abs(float(currents[-1, :].sum())),
                float(np.abs(top - top[0]).max()) / s)
+
+
+def cumsum_kirchhoff_residual(field) -> float:
+    """The row-blocked audit summed with ``np.cumsum`` in 2**16-entry blocks.
+
+    Adds in the same order as the library's audit, whatever its block
+    size and however it forms the prefix sums, so the two agree bitwise.
+    """
+    spec = field.spec
+    currents = field.currents
+    rows, cols = spec.rows, spec.cols
+    s, r = float(spec.s), float(spec.r)
+    worst = 0.0
+    climbed = np.zeros(cols)
+    step = max(1, (1 << 16) // cols)
+    for start in range(0, rows, step):
+        stop = min(start + step, rows)
+        block = s * currents[start:stop]
+        block[0] += climbed
+        np.cumsum(block, axis=0, out=block)
+        climbed = block[-1].copy()
+        horizontal = (block[:, 1:] - block[:, :-1]) / r
+        imbalance = currents[start:stop] - currents[start + 1:stop + 1]
+        for node, amount in ((field.source, field.injected), (field.sink, -field.injected)):
+            if start <= node.y - 1 < stop:
+                imbalance[node.y - 1 - start, node.x - 1] += amount
+        imbalance[:, 1:] += horizontal
+        imbalance[:, :-1] -= horizontal
+        worst = max(worst, float(np.abs(imbalance).max()))
+    top = climbed + s * currents[-1]
+    return max(worst,
+               abs(float(currents[0, :].sum())),
+               abs(float(currents[-1, :].sum())),
+               float(np.abs(top - top[0]).max()) / s)

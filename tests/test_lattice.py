@@ -73,6 +73,17 @@ class TestHammockSpec:
         assert type(spec.r) is int and spec.r == 2
         assert spec.s == 0.5
 
+    def test_resistances_stored_normalised(self):
+        spec = HammockSpec(3, 4, r=np.float64(0.5), s="2")
+        assert type(spec.r) is float and type(spec.s) is float
+        assert spec == HammockSpec(3, 4, r=0.5, s=2.0)
+        assert hash(spec) == hash(HammockSpec(3, 4, r=0.5, s=2.0))
+        for r in (True, False, "x", None, 10 ** 400):
+            with pytest.raises(LatticeError):
+                HammockSpec(3, 4, r=r)
+        with pytest.raises(LatticeError):
+            HammockSpec(3, 4, s=True)
+
     @pytest.mark.parametrize("data", [
         {"M": 3.7, "N": 2}, {"M": 3, "N": 2.0}, {"M": True, "N": 2},
         {"M": 3, "N": "2"}, {"M": 3}, {"N": 2}, {},
@@ -106,6 +117,18 @@ class TestNodes:
         # a route refuses the node rather than answering for (1, 2)
         with pytest.raises(LatticeError):
             resistance_general(HammockSpec(3, 4), (1.9, 2), (4, 3))
+
+
+    def test_grid_node_refuses_non_integers(self):
+        node = GridNode(np.int64(2), np.int32(3))
+        assert type(node.x) is int and type(node.y) is int
+        assert node == GridNode(2, 3) and hash(node) == hash(GridNode(2, 3))
+        for x, y in [(1.9, 2), (2.0, 2), (True, 2), (1, False), ("1", 2)]:
+            with pytest.raises(LatticeError):
+                GridNode(x, y)
+        # no route answers for a column that does not exist
+        with pytest.raises(LatticeError):
+            resistance_general(HammockSpec(3, 4), GridNode(1.9, 2), (4, 3))
 
 
 class TestSpanCoords:

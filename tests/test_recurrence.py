@@ -30,6 +30,7 @@ from hammocknet import recurrence
 from hammocknet.closed_form import _decay_table
 
 from _util import (
+    cumsum_kirchhoff_residual,
     full_kirchhoff_residual,
     interior_pairs,
     region_amplitudes,
@@ -315,12 +316,25 @@ class TestReconstructCurrents:
         assert rel_dev([rail, lattice]) < 1e-10
         assert rail == pytest.approx(reference, rel=1e-10)
 
+    def test_peak_allocation(self):
+        # the transformed values and the currents, nothing else field-sized
+        spec = HammockSpec(1000, 1000)
+        reconstruct_currents(spec, (200, 300), (800, 700), 1.0)  # warm caches
+        tracemalloc.start()
+        try:
+            reconstruct_currents(spec, (200, 300), (800, 700), 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * (spec.rows + 1) * spec.cols * np.dtype(float).itemsize
+
     def test_subnormals_flushed(self, monkeypatch):
-        # near the left end, columns ~250 from the nodes decay below the
-        # smallest normal double
+        # with every mode kept, columns ~250 from the nodes decay below
+        # the smallest normal double (truncation alone drops them here)
         spec = HammockSpec(8, 400, r=4.0)
         coords = span_coords(spec, (1, 2), (3, 7))
         sol, _, _ = solve_modes(spec, coords, 1.0)
+        monkeypatch.setattr(recurrence, "_DROP_TOLERANCE", 0.0)
         flushed, _ = transformed_columns(sol)
         monkeypatch.setattr(recurrence, "_flush_subnormals", lambda values: None)
         raw, _ = transformed_columns(sol)
@@ -344,19 +358,69 @@ class TestModeTruncation:
         # the product chunk of columns 256..511 covers the full-depth region
         # chunk next to the sink column (99) and a shallow one after it
         (HammockSpec(300, 2000), (20, 40), (100, 250), 1.0),
+        # 700 rows: the chunks holding the nodes run in narrow calls
+        (HammockSpec(700, 900), (300, 350), (330, 600), 1.0),
     ])
     def test_within_bound_of_every_mode(self, monkeypatch, spec, a, b, injected):
-        sol, _, _ = solve_modes(spec, span_coords(spec, a, b), injected)
+        coords = span_coords(spec, a, b)
+        # the sign the field is solved with
+        sol, _, _ = solve_modes(spec, coords, injected if coords.swapped else -injected)
         _, kept = transformed_columns(sol)
         assert kept.sum() < 0.6 * spec.rows * spec.cols
         field = reconstruct_currents(spec, a, b, injected)
         assert field.truncation_bound == np.finfo(float).eps * abs(injected)
 
         monkeypatch.setattr(recurrence, "_DROP_TOLERANCE", 0.0)
-        _, every = transformed_columns(sol)
+        every_values, every = transformed_columns(sol)
         assert np.all(every == spec.rows)
-        full = reconstruct_currents(spec, a, b, injected)
-        assert np.abs(field.currents - full.currents).max() <= field.truncation_bound
+        # every mode in the same column calls, so that only the dropped
+        # modes, and not the order of the BLAS sums, tell the two apart
+        inverse = recurrence.mode_transform(spec.rows)
+        full = np.empty_like(field.currents)
+        for first, stop in recurrence._product_calls(kept):
+            full[:, first:stop] = inverse @ every_values[:, first:stop]
+        assert np.abs(field.currents - full).max() <= field.truncation_bound
+
+    @pytest.mark.parametrize("spec, a, b, injected", [
+        # under 512 columns, where whole-chunk truncation kept every mode
+        (HammockSpec(300, 300, r=0.5), (100, 50), (200, 250), 1.0),
+        (HammockSpec(60, 400, r=2.0), (399, 5), (12, 59), -0.4),
+        (HammockSpec(400, 1200), (3, 50), (40, 300), 1.3),
+    ])
+    def test_kept_is_each_columns_depth(self, spec, a, b, injected):
+        sol, _, _ = solve_modes(spec, span_coords(spec, a, b), injected)
+        _, kept = transformed_columns(sol)
+        two_log = 2.0 * _decay_table(spec.rows, spec.ratio)
+        tolerance = recurrence._DROP_TOLERANCE * abs(injected)
+        expected = np.zeros(spec.cols, dtype=int)
+        for first, weight, exponent_arrays in recurrence._region_terms(sol, two_log):
+            envelope = np.maximum.accumulate(np.abs(weight)[::-1])[::-1]
+            for exponents in exponent_arrays:
+                # a column keeps each mode while that mode's bound and the
+                # bounds of every mode before it reach the tolerance
+                depth = np.zeros(len(exponents), dtype=int)
+                alive = np.ones(len(exponents), dtype=bool)
+                for i in range(spec.rows):
+                    alive &= envelope[i] * np.exp(two_log[i] * exponents) >= tolerance
+                    depth += alive
+                start = first + sol.coords.span_left
+                columns = slice(start, start + len(exponents))
+                expected[columns] = np.maximum(expected[columns], depth)
+        assert np.array_equal(kept, expected)
+        assert kept.sum() < spec.rows * spec.cols
+
+    def test_node_chunks_run_in_narrow_calls(self):
+        spec = HammockSpec(700, 900)
+        sol, _, _ = solve_modes(spec, span_coords(spec, (300, 350), (330, 600)), 1.0)
+        _, kept = transformed_columns(sol)
+        calls = list(recurrence._product_calls(kept))
+        # the calls tile the columns in order
+        assert [first for first, _ in calls] == [0] + [stop for _, stop in calls[:-1]]
+        assert calls[-1][1] == spec.cols
+        narrow = [(first, stop) for first, stop in calls
+                  if stop - first < recurrence._CHUNK]
+        for column in (299, 329):
+            assert any(first <= column < stop for first, stop in narrow)
 
     def test_zero_injection_keeps_no_mode(self):
         spec = HammockSpec(40, 600)
@@ -371,9 +435,9 @@ class TestModeTruncation:
 
 class TestRowBlockedAudits:
     @pytest.mark.parametrize("spec, a, b, injected", [
-        # 163-row blocks: the source sits in the last row of the first
+        # 40-row blocks: the source sits in the last row of the first
         # block, the sink in the first row of the second
-        (HammockSpec(300, 400, r=2.0), (7, 163), (390, 164), 1.3),
+        (HammockSpec(300, 400, r=2.0), (7, 40), (390, 41), 1.3),
         # source and sink on one row
         (HammockSpec(200, 500), (10, 77), (480, 77), -0.7),
         # more columns than a block holds: one row per block
@@ -395,6 +459,18 @@ class TestRowBlockedAudits:
                 expected, rel=0.0, abs=1e-15 * abs(injected))
             if link is not None:
                 assert expected >= 1e-7 * abs(injected)
+
+    @pytest.mark.parametrize("spec, a, b, injected", [
+        (HammockSpec(150, 900, r=0.5, s=2.0), (20, 30), (870, 140), 1.1),
+        # narrow: a block holds hundreds of rows
+        (HammockSpec(1500, 20, r=2.0), (3, 700), (18, 1), -0.8),
+    ])
+    def test_kirchhoff_bitwise_matches_cumulative_sum_blocks(self, spec, a, b, injected):
+        field = reconstruct_currents(spec, a, b, injected)
+        noise = np.random.default_rng(3).standard_normal(field.currents.shape)
+        noisy = dataclasses.replace(field, currents=field.currents + 1e-9 * noise)
+        for audited in (field, noisy):
+            assert kirchhoff_residual(audited) == cumsum_kirchhoff_residual(audited)
 
     def test_audits_allocate_no_full_array(self):
         spec = HammockSpec(1000, 1000)
