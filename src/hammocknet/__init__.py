@@ -46,7 +46,6 @@ from .oracle import (
 )
 from .recurrence import (
     CurrentField,
-    RegionSolution,
     coupling_matrix,
     kirchhoff_residual,
     mode_transform,
@@ -62,7 +61,6 @@ from .spectral import (
     MinorEigenSystem,
     boundary_sums,
     build_second_minor,
-    cosine_sum_identity,
     eigen_system,
     inverse_minor_element,
     resistance_spectral,

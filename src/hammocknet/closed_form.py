@@ -141,8 +141,6 @@ def resistance_general(spec: HammockSpec, a: NodeLike, b: NodeLike) -> Resistanc
     rows/columns; identical nodes give exactly zero. Hub terminals are
     rejected (the dense oracle covers them).
     """
-    a = require_interior(spec, a)
-    b = require_interior(spec, b)
     coords = span_coords(spec, a, b)
     total = _mode_sum(spec, coords)
     value = (2.0 * float(spec.r) / (spec.rows + 1)) * total \

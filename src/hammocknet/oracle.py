@@ -75,8 +75,21 @@ def _stamp(spec: HammockSpec, lap, conductance: Callable):
     return lap
 
 
+@lru_cache(maxsize=1)
+def _laplacian(spec: HammockSpec) -> np.ndarray:
+    """The read-only float matrix of the last instance built, stamped once.
+
+    The float queries on one instance (its hub pairs on the solve and the
+    eigenpair oracles, say) share it; at the float cap it holds about 50 MB.
+    """
+    dim = spec.node_count
+    matrix = _stamp(spec, np.zeros((dim, dim)), lambda ohms: 1.0 / float(ohms))
+    matrix.flags.writeable = False
+    return matrix
+
+
 def build_full_laplacian(spec: HammockSpec, cap: int | None = None) -> np.ndarray:
-    """Assemble the read-only full Kirchhoff matrix in floats, link by link.
+    """The read-only full Kirchhoff matrix in floats, stamped link by link.
 
     Node order is :func:`hammocknet.lattice.node_index`: bottom hub first,
     interior nodes by flat index, top hub last. Row sums vanish and the
@@ -85,10 +98,7 @@ def build_full_laplacian(spec: HammockSpec, cap: int | None = None) -> np.ndarra
     route builds.
     """
     _check_cap(spec, "float", cap)
-    dim = spec.node_count
-    matrix = _stamp(spec, np.zeros((dim, dim)), lambda ohms: 1.0 / float(ohms))
-    matrix.flags.writeable = False
-    return matrix
+    return _laplacian(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +226,7 @@ def _eigenpairs(spec: HammockSpec) -> Tuple[np.ndarray, np.ndarray]:
     One entry serves the queries made on one instance in turn, such as
     its three hub pairs; at the float cap it holds about 50 MB.
     """
-    pair = np.linalg.eigh(build_full_laplacian(spec, cap=spec.node_count))
+    pair = np.linalg.eigh(_laplacian(spec))
     for array in pair:
         array.flags.writeable = False
     return pair
@@ -264,7 +274,7 @@ def resistance_dense(spec: HammockSpec, a: NodeLike, b: NodeLike,
     pos = ia if ia < ib else ia - 1  # a's index once b's row and column are gone
     if arithmetic == "float":
         keep = np.arange(spec.node_count) != ib
-        reduced = build_full_laplacian(spec, cap=spec.node_count)[np.ix_(keep, keep)]
+        reduced = _laplacian(spec)[np.ix_(keep, keep)]
         rhs = np.zeros(spec.node_count - 1)
         rhs[pos] = 1.0
         potentials = np.linalg.solve(reduced, rhs)
@@ -309,7 +319,7 @@ def resistance_matrix(spec: HammockSpec, arithmetic: str = "float"):
     dim = spec.node_count
     n = dim - 1  # ground the top hub (last index)
     if arithmetic == "float":
-        green = np.linalg.inv(build_full_laplacian(spec, cap=dim)[:n, :n])
+        green = np.linalg.inv(_laplacian(spec)[:n, :n])
         diag = np.diag(green)
         table = np.zeros((dim, dim))
         table[:n, :n] = diag[:, None] + diag[None, :] - 2.0 * green

@@ -110,21 +110,6 @@ def _zeta(rows: int, height: int) -> np.ndarray:
     return -2.0 * np.sin(2.0 * height * chis) * np.sin(chis)
 
 
-@dataclass(frozen=True)
-class RegionSolution:
-    """The injection problem that the three-region recurrence solves.
-
-    Holds what :func:`transformed_columns` needs: the instance, its span
-    frame and the injected current. The region amplitudes themselves grow
-    like root**N and are never formed; each region is evaluated from
-    grouped exponential terms instead.
-    """
-
-    spec: HammockSpec
-    coords: SpanCoords
-    injected: float
-
-
 def _column_values(scale: float, ratios, zeta_in: np.ndarray,
                    zeta_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Non-uniform transformed values at the output and input columns.
@@ -138,14 +123,14 @@ def _column_values(scale: float, ratios, zeta_in: np.ndarray,
 
 
 def solve_modes(spec: HammockSpec, coords: SpanCoords,
-                injected: float) -> tuple[RegionSolution, np.ndarray, np.ndarray]:
-    """Set up the decoupled recurrences; return them and boundary values.
+                injected: float) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary values of the decoupled recurrences, ``(x_out, x_in)``.
 
-    The returned arrays are the transformed column values at the output
-    column (k = q_offset) and input column (k = -p_offset); the uniform
-    mode is the analytic limit -J*(y_out - y_in)/N. They are assembled
-    from the closed form's scaled span-frame ratios, so they scale to
-    10^4+ rows and columns.
+    These are the transformed column values at the output column
+    (k = q_offset) and input column (k = -p_offset); the uniform mode is
+    the analytic limit -J*(y_out - y_in)/N. They are assembled from the
+    closed form's scaled span-frame ratios, so they scale to 10^4+ rows
+    and columns.
     """
     if coords.cols != spec.cols:
         raise LatticeError(
@@ -158,7 +143,7 @@ def solve_modes(spec: HammockSpec, coords: SpanCoords,
     x_out[1:], x_in[1:] = _column_values(
         spec.ratio * injected, _span_ratios(coords, _decay_table(rows, spec.ratio)),
         _zeta(rows, coords.y_in)[1:], _zeta(rows, coords.y_out)[1:])
-    return RegionSolution(spec=spec, coords=coords, injected=injected), x_out, x_in
+    return x_out, x_in
 
 
 # Largest transformed term that truncation drops, per unit of |J|. Two
@@ -208,20 +193,21 @@ def _product_calls(kept: np.ndarray):
             yield start, stop
 
 
-def _region_terms(solution: RegionSolution, two_log: np.ndarray):
+def _region_terms(spec: HammockSpec, coords: SpanCoords, injected: float,
+                  two_log: np.ndarray):
     """Yield (first, weight, exponent arrays) for each term of each region.
 
     Column first + j of a region holds minus the sum, over its terms and
     their exponent arrays e, of weight * root**e[j]. Every exponent is
-    <= 0, and every array is monotone in the column.
+    <= 0, and every array is monotone in the column. The region
+    amplitudes themselves grow like root**N and are never formed.
     """
-    spec, coords = solution.spec, solution.coords
     cols = spec.cols
     left_s, right_s = coords.span_left, coords.span_right
     p, q = coords.p_offset, coords.q_offset
     gap = 2.0 * np.sinh(two_log)
-    c_in = spec.ratio * solution.injected * _zeta(spec.rows, coords.y_in)[1:] / gap
-    c_out = spec.ratio * solution.injected * _zeta(spec.rows, coords.y_out)[1:] / gap
+    c_in = spec.ratio * injected * _zeta(spec.rows, coords.y_in)[1:] / gap
+    c_out = spec.ratio * injected * _zeta(spec.rows, coords.y_out)[1:] / gap
     shrink = -np.expm1(-2.0 * cols * two_log)  # 1 - root**(-2N)
 
     def term(first, numerators, *exponents):
@@ -261,7 +247,8 @@ def _thresholds(weight: np.ndarray, two_log: np.ndarray,
     return thresholds
 
 
-def transformed_columns(solution: RegionSolution) -> tuple[np.ndarray, np.ndarray]:
+def transformed_columns(spec: HammockSpec, coords: SpanCoords,
+                        injected: float) -> tuple[np.ndarray, np.ndarray]:
     """Transformed column values for every column, and each column's modes.
 
     Column k follows the right-region solution for k > q_offset, the
@@ -284,17 +271,16 @@ def transformed_columns(solution: RegionSolution) -> tuple[np.ndarray, np.ndarra
     each column. No value is subnormal: each written band is flushed (see
     :func:`_flush_subnormals`).
     """
-    spec, coords = solution.spec, solution.coords
     rows, cols = spec.rows, spec.cols
     values = np.zeros((rows + 1, cols))
-    values[0, :] = -solution.injected * (coords.y_out - coords.y_in) / cols
+    values[0, :] = -injected * (coords.y_out - coords.y_in) / cols
     kept = np.zeros(cols, dtype=np.intp)
-    if solution.injected == 0.0:
+    if injected == 0.0:
         return values, kept
-    tolerance = _DROP_TOLERANCE * abs(solution.injected)
+    tolerance = _DROP_TOLERANCE * abs(injected)
     two_log = 2.0 * _decay_table(rows, spec.ratio)
 
-    for first, weight, exponent_arrays in _region_terms(solution, two_log):
+    for first, weight, exponent_arrays in _region_terms(spec, coords, injected, two_log):
         thresholds = _thresholds(weight, two_log, tolerance)
         for exponents in exponent_arrays:
             columns = slice(first + coords.span_left,
@@ -347,8 +333,6 @@ def resistance_rt(spec: HammockSpec, a: NodeLike, b: NodeLike) -> ResistanceResu
     here one block of modes at a time, from one sine table per
     height and one of sin(chi_i), and only the block sums are kept.
     """
-    a = require_interior(spec, a)
-    b = require_interior(spec, b)
     coords = span_coords(spec, a, b)
     n = spec.rows + 1
     y_in, y_out = coords.y_in, coords.y_out
@@ -439,9 +423,8 @@ def reconstruct_currents(spec: HammockSpec, a: NodeLike, b: NodeLike,
     b = require_interior(spec, b)
     coords = span_coords(spec, a, b)
     # the solution is odd in the current, so solving for -J negates exactly
-    solution, _, _ = solve_modes(spec, coords,
-                                 injected if coords.swapped else -injected)
-    transformed, kept = transformed_columns(solution)
+    transformed, kept = transformed_columns(spec, coords,
+                                            injected if coords.swapped else -injected)
     inverse = mode_transform(spec.rows)
     currents = np.empty((spec.rows + 1, spec.cols))
     for first, stop in _product_calls(kept):

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from mpmath import mp
 
 from .hyperbolic import log_cosh, log_sinh
 from .lattice import (
@@ -155,37 +154,6 @@ def eigen_system(spec: HammockSpec) -> MinorEigenSystem:
     log_den = log_sinh(2.0 * omegas) + log_sinh(2.0 * cols * omegas)
     return MinorEigenSystem(spec=spec, thetas=_frozen(thetas), phis=_frozen(phis),
                             omegas=_frozen(omegas), log_den=_frozen(log_den))
-
-
-def cosine_sum_identity(cols: int, ell: int, omega: float) -> tuple[float, float]:
-    """Both sides of the cosine-sum identity that collapses the column modes.
-
-    lhs averages cos(ell * theta_n) / (cosh(2*omega) - cos(theta_n)) over
-    the 2N angles theta_n = pi*n/N; rhs is
-    cosh(2*(N - ell)*omega) / (sinh(2*omega) * sinh(2*N*omega)). The two
-    agree for integer 0 <= ell <= 2N.
-
-    Near ell = N with N*omega large the sum cancels down by many orders
-    (the true value is ~exp(-2*N*omega) of the summands), so the direct
-    sum is taken in 60-digit arithmetic before rounding; the closed form
-    stays in log-domain doubles. The routes remain independent.
-    """
-    if cols < 1:
-        raise LatticeError(f"need at least one column, got {cols}")
-    if not 0 <= ell <= 2 * cols:
-        raise LatticeError(f"offset {ell} outside 0..{2 * cols}")
-    if omega <= 0.0:
-        raise LatticeError("decay rate must be positive; zero is singular")
-    with mp.workdps(60):
-        cosh2 = mp.cosh(2 * mp.mpf(omega))
-        total = mp.fsum(
-            mp.cos(ell * mp.pi * n / cols) / (cosh2 - mp.cos(mp.pi * n / cols))
-            for n in range(2 * cols)
-        )
-        lhs = float(total / (2 * cols))
-    log_rhs = log_cosh(2.0 * (cols - ell) * omega) \
-        - log_sinh(2.0 * omega) - log_sinh(2.0 * cols * omega)
-    return lhs, float(np.exp(log_rhs))
 
 
 def inverse_minor_element(spec: HammockSpec, a: NodeLike, b: NodeLike,

@@ -16,7 +16,6 @@ from hammocknet import (
     HammockSpec,
     Terminal,
     boundary_sums,
-    cosine_sum_identity,
     inverse_minor_element,
     kirchhoff_residual,
     node_index,
@@ -31,7 +30,7 @@ from hammocknet import (
     resistance_spectral,
 )
 
-from _util import all_nodes, interior_pairs, rel_dev
+from _util import all_nodes, cosine_sum_identity, interior_pairs, rel_dev
 
 RS_GRID = [(1.0, 1.0), (2.0, 1.0), (1.0, 3.0)]
 

@@ -3,10 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import hammocknet
 from hammocknet import cli, oracle
 from hammocknet.cli import EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, main
 
@@ -298,3 +302,15 @@ class TestRawFailures:
             assert err.startswith(f"error: {type(failure).__name__}: ")
             assert err.count("\n") == 1 and "Traceback" not in err
 
+
+def test_package_and_cli_import_numpy_alone():
+    """The library and the CLI load without mpmath, a test-only dependency."""
+    source_root = str(Path(hammocknet.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
+    probe = ("import sys, hammocknet, hammocknet.cli; "
+             "assert hammocknet.__file__.startswith(sys.argv[1]), hammocknet.__file__; "
+             "assert 'mpmath' not in sys.modules, 'mpmath imported'")
+    done = subprocess.run([sys.executable, "-c", probe, source_root], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

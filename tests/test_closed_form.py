@@ -146,6 +146,39 @@ class TestResistanceGeneral:
         assert result.method == "closed"
 
 
+_PAIR_ROUTES = {"closed": resistance_general, "rt": resistance_rt,
+                "spectral": resistance_spectral}
+
+
+@pytest.mark.parametrize("route", sorted(_PAIR_ROUTES))
+class TestPairRouteRejections:
+    """Every pair route refuses hubs and off-grid nodes in either slot."""
+
+    spec = HammockSpec(3, 4)
+
+    def _both_ways(self, route, node, error, match):
+        """The errors raised with ``node`` first, then second."""
+        caught = []
+        for a, b in ((node, (2, 2)), ((2, 2), node)):
+            with pytest.raises(error, match=match) as info:
+                _PAIR_ROUTES[route](self.spec, a, b)
+            caught.append(info.value)
+        return caught
+
+    def test_hub(self, route):
+        for hub in (Terminal.BOTTOM, Terminal.TOP):
+            self._both_ways(route, hub, UnsupportedNodeError, "oracle")
+
+    @pytest.mark.parametrize("node, match", [
+        ((0, 1), "column x=0"),
+        ((1, 4), "row y=4"),
+        ((1.5, 2), "integers"),
+    ])
+    def test_off_grid(self, route, node, match):
+        for error in self._both_ways(route, node, LatticeError, match):
+            assert not isinstance(error, UnsupportedNodeError)
+
+
 class TestSameColumn:
     def test_equal_heights(self):
         assert resistance_same_column(HammockSpec(4, 3), 2, 3, 3).ohms == 0.0

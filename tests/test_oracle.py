@@ -260,7 +260,7 @@ class TestResistanceEigenFull:
     def test_identical_nodes_skip_the_laplacian(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("Laplacian built for identical nodes")
-        monkeypatch.setattr(oracle, "build_full_laplacian", refuse)
+        monkeypatch.setattr(oracle, "_laplacian", refuse)
         oracle._eigenpairs.cache_clear()
         assert resistance_eigen_full(HammockSpec(2, 3), "O", "O").ohms == 0.0
         assert resistance_eigen_full(HammockSpec(2, 3), (2, 1), (2, 1)).ohms == 0.0
@@ -364,6 +364,40 @@ class TestEigenpairCache:
         assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
         oracle._eigenpairs.cache_clear()
         assert oracle._eigenpairs.cache_info() == (0, 0, 1, 0)
+
+
+class TestLaplacianCache:
+    @pytest.fixture(autouse=True)
+    def empty_caches(self):
+        oracle._laplacian.cache_clear()
+        oracle._eigenpairs.cache_clear()
+        yield
+        oracle._laplacian.cache_clear()
+        oracle._eigenpairs.cache_clear()
+
+    def test_hub_queries_stamp_once(self):
+        spec = HammockSpec(4, 5, r=1.5, s=0.5)
+        for a, b in [("O", (2, 3)), ((2, 3), "OP"), ("O", "OP")]:
+            resistance_dense(spec, a, b)
+            resistance_eigen_full(spec, a, b)
+        resistance_matrix(spec)
+        assert oracle._laplacian.cache_info().misses == 1
+
+    def test_build_returns_the_held_matrix(self):
+        spec = HammockSpec(2, 3)
+        assert build_full_laplacian(spec) is build_full_laplacian(spec)
+        build_full_laplacian(HammockSpec(3, 2))
+        assert oracle._laplacian.cache_info().currsize == 1
+
+    def test_cap_checked_on_a_held_matrix(self, monkeypatch):
+        spec = HammockSpec(2, 3)
+        build_full_laplacian(spec)
+        monkeypatch.setenv(oracle.FLOAT_CAP_ENV, "5")
+        for query in (lambda: build_full_laplacian(spec),
+                      lambda: resistance_dense(spec, "O", "OP"),
+                      lambda: resistance_matrix(spec)):
+            with pytest.raises(SizeCapError):
+                query()
 
 
 class TestKirchhoffIndex:

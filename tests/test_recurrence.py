@@ -125,7 +125,7 @@ class TestSolveModes:
     def test_uniform_mode_value(self):
         spec = HammockSpec(4, 5)
         coords = span_coords(spec, (2, 1), (4, 3))
-        _, x_out, x_in = solve_modes(spec, coords, 2.0)
+        x_out, x_in = solve_modes(spec, coords, 2.0)
         assert x_out[0] == pytest.approx(-2.0 * (3 - 1) / 5)
         assert x_in[0] == x_out[0]
 
@@ -135,7 +135,7 @@ class TestSolveModes:
         coords = span_coords(spec, (2, 2), (4, 2))
         assert coords.p_offset == coords.q_offset
         assert coords.span_left == coords.span_right
-        _, x_out, x_in = solve_modes(spec, coords, 1.0)
+        x_out, x_in = solve_modes(spec, coords, 1.0)
         assert np.allclose(x_out[1:], -x_in[1:], rtol=1e-12, atol=1e-15)
 
     def test_boundary_relations_by_construction(self):
@@ -165,8 +165,7 @@ class TestSolveModes:
         # every region is non-empty: left k = -2; middle -1..2; right 3, 4
         spec = HammockSpec(3, 7)
         coords = span_coords(spec, (2, 1), (5, 2))
-        sol, _, _ = solve_modes(spec, coords, 1.5)
-        values, _ = transformed_columns(sol)
+        values, _ = transformed_columns(spec, coords, 1.5)
         roots, regions = region_amplitudes(spec, coords, 1.5)
         seen = set()
         for k in range(-coords.span_left, coords.span_right + 1):
@@ -187,8 +186,7 @@ class TestSolveModes:
     def test_homogeneous_recurrence_between_sources(self):
         spec = HammockSpec(3, 7)
         coords = span_coords(spec, (3, 1), (5, 2))
-        sol, _, _ = solve_modes(spec, coords, 1.0)
-        values, _ = transformed_columns(sol)
+        values, _ = transformed_columns(spec, coords, 1.0)
         coeffs = _mode_coeffs(spec)
         offset = coords.span_left
         for k in range(-coords.span_left + 1, coords.span_right):
@@ -202,8 +200,8 @@ class TestSolveModes:
         # residual of the inhomogeneous recurrence at the two source columns
         spec = HammockSpec(2, 3)
         coords = span_coords(spec, (1, 1), (3, 2))
-        sol, x_out, x_in = solve_modes(spec, coords, 1.0)
-        values, _ = transformed_columns(sol)
+        x_out, x_in = solve_modes(spec, coords, 1.0)
+        values, _ = transformed_columns(spec, coords, 1.0)
         chis = np.arange(spec.rows + 1) * math.pi / (2 * spec.rows + 2)
         coeffs = _mode_coeffs(spec)
         offset = coords.span_left
@@ -333,11 +331,10 @@ class TestReconstructCurrents:
         # the smallest normal double (truncation alone drops them here)
         spec = HammockSpec(8, 400, r=4.0)
         coords = span_coords(spec, (1, 2), (3, 7))
-        sol, _, _ = solve_modes(spec, coords, 1.0)
         monkeypatch.setattr(recurrence, "_DROP_TOLERANCE", 0.0)
-        flushed, _ = transformed_columns(sol)
+        flushed, _ = transformed_columns(spec, coords, 1.0)
         monkeypatch.setattr(recurrence, "_flush_subnormals", lambda values: None)
-        raw, _ = transformed_columns(sol)
+        raw, _ = transformed_columns(spec, coords, 1.0)
         tiny = np.finfo(float).tiny
         assert np.count_nonzero((raw != 0.0) & (np.abs(raw) < tiny)) > 0
         assert np.count_nonzero((flushed != 0.0) & (np.abs(flushed) < tiny)) == 0
@@ -364,14 +361,14 @@ class TestModeTruncation:
     def test_within_bound_of_every_mode(self, monkeypatch, spec, a, b, injected):
         coords = span_coords(spec, a, b)
         # the sign the field is solved with
-        sol, _, _ = solve_modes(spec, coords, injected if coords.swapped else -injected)
-        _, kept = transformed_columns(sol)
+        signed = injected if coords.swapped else -injected
+        _, kept = transformed_columns(spec, coords, signed)
         assert kept.sum() < 0.6 * spec.rows * spec.cols
         field = reconstruct_currents(spec, a, b, injected)
         assert field.truncation_bound == np.finfo(float).eps * abs(injected)
 
         monkeypatch.setattr(recurrence, "_DROP_TOLERANCE", 0.0)
-        every_values, every = transformed_columns(sol)
+        every_values, every = transformed_columns(spec, coords, signed)
         assert np.all(every == spec.rows)
         # every mode in the same column calls, so that only the dropped
         # modes, and not the order of the BLAS sums, tell the two apart
@@ -388,12 +385,12 @@ class TestModeTruncation:
         (HammockSpec(400, 1200), (3, 50), (40, 300), 1.3),
     ])
     def test_kept_is_each_columns_depth(self, spec, a, b, injected):
-        sol, _, _ = solve_modes(spec, span_coords(spec, a, b), injected)
-        _, kept = transformed_columns(sol)
+        coords = span_coords(spec, a, b)
+        _, kept = transformed_columns(spec, coords, injected)
         two_log = 2.0 * _decay_table(spec.rows, spec.ratio)
         tolerance = recurrence._DROP_TOLERANCE * abs(injected)
         expected = np.zeros(spec.cols, dtype=int)
-        for first, weight, exponent_arrays in recurrence._region_terms(sol, two_log):
+        for first, weight, exponent_arrays in recurrence._region_terms(spec, coords, injected, two_log):
             envelope = np.maximum.accumulate(np.abs(weight)[::-1])[::-1]
             for exponents in exponent_arrays:
                 # a column keeps each mode while that mode's bound and the
@@ -403,7 +400,7 @@ class TestModeTruncation:
                 for i in range(spec.rows):
                     alive &= envelope[i] * np.exp(two_log[i] * exponents) >= tolerance
                     depth += alive
-                start = first + sol.coords.span_left
+                start = first + coords.span_left
                 columns = slice(start, start + len(exponents))
                 expected[columns] = np.maximum(expected[columns], depth)
         assert np.array_equal(kept, expected)
@@ -411,8 +408,7 @@ class TestModeTruncation:
 
     def test_node_chunks_run_in_narrow_calls(self):
         spec = HammockSpec(700, 900)
-        sol, _, _ = solve_modes(spec, span_coords(spec, (300, 350), (330, 600)), 1.0)
-        _, kept = transformed_columns(sol)
+        _, kept = transformed_columns(spec, span_coords(spec, (300, 350), (330, 600)), 1.0)
         calls = list(recurrence._product_calls(kept))
         # the calls tile the columns in order
         assert [first for first, _ in calls] == [0] + [stop for _, stop in calls[:-1]]
@@ -424,8 +420,7 @@ class TestModeTruncation:
 
     def test_zero_injection_keeps_no_mode(self):
         spec = HammockSpec(40, 600)
-        sol, _, _ = solve_modes(spec, span_coords(spec, (3, 5), (300, 30)), 0.0)
-        values, kept = transformed_columns(sol)
+        values, kept = transformed_columns(spec, span_coords(spec, (3, 5), (300, 30)), 0.0)
         assert not kept.any()
         assert not values.any()
         field = reconstruct_currents(spec, (3, 5), (300, 30), 0.0)

@@ -14,7 +14,6 @@ from hammocknet import (
     boundary_sums,
     build_edge_list,
     build_second_minor,
-    cosine_sum_identity,
     eigen_system,
     flat_index,
     inverse_minor_element,
@@ -23,7 +22,7 @@ from hammocknet import (
 )
 from hammocknet.closed_form import _decay_table
 
-from _util import interior_pairs, rel_dev, specs_upto
+from _util import cosine_sum_identity, interior_pairs, rel_dev, specs_upto
 
 
 class TestSecondMinor:
