@@ -33,6 +33,7 @@ from .lattice import (
     LatticeError,
     Node,
     ResistanceResult,
+    SizeCapError,
     Terminal,
     node_code,
     node_index,
@@ -118,10 +119,6 @@ def cmd_resist(args: argparse.Namespace) -> int:
     spec = HammockSpec(rows=args.M, cols=args.N, r=args.r, s=args.s)
     source = parse_node(args.from_)
     sink = parse_node(args.to)
-    for node in (source, sink):
-        if isinstance(node, GridNode) and not spec.contains(node):
-            raise LatticeError(f"node {node_code(node)} outside the grid")
-
     has_terminal = isinstance(source, Terminal) or isinstance(sink, Terminal)
     warnings: list[str] = []
     if args.method == "all":
@@ -133,16 +130,19 @@ def cmd_resist(args: argparse.Namespace) -> int:
             methods = ["oracle-float", "oracle-rational"]
         else:
             methods = ["closed", "spectral", "rt", "oracle-rational"]
-        notes = {name: _skip_note(name, spec) for name in methods}
-        if not all(notes.values()):
-            # skip what is above its size cap; if nothing fits, the first
-            # method raises its SizeCapError below
-            warnings += [f"{name} {note}" for name, note in notes.items() if note]
-            methods = [name for name in methods if not notes[name]]
+        # skip what is above its size cap; if nothing fits, raise the first
+        results, refused = [], []
+        for name in methods:
+            try:
+                results.append(ROUTES[name](spec, source, sink))
+            except SizeCapError as exc:
+                refused.append(exc)
+                warnings.append(f"{name} {_skip_note(exc)}")
+        if not results:
+            raise refused[0]
     else:
-        methods = [args.method]
+        results = [ROUTES[args.method](spec, source, sink)]
 
-    results = [ROUTES[name](spec, source, sink) for name in methods]
     deviation = (_max_relative_deviation([res.ohms for res in results])
                  if len(results) > 1 else None)
     for line in warnings:
@@ -175,12 +175,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 pairs = rng.sample(pairs, args.samples)
             for a, b in pairs:
                 reference = float(table[node_index(spec, a)][node_index(spec, b)])
-                values = [
-                    closed_form.resistance_general(spec, a, b).ohms,
-                    spectral.resistance_spectral(spec, a, b).ohms,
-                    recurrence.resistance_rt(spec, a, b).ohms,
-                    reference,
-                ]
+                values = [ROUTES[name](spec, a, b).ohms
+                          for name in ("closed", "spectral", "rt")] + [reference]
                 deviation = _max_relative_deviation(values)
                 pairs_checked += 1
                 if deviation > worst:
@@ -232,32 +228,24 @@ def cmd_bench(args: argparse.Namespace) -> int:
         spec = HammockSpec(rows=size, cols=size, r=args.r, s=args.s)
         a, b = _bench_pair(spec)
         for name in args.methods:
-            note = _skip_note(name, spec)
-            if note:
-                writer.writerow([size, size, name, "", "", note])
-                continue
             timings = []
             value = 0.0
-            for _ in range(args.reps):
-                start = time.perf_counter()
-                value = ROUTES[name](spec, a, b).ohms
-                timings.append(time.perf_counter() - start)
+            try:
+                for _ in range(args.reps):
+                    start = time.perf_counter()
+                    value = ROUTES[name](spec, a, b).ohms
+                    timings.append(time.perf_counter() - start)
+            except SizeCapError as exc:
+                writer.writerow([size, size, name, "", "", _skip_note(exc)])
+                continue
             writer.writerow([size, size, name,
                              repr(statistics.median(timings)), repr(value), ""])
     return EXIT_OK
 
 
-def _skip_note(name: str, spec: HammockSpec) -> str:
-    """Why a size-capped method is skipped on ``spec``; empty if it fits."""
-    if name == "spectral-double":
-        nodes, label, cap = spec.interior_count, "double-sum", spectral.dense_cap()
-    elif name == "oracle-float":
-        nodes, label, cap = spec.node_count, "float", oracle.float_cap()
-    elif name == "oracle-rational":
-        nodes, label, cap = spec.node_count, "rational", oracle.rational_cap()
-    else:
-        return ""
-    return f"skipped: {nodes} nodes above {label} cap {cap}" if nodes > cap else ""
+def _skip_note(exc: SizeCapError) -> str:
+    """Why a route refused an instance above its size cap."""
+    return f"skipped: {exc.nodes} nodes above {exc.label} cap {exc.cap}"
 
 
 def _positive(convert: Callable[[str], Any]) -> Callable[[str], Any]:

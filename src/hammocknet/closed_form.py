@@ -155,11 +155,9 @@ def resistance_same_column(spec: HammockSpec, x: int, y1: int, y2: int) -> Resis
     alpha == beta == gamma and the cross terms fold into one squared sine
     difference per mode.
     """
-    require_interior(spec, (x, y1))
-    require_interior(spec, (x, y2))
+    coords = span_coords(spec, (x, y1), (x, y2))
     if y1 == y2:
         return ResistanceResult(0.0, "closed", {"specialization": "same_column"})
-    coords = span_coords(spec, (x, y1), (x, y2))
     table = _decay_table(spec.rows, spec.ratio)
     total = 0.0
     for block, idx in _mode_blocks(spec.rows):

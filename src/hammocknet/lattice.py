@@ -35,7 +35,15 @@ class UnsupportedNodeError(LatticeError):
 
 
 class SizeCapError(LatticeError):
-    """A dense computation was requested above its configured size cap."""
+    """A dense computation was requested above its configured size cap.
+
+    ``nodes`` is the count that the cap limits, ``label`` names the cap
+    and ``cap`` is its value.
+    """
+
+    def __init__(self, message: str, nodes: int, label: str, cap: int) -> None:
+        super().__init__(message)
+        self.nodes, self.label, self.cap = nodes, label, cap
 
 
 class Terminal(enum.Enum):
@@ -182,11 +190,6 @@ class HammockSpec:
         for y in range(1, self.rows + 1):
             for x in range(1, self.cols + 1):
                 yield GridNode(x, y)
-
-    def contains(self, node: Node) -> bool:
-        if isinstance(node, Terminal):
-            return True
-        return 1 <= node.x <= self.cols and 1 <= node.y <= self.rows
 
     def as_dict(self) -> dict:
         return {"M": self.rows, "N": self.cols, "r": float(self.r), "s": float(self.s)}

@@ -59,8 +59,8 @@ def _check_cap(spec: HammockSpec, arithmetic: str, cap: int | None = None) -> No
     if spec.node_count > cap:
         raise SizeCapError(
             f"{spec.rows}x{spec.cols} hammock has {spec.node_count} nodes, "
-            f"above the {arithmetic} cap of {cap}"
-        )
+            f"above the {arithmetic} cap of {cap}",
+            spec.node_count, arithmetic, cap)
 
 
 def _stamp(spec: HammockSpec, lap, conductance: Callable):
@@ -88,7 +88,7 @@ def _laplacian(spec: HammockSpec) -> np.ndarray:
     return matrix
 
 
-def build_full_laplacian(spec: HammockSpec, cap: int | None = None) -> np.ndarray:
+def build_full_laplacian(spec: HammockSpec) -> np.ndarray:
     """The read-only full Kirchhoff matrix in floats, stamped link by link.
 
     Node order is :func:`hammocknet.lattice.node_index`: bottom hub first,
@@ -97,7 +97,7 @@ def build_full_laplacian(spec: HammockSpec, cap: int | None = None) -> np.ndarra
     alone, so it is independent of the Kronecker minor that the spectral
     route builds.
     """
-    _check_cap(spec, "float", cap)
+    _check_cap(spec, "float")
     return _laplacian(spec)
 
 

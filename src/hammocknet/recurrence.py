@@ -268,14 +268,16 @@ def transformed_columns(spec: HammockSpec, coords: SpanCoords,
     ``_FILL_BAND`` modes over the columns that keep some of the band, the
     entries past a column's depth set to exactly zero. Returns the values
     (dropped entries are zero) and the number of non-uniform modes kept in
-    each column. No value is subnormal: each written band is flushed (see
-    :func:`_flush_subnormals`).
+    each column. A kept entry is at least (|w_i|/env_i)*eps*|J|/4, so no
+    value is subnormal for |J| above about 1e-280; below that the currents
+    themselves near the subnormal range. Coincident nodes, like a zero
+    current, give an all-zero field.
     """
     rows, cols = spec.rows, spec.cols
     values = np.zeros((rows + 1, cols))
     values[0, :] = -injected * (coords.y_out - coords.y_in) / cols
     kept = np.zeros(cols, dtype=np.intp)
-    if injected == 0.0:
+    if injected == 0.0 or (coords.separation == 0 and coords.y_in == coords.y_out):
         return values, kept
     tolerance = _DROP_TOLERANCE * abs(injected)
     two_log = 2.0 * _decay_table(rows, spec.ratio)
@@ -303,23 +305,7 @@ def transformed_columns(spec: HammockSpec, coords: SpanCoords,
                 np.exp(block, out=block)
                 block *= weight[b0:b1, None]
                 target[b0:b1, lo:] -= block
-                _flush_subnormals(target[b0:b1, lo:])
     return values, kept
-
-
-def _flush_subnormals(values: np.ndarray) -> None:
-    """Set entries of magnitude below the smallest normal double to zero.
-
-    Exponentials of exponents between about -745 and -708 land in the
-    subnormal range, and subnormal operands slow the BLAS inverse product
-    several-fold while contributing nothing above rounding. Works on row
-    blocks of about 2**16 entries, so no full-size temporary is made.
-    """
-    tiny = np.finfo(values.dtype).tiny
-    step = max(1, (1 << 16) // values.shape[1])
-    for start in range(0, values.shape[0], step):
-        block = values[start:start + step]
-        block[np.abs(block) < tiny] = 0.0
 
 
 def resistance_rt(spec: HammockSpec, a: NodeLike, b: NodeLike) -> ResistanceResult:

@@ -53,8 +53,8 @@ def _require_dense(spec: HammockSpec, what: str) -> None:
     if spec.interior_count > limit:
         raise SizeCapError(
             f"dense {what} for {spec.rows}x{spec.cols} has "
-            f"{spec.interior_count} nodes, above the cap of {limit}"
-        )
+            f"{spec.interior_count} nodes, above the cap of {limit}",
+            spec.interior_count, what, limit)
 
 
 def _chain_fixed(n: int) -> np.ndarray:
@@ -161,8 +161,10 @@ def inverse_minor_element(spec: HammockSpec, a: NodeLike, b: NodeLike,
     """One element of the inverse minor, in inverse ohms.
 
     ``form="double_sum"`` evaluates the full (row mode, column mode) sum
-    with the half-integer column cosines; ``form="reduced"`` evaluates the
-    identity-collapsed single sum over row modes. Symmetric in (a, b).
+    with the half-integer column cosines, and like the dense matrices
+    raises :class:`SizeCapError` above :func:`dense_cap` interior nodes;
+    ``form="reduced"`` evaluates the identity-collapsed single sum over
+    row modes. Symmetric in (a, b).
     """
     if form not in _FORMS:
         raise LatticeError(f"unknown form {form!r}; expected one of {_FORMS}")
@@ -174,6 +176,7 @@ def inverse_minor_element(spec: HammockSpec, a: NodeLike, b: NodeLike,
     row_weight = system.row_mode(a.y) * system.row_mode(b.y)
 
     if form == "double_sum":
+        _require_dense(spec, "double-sum")  # two M x 2N grids per element
         cols = spec.cols
         angles = np.pi * np.arange(2 * cols) / cols
         w_a = np.cos((2 * a.x - 1) * angles / 2.0) / math.sqrt(cols)
@@ -213,8 +216,6 @@ def resistance_spectral(spec: HammockSpec, a: NodeLike, b: NodeLike,
     sigma2^2 / (N*s - sigma1) with the closed-form boundary sums. Agrees
     with the closed form and the recurrence solution on interior pairs.
     """
-    a = require_interior(spec, a)
-    b = require_interior(spec, b)
     sigma1, sigma2 = boundary_sums(spec, a, b)
     correction = sigma2 * sigma2 / (spec.cols * float(spec.s) - sigma1)
     spread = (inverse_minor_element(spec, a, a, form)

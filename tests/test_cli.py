@@ -104,10 +104,22 @@ class TestResist:
         assert rows[1][0] == "rt"
 
     def test_invalid_node_usage_error(self, capsys):
-        code, _, err = run(capsys, "resist", "--M", "2", "--N", "2",
-                           "--from", "9,9", "--to", "1,1", "--method", "closed")
-        assert code == EXIT_USAGE
-        assert "error:" in err
+        # the route's own check refuses the node
+        for method in ("closed", "all", "oracle-float"):
+            code, out, err = run(capsys, "resist", "--M", "2", "--N", "2",
+                                 "--from", "9,9", "--to", "1,1", "--method", method)
+            assert code == EXIT_USAGE
+            assert out == ""
+            assert err == "error: column x=9 outside 1..2 for a 2x2 hammock\n"
+
+    def test_identical_nodes_above_rational_cap(self, capsys):
+        # the rational oracle answers identical nodes without a solve, so
+        # nothing is skipped
+        code, out, err = run(capsys, "resist", "--M", "30", "--N", "30",
+                             "--from", "3,3", "--to", "3,3", "--method", "all")
+        assert code == EXIT_OK
+        assert err == ""
+        assert out.splitlines()[3] == "oracle-rational  0.0 (0)"
 
     def test_routes_agree_at_1e5(self, capsys):
         # the slow modes' decay rates once put closed and spectral 1.9e-10
@@ -229,6 +241,14 @@ class TestBench:
         assert len(skipped) == 1
         assert "skipped" in skipped[0][5]
         assert skipped[0][3] == ""
+
+    def test_double_sum_skip_row(self, capsys):
+        code, out, _ = run(capsys, "bench", "--sizes", "21",
+                           "--methods", "closed,spectral-double", "--reps", "1")
+        assert code == EXIT_OK
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[2] == ["21", "21", "spectral-double", "", "",
+                           "skipped: 441 nodes above double-sum cap 400"]
 
     def test_double_sum_agrees_with_reduced(self, capsys):
         code, out, _ = run(capsys, "bench", "--sizes", "4",

@@ -164,10 +164,12 @@ class TestResistanceDense:
 
     def test_cap(self):
         spec = HammockSpec(3, 3)
-        with pytest.raises(SizeCapError):
-            resistance_dense(spec, (1, 1), (3, 3), "rational", cap=5)
-        with pytest.raises(SizeCapError):
-            resistance_dense(spec, (1, 1), (3, 3), "float", cap=5)
+        for arithmetic in ("rational", "float"):
+            with pytest.raises(SizeCapError) as refused:
+                resistance_dense(spec, (1, 1), (3, 3), arithmetic, cap=5)
+            # what the CLI's skip notes are written from
+            assert (refused.value.nodes, refused.value.label, refused.value.cap) == (
+                11, arithmetic, 5)
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv(oracle.RATIONAL_CAP_ENV, "5")

@@ -1,6 +1,7 @@
 """Recurrence-transform route: transform, mode solve, fields and audits."""
 
 import dataclasses
+import itertools
 import json
 import math
 import tracemalloc
@@ -326,21 +327,20 @@ class TestReconstructCurrents:
             tracemalloc.stop()
         assert peak < 2.25 * (spec.rows + 1) * spec.cols * np.dtype(float).itemsize
 
-    def test_subnormals_flushed(self, monkeypatch):
-        # with every mode kept, columns ~250 from the nodes decay below
-        # the smallest normal double (truncation alone drops them here)
-        spec = HammockSpec(8, 400, r=4.0)
-        coords = span_coords(spec, (1, 2), (3, 7))
-        monkeypatch.setattr(recurrence, "_DROP_TOLERANCE", 0.0)
-        flushed, _ = transformed_columns(spec, coords, 1.0)
-        monkeypatch.setattr(recurrence, "_flush_subnormals", lambda values: None)
-        raw, _ = transformed_columns(spec, coords, 1.0)
+    def test_no_kept_entry_is_subnormal(self):
+        # a kept entry is at least (|w_i|/env_i)*eps*|J|/4 and a dropped one
+        # exactly zero, so nothing lands between zero and the smallest normal
+        rng = np.random.default_rng(12)
         tiny = np.finfo(float).tiny
-        assert np.count_nonzero((raw != 0.0) & (np.abs(raw) < tiny)) > 0
-        assert np.count_nonzero((flushed != 0.0) & (np.abs(flushed) < tiny)) == 0
-        inverse = mode_transform(spec.rows)
-        # the flushed entries sit far below every product's last digit
-        np.testing.assert_allclose(inverse @ flushed, inverse @ raw, rtol=1e-15, atol=1e-300)
+        shapes = [(1, 40), (2, 3000), (8, 400), (40, 1000), (300, 300), (600, 90)]
+        for (rows, cols), ratio in itertools.product(shapes, (1e-12, 1e-4, 0.3, 1.0, 7.0, 1e4)):
+            spec = HammockSpec(rows, cols, r=ratio)
+            for injected in (1e-250, -1e-120, 1.0, 1e120, -1e250):
+                a, b = [(int(rng.integers(1, cols + 1)), int(rng.integers(1, rows + 1)))
+                        for _ in range(2)]
+                values, _ = transformed_columns(spec, span_coords(spec, a, b), injected)
+                kept = np.abs(values[values != 0.0])
+                assert not np.any(kept < tiny), (spec, a, b, injected)
 
 
 class TestModeTruncation:
@@ -529,6 +529,9 @@ class TestCurrentFieldExport:
         assert np.allclose(columns[k], field.currents[:, x - 1])
 
     def test_same_node_zero_field(self):
-        field = reconstruct_currents(HammockSpec(2, 2), (1, 1), (1, 1), 1.0)
-        assert np.allclose(field.currents, 0.0, atol=1e-15)
-        assert potential_path_check(field) == (0.0, 0.0)
+        for spec, node in [(HammockSpec(1, 1), (1, 1)), (HammockSpec(2, 2), (1, 1)),
+                           (HammockSpec(5, 7, r=3.0, s=2.0), (4, 3))]:
+            field = reconstruct_currents(spec, node, node, 1.0)
+            assert not field.currents.any()
+            assert kirchhoff_residual(field) == 0.0
+            assert potential_path_check(field) == (0.0, 0.0)

@@ -224,12 +224,28 @@ class TestInverseMinorElement:
                 double = inverse_minor_element(spec, a, b, "double_sum")
                 assert rel_dev([reduced, double]) < 1e-11
 
-    def test_forms_agree_at_30(self):
+    def test_forms_agree_at_30(self, monkeypatch):
+        monkeypatch.setenv("HAMMOCKNET_DENSE_VERIFY_CAP", "900")
         spec = HammockSpec(30, 30)
         for a, b in [((1, 1), (30, 30)), ((7, 12), (23, 4)), ((15, 15), (15, 16))]:
             values = [resistance_spectral(spec, a, b, "reduced").ohms,
                       resistance_spectral(spec, a, b, "double_sum").ohms]
             assert rel_dev(values) < 1e-11
+
+    def test_double_sum_capped(self, monkeypatch):
+        # each double-sum element builds two M x 2N grids, so it is capped
+        # like the dense matrices
+        monkeypatch.delenv("HAMMOCKNET_DENSE_VERIFY_CAP", raising=False)
+        spec = HammockSpec(21, 21)
+        with pytest.raises(SizeCapError) as refused:
+            inverse_minor_element(spec, (1, 1), (21, 21), "double_sum")
+        assert (refused.value.nodes, refused.value.label, refused.value.cap) == (
+            441, "double-sum", 400)
+        with pytest.raises(SizeCapError):
+            resistance_spectral(spec, (1, 1), (21, 21), "double_sum")
+        monkeypatch.setenv("HAMMOCKNET_DENSE_VERIFY_CAP", "441")
+        assert resistance_spectral(spec, (1, 1), (21, 21), "double_sum").ohms == \
+            pytest.approx(resistance_general(spec, (1, 1), (21, 21)).ohms, rel=1e-11)
 
     def test_unknown_form(self):
         with pytest.raises(LatticeError):
