@@ -16,14 +16,22 @@ evaluated: cosh(a*h) becomes e^{a*h} * (1 + e^{-2a*h}) / 2, the large
 factors cancel analytically, and what is left is built from exponentials
 of arguments <= 0. Lattices with 10^4..10^6 rows and columns therefore
 evaluate without overflow, and without the rounding of a difference of
-two large logarithms, at O(M) cost per node pair. The mode sums run over
-blocks of ``_BLOCK`` modes, so a query holds O(_BLOCK) temporaries on top
-of the cached decay table. Functions are pure; node pairs can be
-evaluated in parallel by callers.
+two large logarithms, at O(M) cost per node pair.
+
+Two exact shortcuts keep that O(M) cheap. The sine factors come from the
+integer residue of (i-1)*height, so they are within a few eps, and a
+long block of them is an outer product over about 2*sqrt(n) anchor and
+offset angles. And since the rates ascend, every decay factor underflows
+to exactly zero from some mode on (see :func:`_live_modes`); past it,
+alpha = gamma = 1/(2*sinh(2h)) and beta = 0, and the span-frame kernel
+is skipped. The mode sums run over blocks of ``_BLOCK`` modes, so a query
+holds O(_BLOCK) temporaries on top of the cached decay table. Functions
+are pure; node pairs can be evaluated in parallel by callers.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -56,22 +64,71 @@ def _decay_table(rows: int, ratio: float) -> np.ndarray:
 # Modes per block of a mode sum: the temporaries of one query stay near
 # 1 MB however many rows the lattice has.
 _BLOCK = 1 << 14
+# Sine tables longer than this are built as an anchor x offset product.
+# Its fixed cost, some 30 numpy calls, pays off against one sine per
+# mode from about a thousand modes.
+_SPLIT = 1024
 
 
-def _mode_blocks(rows: int):
-    """Yield (slice, idx) over modes i = 2..M+1 in blocks of ``_BLOCK``.
+def _mode_blocks(rows: int, live: int):
+    """Yield (block, cut) over modes i = 2..M+1 in blocks of ``_BLOCK``.
 
-    ``slice`` selects the block's entries of a per-mode table such as the
-    decay table; ``idx`` holds their i - 1 as floats.
+    ``block`` is a slice of a per-mode table such as the decay table; its
+    entry j belongs to mode i = j + 2. The block's first ``cut`` modes are
+    among the first ``live`` modes of the table, the rest past them.
     """
     for start in range(0, rows, _BLOCK):
         stop = min(start + _BLOCK, rows)
-        yield slice(start, stop), np.arange(start + 1, stop + 1, dtype=float)
+        yield slice(start, stop), min(max(live - start, 0), stop - start)
 
 
-def _sine_table(rows: int, height: int, idx: np.ndarray) -> np.ndarray:
-    """sin((i-1)*pi*height/(M+1)) for the modes whose i - 1 is ``idx``."""
-    return np.sin(idx * np.pi * height / (rows + 1))
+def _sin_turns(turns: np.ndarray, period: int) -> np.ndarray:
+    """sin(2*pi*turns/period) for integer ``turns``; ``period`` is a multiple of 4.
+
+    The residue of turns + period/4 mod period is exact, and folding it
+    about period/2 leaves an angle in [-pi/2, pi/2] with the same sine,
+    so only the final product and the sine round.
+    """
+    quarter = period // 4
+    folded = (turns + quarter) % period
+    folded -= 2 * quarter
+    np.abs(folded, out=folded)
+    return np.sin((quarter - folded) * (np.pi / (2 * quarter)))
+
+
+def _sines(block: slice, denom: int, *heights: int) -> np.ndarray | list[np.ndarray]:
+    """sin(pi*(i-1)*h/denom) over the modes of ``block``, one table per height h.
+
+    Mode i's angle is 2*pi*t/(4*denom) with the integer t = 2*(i-1)*h,
+    reduced exactly by :func:`_sin_turns` (t stays below 2**63 for any
+    lattice whose decay table fits in memory), so every entry is within a
+    few eps; a rounded product near pi*(i-1)*h/denom is off by up to
+    8e-10 at 10^6 rows. A block longer than ``_SPLIT`` modes is an outer
+    product of anchors and offsets, sin(a + b) = sin(a)*cos(b) +
+    cos(a)*sin(b) with both angles reduced exactly: about 4*sqrt(n) sines
+    instead of n.
+    """
+    period = 4 * denom
+    first, stop = 2 * block.start + 2, 2 * block.stop + 2  # 2*(i-1) of the block
+    count = block.stop - block.start
+    if count <= _SPLIT:
+        modes = np.arange(first, stop, 2, dtype=np.int64)
+        return _sin_turns(np.multiply.outer(heights, modes), period)
+    width = math.isqrt(count - 1) + 1
+    anchors = np.arange(first, stop, 2 * width, dtype=np.int64)
+    offsets = np.arange(0, 2 * width, 2, dtype=np.int64)
+    turns = np.multiply.outer(heights, np.concatenate((anchors, offsets)))
+    # rows: the sines of each height, then (a quarter period on) the cosines;
+    # columns: the anchors, then the offsets
+    waves = _sin_turns(np.concatenate((turns, turns + denom)), period)
+    n, split = len(heights), len(anchors)
+    tables = []
+    for sin_a, cos_a, sin_b, cos_b in zip(waves[:n, :split], waves[n:, :split],
+                                          waves[:n, split:], waves[n:, split:]):
+        table = np.multiply.outer(sin_a, cos_b)
+        table += np.multiply.outer(cos_a, sin_b)
+        tables.append(table.ravel()[:count])
+    return tables
 
 
 # e^{-z} for z > 708 is subnormal or zero: below rounding in every ratio
@@ -84,12 +141,40 @@ def _decay(half: np.ndarray, length: int) -> np.ndarray:
     """e^{-2*length*h} over the ascending decay rates ``half``.
 
     Only the rates with 2*length*h < ``_UNDERFLOW`` are exponentiated; the
-    rest, a suffix because the rates ascend, are zero.
+    rest, a suffix because the rates ascend, are zero. When no rate
+    underflows, this is one ``np.exp``.
     """
+    if 2 * length * half[-1] < _UNDERFLOW:
+        return np.exp(-2.0 * length * half)
     out = np.zeros(half.shape)
-    stop = half.size if length == 0 else np.searchsorted(half, _UNDERFLOW / (2 * length))
+    stop = half.searchsorted(_UNDERFLOW / (2 * length))
     np.exp(-2.0 * length * half[:stop], out=out[:stop])
     return out
+
+
+def _live_modes(coords: SpanCoords, half: np.ndarray) -> int:
+    """How many modes come before the first in which every span-frame decay underflows.
+
+    From there on, a suffix because the rates ascend, :func:`_decay` is
+    zero for each of the five lengths of :func:`_span_ratios`, and so is
+    e^{-4Nh}: alpha = gamma = :func:`_free_scale` and beta = 0 exactly.
+    A zero length (nodes in one column) keeps every mode live.
+    """
+    # x_in <= x_out: near_in = 2*x_in - 1 and far_out = 2*(N - x_out) + 1
+    # are the shorter near and far lengths
+    p, q = coords.p_offset, coords.q_offset
+    shortest = min(2 * (coords.span_left - p) + 1, 2 * (coords.span_right - q) + 1, p + q)
+    if shortest == 0 or 2 * shortest * half[-1] < _UNDERFLOW:
+        return half.size
+    return int(half.searchsorted(_UNDERFLOW / (2 * shortest)))
+
+
+def _free_scale(half: np.ndarray) -> np.ndarray:
+    """alpha = gamma = D/4 = 1 / (2*sinh(2h)) past the live modes.
+
+    There every C of :func:`_span_ratios` is 1/2 and e^{-4Nh} is 0.
+    """
+    return 0.5 / np.sinh(2.0 * half)
 
 
 def _span_ratios(coords: SpanCoords, half: np.ndarray):
@@ -119,14 +204,18 @@ def _mode_sum(spec: HammockSpec, coords: SpanCoords) -> float:
     """Hyperbolic mode sum of the general form, one block of modes at a time."""
     table = _decay_table(spec.rows, spec.ratio)
     total = 0.0
-    for block, idx in _mode_blocks(spec.rows):
-        alpha, beta, gamma = _span_ratios(coords, table[block])
-        sin_in = _sine_table(spec.rows, coords.y_in, idx)
-        sin_out = _sine_table(spec.rows, coords.y_out, idx)
-        terms = (sin_in * sin_in * alpha
-                 - 2.0 * sin_in * sin_out * beta
-                 + sin_out * sin_out * gamma)
-        total += float(terms.sum())
+    for block, cut in _mode_blocks(spec.rows, _live_modes(coords, table)):
+        sin_in, sin_out = _sines(block, spec.rows + 1, coords.y_in, coords.y_out)
+        half = table[block]
+        if cut:
+            alpha, beta, gamma = _span_ratios(coords, half[:cut])
+            s_in, s_out = sin_in[:cut], sin_out[:cut]
+            total += float((s_in * s_in * alpha
+                            - 2.0 * s_in * s_out * beta
+                            + s_out * s_out * gamma).sum())
+        if cut < len(half):
+            s_in, s_out = sin_in[cut:], sin_out[cut:]
+            total += float((_free_scale(half[cut:]) * (s_in * s_in + s_out * s_out)).sum())
     return total
 
 
@@ -160,9 +249,10 @@ def resistance_same_column(spec: HammockSpec, x: int, y1: int, y2: int) -> Resis
         return ResistanceResult(0.0, "closed", {"specialization": "same_column"})
     table = _decay_table(spec.rows, spec.ratio)
     total = 0.0
-    for block, idx in _mode_blocks(spec.rows):
+    for block, _ in _mode_blocks(spec.rows, spec.rows):
         alpha = _span_ratios(coords, table[block])[0]
-        sine_diff = _sine_table(spec.rows, y2, idx) - _sine_table(spec.rows, y1, idx)
+        sin_1, sin_2 = _sines(block, spec.rows + 1, y1, y2)
+        sine_diff = sin_2 - sin_1
         total += float((sine_diff * sine_diff * alpha).sum())
     value = (2.0 * float(spec.r) / (spec.rows + 1)) * total \
         + _uniform_term(spec, y1, y2)
@@ -190,12 +280,12 @@ def resistance_same_row(spec: HammockSpec, y: int, x1: int, x2: int) -> Resistan
     # sinh(dh) * cosh((N-d)h) / (sinh(2h) * cosh(Nh)) with e^{Nh} cancelled
     table = _decay_table(spec.rows, spec.ratio)
     total = 0.0
-    for block, idx in _mode_blocks(spec.rows):
+    for block, _ in _mode_blocks(spec.rows, spec.rows):
         step = -2.0 * table[block]
         coef = -np.expm1(distance * step) \
             * (1.0 + np.exp((spec.cols - distance) * step)) \
             / (2.0 * np.sinh(-step) * (1.0 + np.exp(spec.cols * step)))
-        sines = _sine_table(spec.rows, y, idx)
+        (sines,) = _sines(block, spec.rows + 1, y)
         total += float((sines * sines * coef).sum())
     value = (4.0 * float(spec.r) / (spec.rows + 1)) * total
     return ResistanceResult(value, "closed", {"specialization": "same_row"})

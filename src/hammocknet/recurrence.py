@@ -30,7 +30,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .closed_form import _decay_table, _mode_blocks, _span_ratios
+from .closed_form import (
+    _decay_table,
+    _free_scale,
+    _live_modes,
+    _mode_blocks,
+    _sines,
+    _span_ratios,
+)
 from .lattice import (
     GridNode,
     HammockSpec,
@@ -316,8 +323,13 @@ def resistance_rt(spec: HammockSpec, a: NodeLike, b: NodeLike) -> ResistanceResu
     sum_i X_in(i) * w_i(y_in)) with the weights of
     :func:`mode_weights`. Scales to very large lattices: the boundary
     values that :func:`solve_modes` returns and the weights are formed
-    here one block of modes at a time, from one sine table per
-    height and one of sin(chi_i), and only the block sums are kept.
+    here one block of modes at a time, and only the block sums are kept.
+    Each block takes sin(chi_i) and the lifts sin(2*y*chi_i) at both
+    heights from one call of the closed form's exact-residue table
+    builder. Past the closed form's live modes the cross ratio is exactly
+    0, so there the boundary values are (r/s)*D*zeta_out and
+    -(r/s)*D*zeta_in, with D = 1/(2*sinh(2h)), and the span-frame kernel
+    is skipped.
     """
     coords = span_coords(spec, a, b)
     n = spec.rows + 1
@@ -326,17 +338,24 @@ def resistance_rt(spec: HammockSpec, a: NodeLike, b: NodeLike) -> ResistanceResu
     uniform = -(y_out - y_in) / spec.cols
     total = uniform * ((n - y_out) - (n - y_in)) / n
     table = _decay_table(spec.rows, spec.ratio)
-    for block, idx in _mode_blocks(spec.rows):
-        chis = idx * np.pi / (2.0 * n)
-        sin_chi = np.sin(chis)
-        lift_in = np.sin(2.0 * y_in * chis)
-        lift_out = np.sin(2.0 * y_out * chis)
-        x_out, x_in = _column_values(
-            spec.ratio, _span_ratios(coords, table[block]),
-            -2.0 * lift_in * sin_chi, -2.0 * lift_out * sin_chi)
-        w_out = -lift_out / (n * sin_chi)
-        w_in = -lift_in / (n * sin_chi)
-        total += float((x_out * w_out).sum()) - float((x_in * w_in).sum())
+    for block, cut in _mode_blocks(spec.rows, _live_modes(coords, table)):
+        # chi_i = (i-1)*pi/(2n), and the lifts sin(2*y*chi_i)
+        sin_chi, lift_in, lift_out = _sines(block, 2 * n, 1, 2 * y_in, 2 * y_out)
+        half = table[block]
+        # zeta = -2*lift*sin(chi) and w = -lift/(n*sin(chi)); scaling by
+        # -2 and negating are exact, so each factor is shared
+        zeta_scale = -2.0 * sin_chi
+        zeta_in, zeta_out = lift_in * zeta_scale, lift_out * zeta_scale
+        weight_scale = -n * sin_chi
+        w_out, w_in = lift_out / weight_scale, lift_in / weight_scale
+        if cut:
+            x_out, x_in = _column_values(spec.ratio, _span_ratios(coords, half[:cut]),
+                                         zeta_in[:cut], zeta_out[:cut])
+            total += float((x_out * w_out[:cut]).sum()) - float((x_in * w_in[:cut]).sum())
+        if cut < len(half):
+            scale = spec.ratio * _free_scale(half[cut:])
+            x_out, x_in = scale * zeta_out[cut:], -scale * zeta_in[cut:]
+            total += float((x_out * w_out[cut:]).sum()) - float((x_in * w_in[cut:]).sum())
     value = float(spec.s) * total
     return ResistanceResult(value, "rt", {"swapped": coords.swapped})
 

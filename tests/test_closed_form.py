@@ -21,7 +21,15 @@ from hammocknet import (
     resistance_spectral,
     span_coords,
 )
-from hammocknet.closed_form import _BLOCK, _decay_table, _span_ratios
+from hammocknet.closed_form import (
+    _BLOCK,
+    _SPLIT,
+    _UNDERFLOW,
+    _decay_table,
+    _live_modes,
+    _sines,
+    _span_ratios,
+)
 
 from _util import interior_pairs, rel_dev
 
@@ -365,3 +373,118 @@ class TestModeBlocks:
         for rows in (1, 7, 1000, 2 * _BLOCK + 1):
             for ratio in (0.5, 1.0, 3.0):
                 assert np.all(np.diff(_decay_table(rows, ratio)) > 0.0)
+
+
+_EPS = np.finfo(float).eps
+
+
+def _sine_ranges(rows):
+    """Mode ranges (table slices) around the table split and the block edges."""
+    if rows <= 2 * _SPLIT + 2:
+        return [slice(0, rows)]
+    ranges = [slice(0, _SPLIT), slice(0, _SPLIT + 1), slice(rows - _SPLIT - 1, rows)]
+    if rows > _BLOCK + 100:
+        ranges += [slice(_BLOCK - 64, _BLOCK + 65), slice(_BLOCK, min(2 * _BLOCK, rows)),
+                   slice(_BLOCK - 3, _BLOCK + 3)]
+    return ranges
+
+
+class TestExactSines:
+    """Sine tables from exact residues, within 4 eps of mpmath.
+
+    A rounded product near pi*(i-1)*h/(M+1) is off by up to 8e-10 at
+    10^6 rows; the residue (i-1)*h mod 2*denom is exact, so only the
+    last product and the sine round.
+    """
+
+    @pytest.mark.parametrize("rows", [1, 127, 128, 129, _SPLIT - 1, _SPLIT, _SPLIT + 1,
+                                      2 * _BLOCK + 1, 10 ** 6])
+    @pytest.mark.parametrize("double", [False, True])
+    def test_within_4_eps_of_mpmath(self, rows, double):
+        denom = (rows + 1) * (2 if double else 1)
+        heights = (1, rows // 3, rows)
+        with mpmath.workdps(30):
+            for block in _sine_ranges(rows):
+                tables = _sines(block, denom, *heights)
+                assert [len(table) for table in tables] == [block.stop - block.start] * 3
+                # every entry of a short range, a spread of the long ones
+                step = max(1, (block.stop - block.start) // 400)
+                for height, table in zip(heights, tables):
+                    for j in range(0, len(table), step):
+                        mode = block.start + j + 1  # i - 1
+                        exact = mpmath.sinpi(mpmath.mpf(mode * height % (2 * denom)) / denom)
+                        assert abs(table[j] - exact) <= 4 * _EPS, (block, height, mode)
+
+    def test_long_and_short_ranges_agree(self):
+        # the anchor x offset product against one sine per mode
+        rows = 3 * _SPLIT + 5
+        long = _sines(slice(0, rows), rows + 1, 7, 333)
+        short = np.hstack([_sines(slice(j, min(j + _SPLIT, rows)), rows + 1, 7, 333)
+                           for j in range(0, rows, _SPLIT)])
+        assert np.max(np.abs(long - short)) <= 4 * _EPS
+
+
+def _live_ratio(rows, length, live):
+    """r/s that puts the live cut-off of a shortest span length at ``live``.
+
+    The underflow threshold _UNDERFLOW/(2*length) then lies halfway (in
+    angle) between the rates of table entries live - 1 and live.
+    """
+    angle = (live + 0.5) * math.pi / (2 * rows + 2)
+    return (math.sinh(_UNDERFLOW / (2 * length)) / math.sin(angle)) ** 2
+
+
+def _all_modes_value(spec, coords):
+    """The general form summed over every mode with the span-frame kernel."""
+    alpha, beta, gamma = _span_ratios(coords, _decay_table(spec.rows, spec.ratio))
+    sin_in, sin_out = _sines(slice(0, spec.rows), spec.rows + 1, coords.y_in, coords.y_out)
+    total = float((sin_in * sin_in * alpha - 2.0 * sin_in * sin_out * beta
+                   + sin_out * sin_out * gamma).sum())
+    return (2.0 * float(spec.r) / (spec.rows + 1)) * total \
+        + float(spec.s) * (coords.y_out - coords.y_in) ** 2 / (spec.cols * (spec.rows + 1))
+
+
+class TestDecayFreeTail:
+    """Past the live cut-off closed and rt skip the span-frame kernel.
+
+    alpha = gamma = 1/(2*sinh(2h)) and beta = 0 there exactly, so both
+    routes stay within 1e-15 of the kernel summed over every mode.
+    """
+
+    ROWS = 2 * _BLOCK + 1
+
+    @pytest.mark.parametrize("live", [0, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK])
+    @pytest.mark.parametrize("shortest", ["near_in", "separation", "far_out"])
+    def test_routes_match_all_modes(self, live, shortest):
+        rows, length = self.ROWS, 401
+        x_in, x_out, cols = {
+            "near_in": ((length + 1) // 2, length + 300, 2 * length + 400),
+            "separation": (length, 2 * length, 3 * length),
+            "far_out": (300, 900, 900 + (length - 1) // 2),
+        }[shortest]
+        spec = HammockSpec(rows, cols, r=_live_ratio(rows, length, live), s=1.0)
+        for y_in, y_out in [(1, rows), (rows // 3, rows // 3 + 1), (rows, 7)]:
+            a, b = (x_in, y_in), (x_out, y_out)
+            coords = span_coords(spec, a, b)
+            assert _live_modes(coords, _decay_table(rows, spec.ratio)) == live
+            self._check(spec, a, b)
+
+    @pytest.mark.parametrize("ratio", [0.5, 3.0])
+    def test_zero_and_unit_lengths_keep_every_mode(self, ratio):
+        # one column (separation 0), and columns 1 and N (near_in = far_out = 1)
+        rows, cols = self.ROWS, 5000
+        spec = HammockSpec(rows, cols, r=ratio, s=1.0)
+        table = _decay_table(rows, ratio)
+        for a, b in [((2500, 3), (2500, rows - 5)), ((cols, 9), (cols, 10)),
+                     ((1, 1), (cols, rows)), ((1, rows // 2), (cols, rows // 2 + 1))]:
+            assert _live_modes(span_coords(spec, a, b), table) == rows
+            self._check(spec, a, b)
+
+    @staticmethod
+    def _check(spec, a, b):
+        reference = _all_modes_value(spec, span_coords(spec, a, b))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            values = [route(spec, a, b).ohms for route in (resistance_general, resistance_rt)]
+        for value in values:
+            assert abs(value - reference) <= 1e-15 * reference, (a, b)
