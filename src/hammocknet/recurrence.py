@@ -9,12 +9,16 @@ of the link-coupling pattern decouples the rows into M + 1 scalar
 recurrences, each solved in closed form region by region (left of the
 input column, between the two nodes, right of the output column).
 
+Every mode table (injection profiles, path weights, boundary values and
+the inverse transform) is built from the closed form's exact-residue
+sines, the first three through :func:`_profiles`, so rt and the fields
+read one table per quantity and every entry is within a few eps.
+
 Sign conventions: upward currents are positive, and the transformed
 values returned by :func:`solve_modes` correspond to a unit current
 entering the network at the *output* column node and leaving at the input
-column node;
-the uniform mode is the limit value -J*(y_out - y_in)/N. The resistance
-difference formula in :func:`resistance_rt` is stated for that
+column node; the uniform mode is the limit value -J*(y_out - y_in)/N. The
+resistance difference formula in :func:`resistance_rt` is stated for that
 orientation, and :func:`reconstruct_currents` solves for the negated
 current where needed so that in its field the injected current always
 enters the network at the requested source node and leaves at the sink.
@@ -35,6 +39,7 @@ from .closed_form import (
     _free_scale,
     _live_modes,
     _mode_blocks,
+    _sin_turns,
     _sines,
     _span_ratios,
 )
@@ -69,10 +74,6 @@ def coupling_matrix(rows: int) -> np.ndarray:
     return matrix
 
 
-def _mode_angles(rows: int) -> np.ndarray:
-    return np.arange(rows + 1) * np.pi / (2.0 * (rows + 1))
-
-
 @lru_cache(maxsize=64)
 def mode_transform(rows: int) -> np.ndarray:
     """Read-only inverse mode transform for M + 1 link rows, cached.
@@ -80,17 +81,64 @@ def mode_transform(rows: int) -> np.ndarray:
     The forward transform has the coupling pattern's eigenvectors as rows,
     entry [i, j] = cos((2j+1) * chi_i) with chi_i = i*pi/(2M+2), 0-based.
     Its inverse, returned here, has entry [j, i] = 1/(M+1) for i = 0 and
-    (2/(M+1)) * cos((2j+1) * chi_i) otherwise.
+    (2/(M+1)) * cos((2j+1) * chi_i) otherwise, gathered from one period of
+    an exact-residue table of cos(pi*t/(2M+2)): within a few eps of 2/(M+1).
     """
     if rows < 1:
         raise LatticeError(f"need at least one row, got {rows}")
     n = rows + 1
-    chis = _mode_angles(rows)
-    j = np.arange(n)
-    inverse = (2.0 / n) * np.cos((2 * j[:, None] + 1) * chis[None, :])
+    # cos(pi*t/(2n)) = sin(2*pi*(t + n)/(4n)) for t = 0..4n-1
+    wave = (2.0 / n) * _sin_turns(np.arange(n, 5 * n), 4 * n)
+    turns = np.multiply.outer(2 * np.arange(n) + 1, np.arange(n))
+    turns %= 4 * n
+    inverse = wave[turns]
     inverse[:, 0] = 1.0 / n
     inverse.flags.writeable = False
     return inverse
+
+
+def _profiles(n: int, block: slice, y_in: int, y_out: int) -> tuple[np.ndarray, ...]:
+    """``(zeta_in, zeta_out, w_in, w_out)`` over the modes of ``block``.
+
+    The unit-injection profile zeta_i = -2*sin(2*y*chi_i)*sin(chi_i) and
+    the path weight w_i = -sin(2*y*chi_i)/(n*sin(chi_i)), chi_i =
+    (i-1)*pi/(2n), from one exact-residue table call for all three sines.
+    """
+    sin_chi, lift_in, lift_out = _sines(block, 2 * n, 1, 2 * y_in, 2 * y_out)
+    # scaling by -2 and negating are exact, so each factor is shared
+    zeta_scale = -2.0 * sin_chi
+    weight_scale = -n * sin_chi
+    return (lift_in * zeta_scale, lift_out * zeta_scale,
+            lift_in / weight_scale, lift_out / weight_scale)
+
+
+def _all_profiles(rows: int, y_in: int, y_out: int) -> list[np.ndarray]:
+    """:func:`_profiles` over every non-uniform mode, in the blocks rt reads."""
+    return [np.concatenate(tables) for tables in zip(*(
+        _profiles(rows + 1, block, y_in, y_out) for block, _ in _mode_blocks(rows, rows)))]
+
+
+def _boundary_blocks(spec: HammockSpec, coords: SpanCoords, injected: float):
+    """Yield the ``(x_out, x_in, w_out, w_in)`` of :func:`solve_modes` and
+    :func:`mode_weights` per :func:`_mode_blocks` block, split at the live
+    cut-off. Past it the cross ratio is exactly 0: the values are
+    (r/s)*J*D*zeta_out and -(r/s)*J*D*zeta_in, with D = 1/(2*sinh(2h)).
+    """
+    scale = spec.ratio * injected
+    table = _decay_table(spec.rows, spec.ratio)
+    for block, cut in _mode_blocks(spec.rows, _live_modes(coords, table)):
+        zeta_in, zeta_out, w_in, w_out = _profiles(spec.rows + 1, block,
+                                                   coords.y_in, coords.y_out)
+        half = table[block]
+        if cut:
+            ratio_in, ratio_cross, ratio_out = _span_ratios(coords, half[:cut])
+            z_in, z_out = zeta_in[:cut], zeta_out[:cut]
+            yield (scale * (ratio_out * z_out - ratio_cross * z_in),
+                   -scale * (ratio_in * z_in - ratio_cross * z_out),
+                   w_out[:cut], w_in[:cut])
+        if cut < len(half):
+            free = scale * _free_scale(half[cut:])
+            yield free * zeta_out[cut:], -free * zeta_in[cut:], w_out[cut:], w_in[cut:]
 
 
 def mode_weights(rows: int, height: int) -> np.ndarray:
@@ -98,35 +146,13 @@ def mode_weights(rows: int, height: int) -> np.ndarray:
 
     Summing the inverse transform over link rows height+1 .. M+1 gives
     (M+1-height)/(M+1) for the uniform mode and
-    -sin(2*height*chi_i) / ((M+1)*sin(chi_i)) for the rest.
+    -sin(2*height*chi_i) / ((M+1)*sin(chi_i)) for the rest, the table rt
+    reads (see :func:`_profiles`).
     """
     if not 0 <= height <= rows + 1:
         raise LatticeError(f"height {height} outside 0..{rows + 1}")
-    n = rows + 1
-    chis = _mode_angles(rows)
-    weights = np.empty(n)
-    weights[0] = (n - height) / n
-    if n > 1:
-        weights[1:] = -np.sin(2.0 * height * chis[1:]) / (n * np.sin(chis[1:]))
-    return weights
-
-
-def _zeta(rows: int, height: int) -> np.ndarray:
-    """Transformed unit-injection profile at ``height``, per mode."""
-    chis = _mode_angles(rows)
-    return -2.0 * np.sin(2.0 * height * chis) * np.sin(chis)
-
-
-def _column_values(scale: float, ratios, zeta_in: np.ndarray,
-                   zeta_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Non-uniform transformed values at the output and input columns.
-
-    ``ratios`` are the span-frame ratios of the same modes as the
-    injection profiles; ``scale`` is (r/s) times the injected current.
-    """
-    ratio_in, ratio_cross, ratio_out = ratios
-    return (scale * (ratio_out * zeta_out - ratio_cross * zeta_in),
-            -scale * (ratio_in * zeta_in - ratio_cross * zeta_out))
+    uniform = [(rows + 1 - height) / (rows + 1)]
+    return np.concatenate((uniform, _all_profiles(rows, height, height)[3]))
 
 
 def solve_modes(spec: HammockSpec, coords: SpanCoords,
@@ -137,20 +163,13 @@ def solve_modes(spec: HammockSpec, coords: SpanCoords,
     (k = q_offset) and input column (k = -p_offset); the uniform mode is
     the analytic limit -J*(y_out - y_in)/N. They are assembled from the
     closed form's scaled span-frame ratios, so they scale to 10^4+ rows
-    and columns.
+    and columns, and they are the values rt sums.
     """
     if coords.cols != spec.cols:
-        raise LatticeError(
-            f"span frame covers {coords.cols} columns, spec has {spec.cols}"
-        )
-    rows = spec.rows
-    x_out = np.empty(rows + 1)
-    x_in = np.empty(rows + 1)
-    x_out[0] = x_in[0] = -injected * (coords.y_out - coords.y_in) / spec.cols
-    x_out[1:], x_in[1:] = _column_values(
-        spec.ratio * injected, _span_ratios(coords, _decay_table(rows, spec.ratio)),
-        _zeta(rows, coords.y_in)[1:], _zeta(rows, coords.y_out)[1:])
-    return x_out, x_in
+        raise LatticeError(f"span frame covers {coords.cols} columns, spec has {spec.cols}")
+    uniform = [-injected * (coords.y_out - coords.y_in) / spec.cols]
+    outs, ins, _, _ = zip(*_boundary_blocks(spec, coords, injected))
+    return np.concatenate((uniform, *outs)), np.concatenate((uniform, *ins))
 
 
 # Largest transformed term that truncation drops, per unit of |J|. Two
@@ -213,8 +232,9 @@ def _region_terms(spec: HammockSpec, coords: SpanCoords, injected: float,
     left_s, right_s = coords.span_left, coords.span_right
     p, q = coords.p_offset, coords.q_offset
     gap = 2.0 * np.sinh(two_log)
-    c_in = spec.ratio * injected * _zeta(spec.rows, coords.y_in)[1:] / gap
-    c_out = spec.ratio * injected * _zeta(spec.rows, coords.y_out)[1:] / gap
+    zeta_in, zeta_out = _all_profiles(spec.rows, coords.y_in, coords.y_out)[:2]
+    c_in = spec.ratio * injected * zeta_in / gap
+    c_out = spec.ratio * injected * zeta_out / gap
     shrink = -np.expm1(-2.0 * cols * two_log)  # 1 - root**(-2N)
 
     def term(first, numerators, *exponents):
@@ -320,42 +340,17 @@ def resistance_rt(spec: HammockSpec, a: NodeLike, b: NodeLike) -> ResistanceResu
 
     Potential differences are summed along the path through the common
     top hub: R = (s/J) * (sum_i X_out(i) * w_i(y_out) -
-    sum_i X_in(i) * w_i(y_in)) with the weights of
-    :func:`mode_weights`. Scales to very large lattices: the boundary
-    values that :func:`solve_modes` returns and the weights are formed
-    here one block of modes at a time, and only the block sums are kept.
-    Each block takes sin(chi_i) and the lifts sin(2*y*chi_i) at both
-    heights from one call of the closed form's exact-residue table
-    builder. Past the closed form's live modes the cross ratio is exactly
-    0, so there the boundary values are (r/s)*D*zeta_out and
-    -(r/s)*D*zeta_in, with D = 1/(2*sinh(2h)), and the span-frame kernel
-    is skipped.
+    sum_i X_in(i) * w_i(y_in)), with the boundary values of
+    :func:`solve_modes` and the weights of :func:`mode_weights`. Both are
+    formed one block of modes at a time (:func:`_boundary_blocks`) and
+    only the block sums are kept, so this scales to very large lattices.
     """
     coords = span_coords(spec, a, b)
-    n = spec.rows + 1
     y_in, y_out = coords.y_in, coords.y_out
-    # uniform mode: value -(y_out - y_in)/N, weight (n - height)/n
-    uniform = -(y_out - y_in) / spec.cols
-    total = uniform * ((n - y_out) - (n - y_in)) / n
-    table = _decay_table(spec.rows, spec.ratio)
-    for block, cut in _mode_blocks(spec.rows, _live_modes(coords, table)):
-        # chi_i = (i-1)*pi/(2n), and the lifts sin(2*y*chi_i)
-        sin_chi, lift_in, lift_out = _sines(block, 2 * n, 1, 2 * y_in, 2 * y_out)
-        half = table[block]
-        # zeta = -2*lift*sin(chi) and w = -lift/(n*sin(chi)); scaling by
-        # -2 and negating are exact, so each factor is shared
-        zeta_scale = -2.0 * sin_chi
-        zeta_in, zeta_out = lift_in * zeta_scale, lift_out * zeta_scale
-        weight_scale = -n * sin_chi
-        w_out, w_in = lift_out / weight_scale, lift_in / weight_scale
-        if cut:
-            x_out, x_in = _column_values(spec.ratio, _span_ratios(coords, half[:cut]),
-                                         zeta_in[:cut], zeta_out[:cut])
-            total += float((x_out * w_out[:cut]).sum()) - float((x_in * w_in[:cut]).sum())
-        if cut < len(half):
-            scale = spec.ratio * _free_scale(half[cut:])
-            x_out, x_in = scale * zeta_out[cut:], -scale * zeta_in[cut:]
-            total += float((x_out * w_out[cut:]).sum()) - float((x_in * w_in[cut:]).sum())
+    # uniform mode: value -(y_out - y_in)/N, weight (M + 1 - y)/(M + 1)
+    total = -(y_out - y_in) / spec.cols * (y_in - y_out) / (spec.rows + 1)
+    for x_out, x_in, w_out, w_in in _boundary_blocks(spec, coords, 1.0):
+        total += float((x_out * w_out).sum()) - float((x_in * w_in).sum())
     value = float(spec.s) * total
     return ResistanceResult(value, "rt", {"swapped": coords.swapped})
 

@@ -9,7 +9,7 @@ import numpy as np
 from mpmath import mp
 
 from hammocknet import GridNode, HammockSpec, LatticeError, SpanCoords
-from hammocknet.closed_form import _decay_table
+from hammocknet.closed_form import _UNDERFLOW, _decay_table
 from hammocknet.hyperbolic import log_cosh, log_sinh
 
 
@@ -34,6 +34,16 @@ def rel_dev(values) -> float:
     if scale == 0.0:
         return 0.0
     return (max(values) - min(values)) / scale
+
+
+def live_ratio(rows: int, length: int, live: int) -> float:
+    """r/s that puts the live cut-off of a shortest span length at ``live``.
+
+    The underflow threshold _UNDERFLOW/(2*length) then lies halfway (in
+    angle) between the rates of table entries live - 1 and live.
+    """
+    angle = (live + 0.5) * math.pi / (2 * rows + 2)
+    return (math.sinh(_UNDERFLOW / (2 * length)) / math.sin(angle)) ** 2
 
 
 def all_nodes(spec: HammockSpec):

@@ -21,17 +21,17 @@ from hammocknet import (
     resistance_spectral,
     span_coords,
 )
+from hammocknet import recurrence
 from hammocknet.closed_form import (
     _BLOCK,
     _SPLIT,
-    _UNDERFLOW,
     _decay_table,
     _live_modes,
     _sines,
     _span_ratios,
 )
 
-from _util import interior_pairs, rel_dev
+from _util import interior_pairs, live_ratio, rel_dev
 
 
 class TestModeParams:
@@ -415,6 +415,36 @@ class TestExactSines:
                         exact = mpmath.sinpi(mpmath.mpf(mode * height % (2 * denom)) / denom)
                         assert abs(table[j] - exact) <= 4 * _EPS, (block, height, mode)
 
+    @pytest.mark.parametrize("height", [1, 10 ** 5 // 3, 10 ** 5])
+    def test_recurrence_profiles_within_4_eps_of_mpmath(self, height):
+        # per mode, within 4 eps of the scale 1/(n*sin(chi)) of rt's path
+        # weight and 2*sin(chi) of the field's injection profile
+        rows = 10 ** 5
+        n = rows + 1
+        weights = recurrence.mode_weights(rows, height)[1:]
+        zeta = recurrence._all_profiles(rows, height, height)[0]
+        modes = [*range(1, 50), *range(50, rows - 50, 251), *range(rows - 50, rows + 1)]
+        with mpmath.workdps(40):
+            for mode in modes:  # i - 1
+                lift = mpmath.sinpi(mpmath.mpf(2 * height * mode % (4 * n)) / (2 * n))
+                sin_chi = mpmath.sinpi(mpmath.mpf(mode) / (2 * n))
+                assert abs(weights[mode - 1] + lift / (n * sin_chi)) * n * sin_chi \
+                    <= 4 * _EPS, mode
+                assert abs(zeta[mode - 1] + 2 * lift * sin_chi) / (2 * sin_chi) \
+                    <= 4 * _EPS, mode
+
+    def test_inverse_transform_within_4_eps_of_mpmath(self):
+        # entries (2/n)*cos(pi*(2j+1)*i/(2n)), against their scale 2/n
+        rows = 2000
+        n = rows + 1
+        inverse = recurrence.mode_transform(rows)
+        rng = np.random.default_rng(3)
+        samples = zip(rng.integers(0, n, 2000).tolist(), rng.integers(1, n, 2000).tolist())
+        with mpmath.workdps(40):
+            for j, i in samples:
+                exact = mpmath.cospi(mpmath.mpf((2 * j + 1) * i % (4 * n)) / (2 * n))
+                assert abs(inverse[j, i] * n / 2 - exact) <= 4 * _EPS, (j, i)
+
     def test_long_and_short_ranges_agree(self):
         # the anchor x offset product against one sine per mode
         rows = 3 * _SPLIT + 5
@@ -422,16 +452,6 @@ class TestExactSines:
         short = np.hstack([_sines(slice(j, min(j + _SPLIT, rows)), rows + 1, 7, 333)
                            for j in range(0, rows, _SPLIT)])
         assert np.max(np.abs(long - short)) <= 4 * _EPS
-
-
-def _live_ratio(rows, length, live):
-    """r/s that puts the live cut-off of a shortest span length at ``live``.
-
-    The underflow threshold _UNDERFLOW/(2*length) then lies halfway (in
-    angle) between the rates of table entries live - 1 and live.
-    """
-    angle = (live + 0.5) * math.pi / (2 * rows + 2)
-    return (math.sinh(_UNDERFLOW / (2 * length)) / math.sin(angle)) ** 2
 
 
 def _all_modes_value(spec, coords):
@@ -462,7 +482,7 @@ class TestDecayFreeTail:
             "separation": (length, 2 * length, 3 * length),
             "far_out": (300, 900, 900 + (length - 1) // 2),
         }[shortest]
-        spec = HammockSpec(rows, cols, r=_live_ratio(rows, length, live), s=1.0)
+        spec = HammockSpec(rows, cols, r=live_ratio(rows, length, live), s=1.0)
         for y_in, y_out in [(1, rows), (rows // 3, rows // 3 + 1), (rows, 7)]:
             a, b = (x_in, y_in), (x_out, y_out)
             coords = span_coords(spec, a, b)

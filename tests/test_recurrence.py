@@ -28,12 +28,13 @@ from hammocknet import (
     transformed_columns,
 )
 from hammocknet import recurrence
-from hammocknet.closed_form import _decay_table
+from hammocknet.closed_form import _BLOCK, _decay_table, _live_modes
 
 from _util import (
     cumsum_kirchhoff_residual,
     full_kirchhoff_residual,
     interior_pairs,
+    live_ratio,
     region_amplitudes,
     rel_dev,
     specs_upto,
@@ -249,6 +250,28 @@ class TestResistanceRT:
                           resistance_general(spec, a, b).ohms]
                 assert rel_dev(values) < 1e-10
 
+    @pytest.mark.parametrize("spec, a, b, live", [
+        # two blocks and one mode, every mode live: a close pair in one
+        # column, whose small R shows any table that is not rt's own
+        (HammockSpec(2 * _BLOCK + 1, 3, r=0.1), (2, 12345), (2, 12346), 2 * _BLOCK + 1),
+        # the live cut-off, set by the separation of 401, falls inside
+        # the second block
+        (HammockSpec(2 * _BLOCK + 1, 1203,
+                     r=2.0 * live_ratio(2 * _BLOCK + 1, 401, _BLOCK + 5000), s=2.0),
+         (401, 7), (802, 2 * _BLOCK - 2), _BLOCK + 5000),
+        (HammockSpec(28, 600, r=3.0, s=2.0), (17, 3), (420, 25), 28),
+        (HammockSpec(28, 600, r=0.5), (590, 27), (4, 1), 28),
+    ])
+    def test_sums_solve_modes_and_mode_weights(self, spec, a, b, live):
+        # rt reads the very tables that solve_modes and mode_weights return
+        coords = span_coords(spec, a, b)
+        assert _live_modes(coords, _decay_table(spec.rows, spec.ratio)) == live
+        x_out, x_in = solve_modes(spec, coords, 1.0)
+        twin = float(spec.s) * (math.fsum(x_out * mode_weights(spec.rows, coords.y_out))
+                                - math.fsum(x_in * mode_weights(spec.rows, coords.y_in)))
+        value = resistance_rt(spec, a, b).ohms
+        assert abs(value - twin) <= 1e-15 * value
+
     def test_exchange_is_bitwise(self):
         spec = HammockSpec(3, 4, r=2.0, s=0.5)
         for a, b in interior_pairs(spec):
@@ -314,6 +337,19 @@ class TestReconstructCurrents:
         reference = resistance_general(spec, (5, 1), (2, 3)).ohms
         assert rel_dev([rail, lattice]) < 1e-10
         assert rail == pytest.approx(reference, rel=1e-10)
+
+    @pytest.mark.parametrize("a, b", [((458, 323), (1285, 299)), ((102, 500), (453, 24))])
+    def test_exact_tables_keep_audits_near_rounding(self, a, b):
+        # the bounds sit 5x below what tables from rounded mode angles give
+        # here (path drop off closed's R by 9.0e-12 and 8.7e-12, residual
+        # 2.2e-14 and 2.5e-14) and 3x above the exact tables (5.5e-15 and
+        # 6.1e-14, residual 1.1e-15 and 1.0e-15), for other BLAS builds
+        spec = HammockSpec(500, 1500, r=3.0)
+        field = reconstruct_currents(spec, a, b, 1.0)
+        reference = resistance_general(spec, a, b).ohms
+        for drop in potential_path_check(field):
+            assert abs(drop - reference) <= 2e-13 * reference
+        assert kirchhoff_residual(field) <= 4e-15
 
     def test_peak_allocation(self):
         # the transformed values and the currents, nothing else field-sized
