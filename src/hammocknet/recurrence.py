@@ -173,8 +173,8 @@ def solve_modes(spec: HammockSpec, coords: SpanCoords,
 
 
 # Largest transformed term that truncation drops, per unit of |J|. Two
-# terms per column, at most M dropped modes and |inverse| <= 2/(M+1)
-# keep every link current within 4 * this * |J| = eps*|J| of the full sum.
+# terms per column, at most M dropped modes and |inverse| <= 2/(M+1) keep the
+# dropped modes' share of each link current within 4 * this * |J| = eps*|J|.
 _DROP_TOLERANCE = np.finfo(float).eps / 4.0
 # Modes per fill block: narrow enough that the entries past a column's
 # depth, computed and then discarded, stay a small share of each block.
@@ -363,8 +363,8 @@ class CurrentField:
     (i = 1..M+1, counted from the bottom hub) of column x. A current of
     ``injected`` amperes enters at ``source`` and leaves at ``sink``; rail
     currents inside the hubs are implied, not stored. ``truncation_bound``
-    (eps*|J|) bounds how far each current lies from the sum over every
-    mode (see :func:`transformed_columns`). Immutable.
+    (eps*|J|) bounds the dropped modes' share of each current, not the
+    rounding of the kept ones (see :func:`transformed_columns`). Immutable.
     """
 
     spec: HammockSpec

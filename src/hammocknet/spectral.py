@@ -34,6 +34,7 @@ from .lattice import (
     NodeLike,
     ResistanceResult,
     SizeCapError,
+    as_node,
     env_cap,
     require_interior,
 )
@@ -111,9 +112,12 @@ class MinorEigenSystem:
     omegas: np.ndarray
     log_den: np.ndarray
 
-    def row_mode(self, y: int) -> np.ndarray:
-        """Row-mode column ``row_modes[:, y-1]``: every row mode at row y."""
-        return math.sqrt(2.0 / (self.spec.rows + 1)) * np.sin(2.0 * y * self.phis)
+    def row_mode(self, y) -> np.ndarray:
+        """Row-mode column ``row_modes[:, y-1]``; rows y shaped (k, 1) give k columns."""
+        modes = 2.0 * y * self.phis
+        np.sin(modes, out=modes)
+        modes *= math.sqrt(2.0 / (self.spec.rows + 1))
+        return modes
 
     @cached_property
     def col_modes(self) -> np.ndarray:
@@ -156,6 +160,34 @@ def eigen_system(spec: HammockSpec) -> MinorEigenSystem:
                             omegas=_frozen(omegas), log_den=_frozen(log_den))
 
 
+# Modes per block of the reduced form's elementwise pass (temporaries near 1 MB).
+_BLOCK = 1 << 14
+
+
+def _reduced_elements(spec: HammockSpec, nodes: list, pairs) -> list[float]:
+    """Reduced-form K(nodes[i], nodes[j]), nodes[i] <= nodes[j], for each (i, j) in pairs.
+
+    One ``log_cosh`` per block of modes over the near lengths of the i
+    nodes and the far lengths of the j nodes; each element is then one
+    dot product over all modes.
+    """
+    system = eigen_system(spec)
+    rows = system.row_mode(np.array([n.y for n in nodes])[:, None])
+    near, far = sorted({i for i, _ in pairs}), sorted({j for _, j in pairs})
+    lengths = [2 * nodes[i].x - 1 for i in near] + [2 * spec.cols - 2 * nodes[j].x + 1 for j in far]
+    take_far = [len(near) + far.index(j) for _, j in pairs]
+    take_near = [near.index(i) for i, _ in pairs]
+    ratios = np.empty((len(pairs), spec.rows))
+    for start in range(0, spec.rows, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        log_terms = log_cosh(np.multiply.outer(lengths, system.omegas[block]))
+        ratio = np.add(log_terms[take_far], log_terms[take_near], out=ratios[:, block])
+        ratio -= system.log_den[block]  # far + near - log_den
+        np.exp(ratio, out=ratio)
+    r = float(spec.r)
+    return [r * float((rows[i] * rows[j]) @ ratio) for (i, j), ratio in zip(pairs, ratios)]
+
+
 def inverse_minor_element(spec: HammockSpec, a: NodeLike, b: NodeLike,
                           form: str = "reduced") -> float:
     """One element of the inverse minor, in inverse ohms.
@@ -172,11 +204,10 @@ def inverse_minor_element(spec: HammockSpec, a: NodeLike, b: NodeLike,
     b = require_interior(spec, b)
     if (a.x, a.y) > (b.x, b.y):
         a, b = b, a
-    system = eigen_system(spec)
-    row_weight = system.row_mode(a.y) * system.row_mode(b.y)
-
     if form == "double_sum":
         _require_dense(spec, "double-sum")  # two M x 2N grids per element
+        system = eigen_system(spec)
+        row_weight = system.row_mode(a.y) * system.row_mode(b.y)
         cols = spec.cols
         angles = np.pi * np.arange(2 * cols) / cols
         w_a = np.cos((2 * a.x - 1) * angles / 2.0) / math.sqrt(cols)
@@ -185,11 +216,7 @@ def inverse_minor_element(spec: HammockSpec, a: NodeLike, b: NodeLike,
             + (2.0 / float(spec.s)) * (1.0 - np.cos(2.0 * system.phis))[:, None]
         inner = (w_a * w_b)[None, :] / eigenvalues
         return float(inner.sum(axis=1) @ row_weight)
-
-    log_ratio = log_cosh((2 * spec.cols - 2 * b.x + 1) * system.omegas) \
-        + log_cosh((2 * a.x - 1) * system.omegas) \
-        - system.log_den
-    return float(spec.r) * float(row_weight @ np.exp(log_ratio))
+    return _reduced_elements(spec, [a, b], ((0, 1),))[0]
 
 
 def boundary_sums(spec: HammockSpec, a: NodeLike, b: NodeLike) -> tuple[float, float]:
@@ -215,10 +242,15 @@ def resistance_spectral(spec: HammockSpec, a: NodeLike, b: NodeLike,
     The correction term restores the contribution of the deleted hubs:
     sigma2^2 / (N*s - sigma1) with the closed-form boundary sums. Agrees
     with the closed form and the recurrence solution on interior pairs.
+    The reduced form evaluates its three elements in one pass.
     """
-    sigma1, sigma2 = boundary_sums(spec, a, b)
+    a, b = as_node(a), as_node(b)
+    sigma1, sigma2 = boundary_sums(spec, a, b)  # checks both nodes
     correction = sigma2 * sigma2 / (spec.cols * float(spec.s) - sigma1)
-    spread = (inverse_minor_element(spec, a, a, form)
-              + inverse_minor_element(spec, b, b, form)
-              - 2.0 * inverse_minor_element(spec, a, b, form))
+    if form == "reduced":
+        k_aa, k_bb, k_ab = _reduced_elements(spec, sorted((a, b)), ((0, 0), (1, 1), (0, 1)))
+    else:
+        k_aa, k_bb, k_ab = (inverse_minor_element(spec, u, v, form)
+                            for u, v in ((a, a), (b, b), (a, b)))
+    spread = k_aa + k_bb - 2.0 * k_ab
     return ResistanceResult(correction + spread, "spectral", {"form": form})

@@ -11,6 +11,7 @@ from mpmath import mp
 from hammocknet import GridNode, HammockSpec, LatticeError, SpanCoords
 from hammocknet.closed_form import _UNDERFLOW, _decay_table
 from hammocknet.hyperbolic import log_cosh, log_sinh
+from hammocknet.spectral import boundary_sums, eigen_system
 
 
 def interior_pairs(spec: HammockSpec, distinct: bool = True):
@@ -192,3 +193,59 @@ def cosine_sum_identity(cols: int, ell: int, omega: float) -> tuple[float, float
     log_rhs = log_cosh(2.0 * (cols - ell) * omega) \
         - log_sinh(2.0 * omega) - log_sinh(2.0 * cols * omega)
     return lhs, float(np.exp(log_rhs))
+
+
+def _decay_reference(half: np.ndarray, length: int) -> np.ndarray:
+    """e^{-2*length*h} over ascending rates, zero wherever 2*length*h >= _UNDERFLOW."""
+    if 2 * length * half[-1] < _UNDERFLOW:
+        return np.exp(-2.0 * length * half)
+    out = np.zeros(half.shape)
+    stop = half.searchsorted(_UNDERFLOW / (2 * length))
+    np.exp(-2.0 * length * half[:stop], out=out[:stop])
+    return out
+
+
+def span_ratios_reference(coords: SpanCoords, half: np.ndarray):
+    """The span-frame kernel with one exponential per length.
+
+    Each decay is exact down to e^{-708} and zero below. The library's
+    ``closed_form._span_ratios`` takes all five decays in one exponential
+    clamped at e^{-700}: alpha and gamma agree bitwise, and beta wherever
+    2*separation*h <= 700.
+    """
+    x_in, x_out, cols = coords.x_in, coords.x_out, coords.cols
+    scale = 0.5 / (np.sinh(2.0 * half) * -np.expm1(-4.0 * cols * half))
+    near_in = 1.0 + _decay_reference(half, 2 * x_in - 1)
+    far_in = 1.0 + _decay_reference(half, 2 * cols - 2 * x_in + 1)
+    near_out = 1.0 + _decay_reference(half, 2 * x_out - 1)
+    far_out = 1.0 + _decay_reference(half, 2 * cols - 2 * x_out + 1)
+    near_in *= scale
+    near_out *= scale
+    return (near_in * far_in,
+            near_in * far_out * _decay_reference(half, coords.separation),
+            near_out * far_out)
+
+
+def inverse_minor_reference(spec: HammockSpec, a, b) -> float:
+    """One reduced-form inverse-minor element, evaluated on its own.
+
+    Row modes from ``MinorEigenSystem.row_mode`` and two ``log_cosh``
+    calls per element, in the order of operations the one-pass route keeps.
+    """
+    a, b = sorted((GridNode(*a), GridNode(*b)))
+    system = eigen_system(spec)
+    row_weight = system.row_mode(a.y) * system.row_mode(b.y)
+    log_ratio = log_cosh((2 * spec.cols - 2 * b.x + 1) * system.omegas) \
+        + log_cosh((2 * a.x - 1) * system.omegas) \
+        - system.log_den
+    return float(spec.r) * float(row_weight @ np.exp(log_ratio))
+
+
+def spectral_reference(spec: HammockSpec, a, b) -> float:
+    """Reduced spectral resistance from three separate element evaluations."""
+    sigma1, sigma2 = boundary_sums(spec, a, b)
+    correction = sigma2 * sigma2 / (spec.cols * float(spec.s) - sigma1)
+    spread = (inverse_minor_reference(spec, a, a)
+              + inverse_minor_reference(spec, b, b)
+              - 2.0 * inverse_minor_reference(spec, a, b))
+    return correction + spread

@@ -324,13 +324,30 @@ class TestRawFailures:
 
 
 def test_package_and_cli_import_numpy_alone():
-    """The library and the CLI load without mpmath, a test-only dependency."""
+    """The library and the CLI load without mpmath, a test-only dependency.
+
+    Importing them adds no work beyond loading their own code: every module
+    loaded after numpy is stdlib or hammocknet, no thread is started and
+    the per-instance caches are empty.
+    """
     source_root = str(Path(hammocknet.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
-    probe = ("import sys, hammocknet, hammocknet.cli; "
-             "assert hammocknet.__file__.startswith(sys.argv[1]), hammocknet.__file__; "
-             "assert 'mpmath' not in sys.modules, 'mpmath imported'")
+    probe = "\n".join([
+        "import sys, threading, numpy",
+        "before = set(sys.modules)",
+        "import hammocknet, hammocknet.cli",
+        "assert hammocknet.__file__.startswith(sys.argv[1]), hammocknet.__file__",
+        "assert 'mpmath' not in sys.modules, 'mpmath imported'",
+        "extra = sorted(name for name in set(sys.modules) - before",
+        "               if name.split('.')[0] not in sys.stdlib_module_names | {'hammocknet'})",
+        "assert not extra, f'non-stdlib modules loaded: {extra}'",
+        "assert threading.active_count() == 1, threading.enumerate()",
+        "from hammocknet import closed_form, recurrence, spectral",
+        "for cache in (closed_form._decay_table, recurrence.mode_transform,",
+        "              spectral.eigen_system):",
+        "    assert cache.cache_info().currsize == 0, cache",
+    ])
     done = subprocess.run([sys.executable, "-c", probe, source_root], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr

@@ -21,9 +21,10 @@ from hammocknet import (
     resistance_spectral,
     span_coords,
 )
-from hammocknet import recurrence
+from hammocknet import closed_form, recurrence
 from hammocknet.closed_form import (
     _BLOCK,
+    _CLAMP,
     _SPLIT,
     _decay_table,
     _live_modes,
@@ -31,7 +32,7 @@ from hammocknet.closed_form import (
     _span_ratios,
 )
 
-from _util import interior_pairs, live_ratio, rel_dev
+from _util import interior_pairs, live_ratio, rel_dev, span_ratios_reference
 
 
 class TestModeParams:
@@ -508,3 +509,69 @@ class TestDecayFreeTail:
             values = [route(spec, a, b).ohms for route in (resistance_general, resistance_rt)]
         for value in values:
             assert abs(value - reference) <= 1e-15 * reference, (a, b)
+
+
+def _reference_cases():
+    """(label, spec, a, b) for the reference one-exponential-per-length kernel."""
+    rows = 2 * _BLOCK + 1
+    tail = HammockSpec(rows, 1200, r=live_ratio(rows, 401, _BLOCK + 100), s=1.0)
+    square, tall = HammockSpec(100, 100), HammockSpec(28, 600, r=3.0)
+    return [
+        ("every decay live", square, (3, 7), (95, 50)),
+        # far lengths near 4000 pass 708 in every mode; near and separation stay live
+        ("every far length underflowing", HammockSpec(4, 2000, r=3.0), (3, 2), (10, 4)),
+        ("live cut-off in the second block", tail, (201, 5), (600, rows - 3)),
+        ("same row", square, (12, 40), (77, 40)),
+        ("same column", tall, (300, 3), (300, 25)),
+        ("swapped", tall, (590, 20), (4, 2)),
+        ("28x600 at r/s 3", tall, (17, 9), (402, 27)),
+        # every mode live, the far lengths past 708 in most of them
+        ("long block, a node in column 1", HammockSpec(3000, 2500, r=3.0), (1, 100), (1800, 2900)),
+    ]
+
+
+class TestSpanRatiosReference:
+    """The clamped span-frame kernel against the one-exponential-per-length form."""
+
+    @pytest.mark.parametrize("label, spec, a, b", _reference_cases(),
+                             ids=[case[0] for case in _reference_cases()])
+    def test_kernel(self, label, spec, a, b):
+        coords = span_coords(spec, a, b)
+        half = _decay_table(spec.rows, spec.ratio)
+        if label == "every decay live":
+            assert 2 * (2 * spec.cols - 1) * half[-1] < _CLAMP
+        if label == "every far length underflowing":
+            assert 2 * (2 * (spec.cols - coords.x_out) + 1) * half[0] > 708.0
+        if label == "live cut-off in the second block":
+            assert _BLOCK < _live_modes(coords, half) < 2 * _BLOCK
+        alpha, beta, gamma = _span_ratios(coords, half)
+        want_alpha, want_beta, want_gamma = span_ratios_reference(coords, half)
+        assert np.array_equal(alpha, want_alpha) and np.array_equal(gamma, want_gamma)
+        live = 2 * coords.separation * half <= _CLAMP
+        assert np.array_equal(beta[live], want_beta[live])
+        # past the clamp both betas are below 2*e^{-700} of alpha
+        for value in (beta[~live], want_beta[~live]):
+            assert np.all(value <= 1e-303 * alpha[~live])
+
+    @pytest.mark.parametrize("label, spec, a, b", _reference_cases(),
+                             ids=[case[0] for case in _reference_cases()])
+    def test_routes(self, label, spec, a, b, monkeypatch):
+        routes = [resistance_general, resistance_rt, resistance_general]
+        args = [(spec, a, b), (spec, a, b), (spec, b, a)]
+        if a[0] == b[0]:
+            routes.append(resistance_same_column)
+            args.append((spec, a[0], a[1], b[1]))
+        got = [route(*arg).ohms for route, arg in zip(routes, args)]
+        monkeypatch.setattr(closed_form, "_span_ratios", span_ratios_reference)
+        monkeypatch.setattr(recurrence, "_span_ratios", span_ratios_reference)
+        want = [route(*arg).ohms for route, arg in zip(routes, args)]
+        assert got == want
+
+
+@pytest.mark.parametrize("spec", [HammockSpec(100, 100), HammockSpec(28, 600, r=3.0),
+                                  HammockSpec(10 ** 5, 10 ** 5, r=2.0)],
+                         ids=["100x100", "28x600", "1e5x1e5"])
+def test_identical_nodes_every_route_exact_zero(spec):
+    for node in [(1, 1), (spec.cols, spec.rows), (spec.cols // 3, spec.rows // 2 + 1)]:
+        for route in (resistance_general, resistance_rt, resistance_spectral):
+            assert route(spec, node, node).ohms == 0.0, (route.__name__, node)

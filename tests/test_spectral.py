@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,9 +21,17 @@ from hammocknet import (
     resistance_general,
     resistance_spectral,
 )
+from hammocknet import spectral
 from hammocknet.closed_form import _decay_table
 
-from _util import cosine_sum_identity, interior_pairs, rel_dev, specs_upto
+from _util import (
+    cosine_sum_identity,
+    interior_pairs,
+    inverse_minor_reference,
+    rel_dev,
+    specs_upto,
+    spectral_reference,
+)
 
 
 class TestSecondMinor:
@@ -309,3 +318,55 @@ class TestResistanceSpectral:
                 values = [resistance_spectral(spec, a, b).ohms,
                           resistance_general(spec, a, b).ohms]
                 assert rel_dev(values) < 1e-10
+
+
+class TestOnePass:
+    """The one-pass reduced route against three separate element evaluations."""
+
+    CASES = [
+        ("100x100", HammockSpec(100, 100), (3, 7), (95, 50)),
+        ("identical", HammockSpec(100, 100), (40, 40), (40, 40)),
+        ("same row", HammockSpec(100, 100), (12, 40), (77, 40)),
+        ("same column", HammockSpec(28, 600, r=3.0), (300, 3), (300, 25)),
+        ("swapped", HammockSpec(28, 600, r=3.0), (590, 20), (4, 2)),
+        ("28x600 at r/s 3", HammockSpec(28, 600, r=3.0), (17, 9), (402, 27)),
+        ("r/s 0.3", HammockSpec(57, 83, r=0.3), (80, 1), (2, 57)),
+        ("three blocks", HammockSpec(2 * spectral._BLOCK + 1, 1200, r=2.0), (201, 5),
+         (600, 32766)),
+    ]
+
+    @pytest.mark.parametrize("label, spec, a, b", CASES, ids=[case[0] for case in CASES])
+    def test_bitwise_equal_to_three_passes(self, label, spec, a, b):
+        assert resistance_spectral(spec, a, b).ohms == spectral_reference(spec, a, b)
+        assert resistance_spectral(spec, b, a).ohms == spectral_reference(spec, b, a)
+        assert inverse_minor_element(spec, a, b) == inverse_minor_reference(spec, a, b)
+        assert inverse_minor_element(spec, b, a) == inverse_minor_reference(spec, a, b)
+
+    def test_peak_allocation(self):
+        # six mode-length arrays for a pair (two row modes, three ratios and
+        # one row weight), four for one element; the rest is per block
+        spec = HammockSpec(10 ** 6, 1000, r=3.0)
+        a, b = (201, 333334), (800, 666666)
+        resistance_spectral(spec, a, b)  # warm the eigensystem
+        mode_array = spec.rows * np.dtype(float).itemsize
+        for query, arrays in ((resistance_spectral, 6.5), (inverse_minor_element, 4.5)):
+            tracemalloc.start()
+            try:
+                query(spec, a, b)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < arrays * mode_array, (query.__name__, peak / mode_array)
+
+    def test_one_log_cosh_over_four_rows(self, monkeypatch):
+        spec = HammockSpec(28, 600, r=3.0)
+        sizes = []
+        original = spectral.log_cosh
+
+        def counted(z):
+            sizes.append(np.size(z))
+            return original(z)
+
+        monkeypatch.setattr(spectral, "log_cosh", counted)
+        resistance_spectral(spec, (17, 9), (402, 27))
+        assert sizes == [4 * spec.rows]
