@@ -15,7 +15,6 @@ from .closed_form import (
     resistance_same_row,
 )
 from .lattice import (
-    Edge,
     GridNode,
     HammockSpec,
     LatticeError,
@@ -26,12 +25,9 @@ from .lattice import (
     Terminal,
     UnsupportedNodeError,
     as_node,
-    build_edge_list,
     edge_indices,
-    edge_list_csv,
     flat_index,
     node_code,
-    node_from_flat,
     node_index,
     parse_node,
     require_interior,
@@ -39,20 +35,17 @@ from .lattice import (
 )
 from .oracle import (
     build_full_laplacian,
-    kirchhoff_index,
     resistance_dense,
     resistance_eigen_full,
     resistance_matrix,
 )
 from .recurrence import (
     CurrentField,
-    coupling_matrix,
     kirchhoff_residual,
     mode_transform,
     mode_weights,
     potential_path_check,
     reconstruct_currents,
-    recurrence_residual,
     resistance_rt,
     solve_modes,
     transformed_columns,

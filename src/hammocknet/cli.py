@@ -64,6 +64,9 @@ EXIT_USAGE = 2
 
 
 def _max_relative_deviation(values: Sequence[float]) -> float:
+    """Spread of ``values`` over their largest magnitude; inf if one is not finite."""
+    if not all(map(math.isfinite, values)):
+        return math.inf
     scale = max(abs(v) for v in values)
     if scale == 0.0:
         return 0.0

@@ -15,15 +15,13 @@ safe to share between threads. Public coordinates are 1-based throughout.
 
 from __future__ import annotations
 
-import csv
 import enum
-import io
-import json
 import math
 import numbers
 import os
+import sys
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping, NamedTuple, Tuple, Union
+from typing import Any, Iterator, Mapping, Tuple, Union
 
 
 class LatticeError(ValueError):
@@ -152,9 +150,10 @@ class HammockSpec:
     ``rows`` (M) counts interior rows, ``cols`` (N) counts columns. ``r``
     is the resistance of every horizontal link, ``s`` the resistance of
     every vertical link and of the hub spokes. ``r`` and ``s`` may be any
-    positive numbers but bools. Rationals (int, ``fractions.Fraction``)
-    are kept exact for the rational oracle; anything else is stored as the
-    float it converts to, so ``s="2"`` and ``s=2.0`` give equal specs.
+    positive numbers but bools whose float ratio r/s is a normal float.
+    Rationals (int, ``fractions.Fraction``) are kept exact for the rational
+    oracle; anything else is stored as the float it converts to, so
+    ``s="2"`` and ``s=2.0`` give equal specs.
     """
 
     rows: int
@@ -170,6 +169,12 @@ class HammockSpec:
             object.__setattr__(self, name, int(value))
         object.__setattr__(self, "r", _positive_resistance("r", self.r))
         object.__setattr__(self, "s", _positive_resistance("s", self.s))
+        # every route reads r/s as a float; an overflowed or subnormal
+        # ratio gives wrong values or NaN, not an error
+        if not sys.float_info.min <= self.ratio < math.inf:
+            raise LatticeError(
+                f"r/s must be a finite normal float, got r={self.r!r}, "
+                f"s={self.s!r}, r/s={self.ratio!r}")
 
     @property
     def ratio(self) -> float:
@@ -193,25 +198,6 @@ class HammockSpec:
 
     def as_dict(self) -> dict:
         return {"M": self.rows, "N": self.cols, "r": float(self.r), "s": float(self.s)}
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict())
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "HammockSpec":
-        """Inverse of :meth:`as_dict`; exact int and Fraction r/s stay exact.
-
-        M and N must be present and integral: nothing is rounded.
-        """
-        missing = [key for key in ("M", "N") if key not in data]
-        if missing:
-            raise LatticeError(f"spec is missing {', '.join(missing)}")
-        return cls(rows=data["M"], cols=data["N"],
-                   r=data.get("r", 1.0), s=data.get("s", 1.0))
-
-    @classmethod
-    def from_json(cls, text: str) -> "HammockSpec":
-        return cls.from_dict(json.loads(text))
 
 
 def require_interior(spec: HammockSpec, node: NodeLike) -> GridNode:
@@ -308,15 +294,6 @@ def flat_index(spec: HammockSpec, node: NodeLike) -> int:
     return node.x + (node.y - 1) * spec.cols
 
 
-def node_from_flat(spec: HammockSpec, index: int) -> GridNode:
-    """Inverse of :func:`flat_index`."""
-    if not 1 <= index <= spec.interior_count:
-        raise LatticeError(
-            f"flat index {index} outside 1..{spec.interior_count}"
-        )
-    return GridNode((index - 1) % spec.cols + 1, (index - 1) // spec.cols + 1)
-
-
 def node_index(spec: HammockSpec, node: NodeLike) -> int:
     """Full-graph position: hub O 0, interior by flat index, hub OP M*N + 1."""
     node = as_node(node)
@@ -347,32 +324,6 @@ def edge_indices(spec: HammockSpec) -> Iterator[Tuple[int, int, Any]]:
         yield 0, x, spec.s
     for x in range(1, cols + 1):
         yield x + (rows - 1) * cols, spec.node_count - 1, spec.s
-
-
-class Edge(NamedTuple):
-    a: Node
-    b: Node
-    ohms: float
-
-
-def build_edge_list(spec: HammockSpec) -> list[Edge]:
-    """Weighted edge list over M*N + 2 nodes, one :class:`Edge` per link.
-
-    Links come from :func:`edge_indices` in its order, with node objects in
-    place of indices and float resistances.
-    """
-    nodes = [Terminal.BOTTOM, *spec.interior_nodes(), Terminal.TOP]
-    return [Edge(nodes[i], nodes[j], float(ohms)) for i, j, ohms in edge_indices(spec)]
-
-
-def edge_list_csv(spec: HammockSpec) -> str:
-    """Edge list as CSV text with header ``node_a,node_b,resistance``."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["node_a", "node_b", "resistance"])
-    for edge in build_edge_list(spec):
-        writer.writerow([node_code(edge.a), node_code(edge.b), repr(edge.ohms)])
-    return buf.getvalue()
 
 
 @dataclass(frozen=True)

@@ -335,19 +335,3 @@ def resistance_matrix(spec: HammockSpec, arithmetic: str = "float"):
             row_i[j] = table[j][i] = Fraction(y_ii + numerators[j][j] - 2 * y_i[j], det)
         row_i[n] = table[n][i] = Fraction(y_ii, det)
     return table
-
-
-def kirchhoff_index(spec: HammockSpec, arithmetic: str = "float"):
-    """Sum of resistances over all unordered node pairs, hubs included."""
-    _check_arithmetic(arithmetic)
-    if arithmetic == "float":
-        table = resistance_matrix(spec)
-        return float(np.triu(table, k=1).sum())
-    # Summing the table's numerators: pairs (a, b) below the ground give
-    # (n - 1)·tr Y - (sum Y - tr Y), the ground pairs add tr Y, so the
-    # total is (n + 1)·tr Y - sum Y over the common denominator.
-    _check_cap(spec, "rational")
-    numerators, det = _green_numerators(spec)
-    trace = sum(row[i] for i, row in enumerate(numerators))
-    total = sum(sum(row) for row in numerators)
-    return Fraction(spec.node_count * trace - total, det)

@@ -8,7 +8,7 @@ import math
 import numpy as np
 from mpmath import mp
 
-from hammocknet import GridNode, HammockSpec, LatticeError, SpanCoords
+from hammocknet import CurrentField, GridNode, HammockSpec, LatticeError, SpanCoords
 from hammocknet.closed_form import _UNDERFLOW, _decay_table
 from hammocknet.hyperbolic import log_cosh, log_sinh
 from hammocknet.spectral import boundary_sums, eigen_system
@@ -249,3 +249,63 @@ def spectral_reference(spec: HammockSpec, a, b) -> float:
               + inverse_minor_reference(spec, b, b)
               - 2.0 * inverse_minor_reference(spec, a, b))
     return correction + spread
+
+
+def coupling_matrix(rows: int) -> np.ndarray:
+    """Link-coupling pattern of the M + 1 vertical links in a column.
+
+    Ones on the super/sub-diagonals plus unit corner entries; the free
+    chain matrix is 2*I minus this.
+    """
+    if rows < 1:
+        raise LatticeError(f"need at least one row, got {rows}")
+    n = rows + 1
+    matrix = np.zeros((n, n))
+    idx = np.arange(n - 1)
+    matrix[idx, idx + 1] = 1.0
+    matrix[idx + 1, idx] = 1.0
+    matrix[0, 0] = 1.0
+    matrix[-1, -1] = 1.0
+    return matrix
+
+
+def recurrence_residual(field: CurrentField) -> float:
+    """Worst violation of the three-column relation, in amperes.
+
+    Interior columns check the full three-term matrix recurrence with the
+    source profile of whichever node lives in the column; the two side
+    columns check the one-sided boundary relations, again source-aware.
+    Single-column instances have no relation to check and return zero.
+    """
+    spec = field.spec
+    rows, cols = spec.rows, spec.cols
+    if cols == 1:
+        return 0.0
+    h = spec.ratio
+    coupling = coupling_matrix(rows)
+    interior_op = (2.0 * h + 2.0) * np.eye(rows + 1) - h * coupling
+    boundary_op = (2.0 * h + 1.0) * np.eye(rows + 1) - h * coupling
+
+    source_profile = np.zeros((rows + 1, cols))
+
+    def add(node: GridNode, amount: float) -> None:
+        profile = np.zeros(rows + 1)
+        profile[node.y] += 1.0
+        profile[node.y - 1] -= 1.0
+        source_profile[:, node.x - 1] += amount * profile
+
+    add(field.source, field.injected)
+    add(field.sink, -field.injected)
+
+    currents = field.currents
+    worst = 0.0
+    for c in range(1, cols - 1):
+        res = currents[:, c + 1] - interior_op @ currents[:, c] \
+            + currents[:, c - 1] + h * source_profile[:, c]
+        worst = max(worst, float(np.abs(res).max()))
+    res_left = currents[:, 1] - boundary_op @ currents[:, 0] \
+        + h * source_profile[:, 0]
+    res_right = currents[:, cols - 2] - boundary_op @ currents[:, cols - 1] \
+        + h * source_profile[:, cols - 1]
+    worst = max(worst, float(np.abs(res_left).max()), float(np.abs(res_right).max()))
+    return worst

@@ -20,7 +20,6 @@ from hammocknet import (
     kirchhoff_residual,
     node_index,
     reconstruct_currents,
-    recurrence_residual,
     resistance_dense,
     resistance_general,
     resistance_matrix,
@@ -30,7 +29,7 @@ from hammocknet import (
     resistance_spectral,
 )
 
-from _util import all_nodes, cosine_sum_identity, interior_pairs, rel_dev
+from _util import all_nodes, cosine_sum_identity, interior_pairs, recurrence_residual, rel_dev
 
 RS_GRID = [(1.0, 1.0), (2.0, 1.0), (1.0, 3.0)]
 

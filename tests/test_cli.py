@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import hammocknet
-from hammocknet import cli, oracle
+from hammocknet import ResistanceResult, cli, oracle, spectral
 from hammocknet.cli import EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, main
 
 
@@ -76,6 +76,15 @@ class TestResist:
                          "--from", "1,1", "--to", "2,1", "--method", "all",
                          "--tolerance", "1e-300")
         assert code == EXIT_TOLERANCE
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_route_breaches_tolerance(self, capsys, monkeypatch, value):
+        monkeypatch.setattr(spectral, "resistance_spectral",
+                            lambda *args: ResistanceResult(value, "spectral"))
+        code, out, _ = run(capsys, "resist", "--M", "3", "--N", "4",
+                           "--from", "1,1", "--to", "4,3")
+        assert code == EXIT_TOLERANCE
+        assert "max relative deviation: inf" in out
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "resist", "--M", "2", "--N", "2",
@@ -166,6 +175,14 @@ class TestVerify:
                            "--tolerance", "1e-300")
         assert code == EXIT_TOLERANCE
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_route_fails(self, capsys, monkeypatch, value):
+        monkeypatch.setattr(spectral, "resistance_spectral",
+                            lambda *args: ResistanceResult(value, "spectral"))
+        code, out, _ = run(capsys, "verify", "--max-M", "2", "--max-N", "2")
+        assert code == EXIT_TOLERANCE
+        assert out.startswith("FAIL") and "FAIL: 8 pairs, max deviation inf" in out
 
     def test_sampled(self, capsys):
         code, out, _ = run(capsys, "verify", "--max-M", "3", "--max-N", "3",

@@ -1,25 +1,23 @@
 """Node addressing, span coordinates and graph construction."""
 
 import itertools
+import json
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from hammocknet import (
-    Edge,
     GridNode,
     HammockSpec,
     LatticeError,
     Terminal,
     UnsupportedNodeError,
     as_node,
-    build_edge_list,
     edge_indices,
-    edge_list_csv,
     flat_index,
     node_code,
-    node_from_flat,
     node_index,
     parse_node,
     resistance_general,
@@ -52,7 +50,7 @@ class TestHammockSpec:
         assert type(spec.rows) is int and type(spec.cols) is int
         assert spec == HammockSpec(3, 4)
         assert hash(spec) == hash(HammockSpec(3, 4))
-        assert spec.to_json() == HammockSpec(3, 4).to_json()
+        assert spec.as_dict() == HammockSpec(3, 4).as_dict()
 
     def test_ratio_and_counts(self):
         spec = HammockSpec(3, 4, r=2.0, s=0.5)
@@ -61,15 +59,17 @@ class TestHammockSpec:
         assert spec.node_count == 14
 
     def test_json_round_trip(self):
+        # the spec block of a current field's JSON names the same instance
         spec = HammockSpec(9, 17, r=2.5, s=0.75)
-        assert HammockSpec.from_json(spec.to_json()) == spec
+        data = json.loads(json.dumps(spec.as_dict()))
+        assert HammockSpec(data["M"], data["N"], data["r"], data["s"]) == spec
         assert spec.as_dict() == {"M": 9, "N": 17, "r": 2.5, "s": 0.75}
 
-    def test_from_dict_keeps_exact_resistances(self):
-        spec = HammockSpec.from_dict({"M": 3, "N": 4, "r": Fraction(1, 3), "s": Fraction(2)})
+    def test_keeps_exact_resistances(self):
+        spec = HammockSpec(3, 4, r=Fraction(1, 3), s=Fraction(2))
         assert type(spec.r) is Fraction and spec.r == Fraction(1, 3)
         assert type(spec.s) is Fraction and spec.s == 2
-        spec = HammockSpec.from_dict({"M": 3, "N": 4, "r": 2, "s": "0.5"})
+        spec = HammockSpec(3, 4, r=2, s="0.5")
         assert type(spec.r) is int and spec.r == 2
         assert spec.s == 0.5
 
@@ -84,13 +84,23 @@ class TestHammockSpec:
         with pytest.raises(LatticeError):
             HammockSpec(3, 4, s=True)
 
-    @pytest.mark.parametrize("data", [
-        {"M": 3.7, "N": 2}, {"M": 3, "N": 2.0}, {"M": True, "N": 2},
-        {"M": 3, "N": "2"}, {"M": 3}, {"N": 2}, {},
-    ])
-    def test_from_dict_rejects_missing_or_inexact_sizes(self, data):
+    @pytest.mark.parametrize("rows,cols", [(3.7, 2), (3, 2.0), (True, 2), (3, "2")],
+                             ids=["float-rows", "float-cols", "bool-rows", "str-cols"])
+    def test_rejects_inexact_sizes(self, rows, cols):
         with pytest.raises(LatticeError):
-            HammockSpec.from_dict(data)
+            HammockSpec(rows, cols)
+
+    @pytest.mark.parametrize("r,s", [(1e160, 1e-160), (1e-160, 1e160)])
+    def test_rejects_ratio_outside_normal_floats(self, r, s):
+        # r/s overflows to inf or underflows to a subnormal: the routes
+        # would return NaN or a wrong value for pair (1,1)-(4,3) on 3x4
+        with pytest.raises(LatticeError, match="r/s"):
+            HammockSpec(3, 4, r, s)
+
+    def test_accepts_ratio_at_normal_float_limits(self):
+        tiny = sys.float_info.min
+        assert HammockSpec(3, 4, tiny, 1.0).ratio == tiny
+        assert HammockSpec(3, 4, 1e300, 1e-7).ratio == pytest.approx(1e307)
 
 
 class TestNodes:
@@ -191,8 +201,6 @@ class TestFlatIndex:
             spec = HammockSpec(rows, cols)
             seen = {flat_index(spec, node) for node in spec.interior_nodes()}
             assert seen == set(range(1, rows * cols + 1))
-            for index in range(1, rows * cols + 1):
-                assert flat_index(spec, node_from_flat(spec, index)) == index
 
     def test_terminal_rejected(self):
         spec = HammockSpec(2, 2)
@@ -200,31 +208,36 @@ class TestFlatIndex:
             flat_index(spec, Terminal.BOTTOM)
 
 
+def _links(spec):
+    """``edge_indices`` with node objects in place of indices."""
+    nodes = [Terminal.BOTTOM, *spec.interior_nodes(), Terminal.TOP]
+    return [(nodes[i], nodes[j], ohms) for i, j, ohms in edge_indices(spec)]
+
+
 def _degree(spec, node):
-    return sum(1 for e in build_edge_list(spec) if node in (e.a, e.b))
+    return sum(1 for a, b, _ in _links(spec) if node in (a, b))
 
 
 class TestEdgeList:
     def test_smallest(self):
         spec = HammockSpec(1, 1, s=2.0)
-        edges = build_edge_list(spec)
-        assert len(edges) == 2
-        assert all(e.ohms == 2.0 for e in edges)
-        assert {e.a for e in edges} | {e.b for e in edges} == {
+        links = _links(spec)
+        assert len(links) == 2
+        assert all(ohms == 2.0 for *_, ohms in links)
+        assert {a for a, *_ in links} | {b for _, b, _ in links} == {
             GridNode(1, 1), Terminal.BOTTOM, Terminal.TOP}
 
     @pytest.mark.parametrize("rows,cols,count", [(3, 4, 25), (9, 8, 143)])
     def test_counting(self, rows, cols, count):
         spec = HammockSpec(rows, cols)
-        edges = build_edge_list(spec)
-        assert len(edges) == count
-        assert len(edges) == rows * (cols - 1) + cols * (rows - 1) + 2 * cols
-        assert len({frozenset((e.a, e.b)) for e in edges}) == len(edges)
+        links = list(edge_indices(spec))
+        assert len(links) == count
+        assert len(links) == rows * (cols - 1) + cols * (rows - 1) + 2 * cols
+        assert len({frozenset((i, j)) for i, j, _ in links}) == len(links)
 
     def test_degrees_and_connectivity(self):
         for rows, cols in [(1, 1), (1, 5), (4, 1), (3, 4), (5, 5)]:
             spec = HammockSpec(rows, cols)
-            edges = build_edge_list(spec)
             assert _degree(spec, Terminal.BOTTOM) == cols
             assert _degree(spec, Terminal.TOP) == cols
             for node in spec.interior_nodes():
@@ -233,11 +246,11 @@ class TestEdgeList:
                 assert _degree(spec, node) == expected
             # BFS connectivity
             adjacency = {}
-            for e in edges:
-                adjacency.setdefault(e.a, set()).add(e.b)
-                adjacency.setdefault(e.b, set()).add(e.a)
-            seen = {Terminal.BOTTOM}
-            frontier = [Terminal.BOTTOM]
+            for i, j, _ in edge_indices(spec):
+                adjacency.setdefault(i, set()).add(j)
+                adjacency.setdefault(j, set()).add(i)
+            seen = {0}
+            frontier = [0]
             while frontier:
                 seen.update(nxt := set().union(*(adjacency[n] for n in frontier)) - seen)
                 frontier = list(nxt)
@@ -245,39 +258,27 @@ class TestEdgeList:
 
     def test_resistances(self):
         spec = HammockSpec(2, 3, r=7.0, s=0.25)
-        for e in build_edge_list(spec):
-            if isinstance(e.a, Terminal) or isinstance(e.b, Terminal):
-                assert e.ohms == 0.25
-            elif e.a.y == e.b.y:
-                assert e.ohms == 7.0
+        for a, b, ohms in _links(spec):
+            if isinstance(a, Terminal) or isinstance(b, Terminal):
+                assert ohms == 0.25
+            elif a.y == b.y:
+                assert ohms == 7.0
             else:
-                assert e.ohms == 0.25
+                assert ohms == 0.25
 
-    def test_csv_export(self):
-        spec = HammockSpec(1, 2, s=2.0)
-        text = edge_list_csv(spec)
-        lines = text.strip().splitlines()
-        assert lines[0] == "node_a,node_b,resistance"
-        assert len(lines) == 1 + len(build_edge_list(spec))
-        assert any(line.startswith("O,") for line in lines[1:])
-        assert any(",OP," in line for line in lines[1:])
-
-    def test_edge_type(self):
-        edge = build_edge_list(HammockSpec(1, 1))[0]
-        assert isinstance(edge, Edge)
-
-    def test_indices_match_edge_list(self):
+    def test_indices_follow_node_index(self):
         for rows, cols in [(1, 1), (1, 5), (4, 1), (3, 4), (5, 5)]:
             spec = HammockSpec(rows, cols, r=2.0, s=0.5)
-            edges = build_edge_list(spec)
-            indexed = list(edge_indices(spec))
-            assert len(indexed) == len(edges)
-            for (i, j, ohms), edge in zip(indexed, edges):
-                assert (i, j) == (node_index(spec, edge.a), node_index(spec, edge.b))
-                assert float(ohms) == edge.ohms
+            for (i, j, _), (a, b, _) in zip(edge_indices(spec), _links(spec)):
+                assert (i, j) == (node_index(spec, a), node_index(spec, b))
+                if a is Terminal.BOTTOM:
+                    assert b.y == 1
+                elif b is Terminal.TOP:
+                    assert a.y == rows
+                else:
+                    assert abs(a.x - b.x) + abs(a.y - b.y) == 1
 
     def test_indices_keep_exact_resistances(self):
         spec = HammockSpec(2, 3, r=Fraction(1, 3), s=Fraction(2, 7))
         assert {ohms for *_, ohms in edge_indices(spec)} == {Fraction(1, 3), Fraction(2, 7)}
         assert all(type(ohms) is Fraction for *_, ohms in edge_indices(spec))
-        assert all(type(edge.ohms) is float for edge in build_edge_list(spec))

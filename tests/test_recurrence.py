@@ -14,13 +14,11 @@ import pytest
 from hammocknet import (
     HammockSpec,
     LatticeError,
-    coupling_matrix,
     kirchhoff_residual,
     mode_transform,
     mode_weights,
     potential_path_check,
     reconstruct_currents,
-    recurrence_residual,
     resistance_general,
     resistance_rt,
     solve_modes,
@@ -31,10 +29,12 @@ from hammocknet import recurrence
 from hammocknet.closed_form import _BLOCK, _decay_table, _live_modes
 
 from _util import (
+    coupling_matrix,
     cumsum_kirchhoff_residual,
     full_kirchhoff_residual,
     interior_pairs,
     live_ratio,
+    recurrence_residual,
     region_amplitudes,
     rel_dev,
     specs_upto,
