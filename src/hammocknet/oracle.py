@@ -94,8 +94,8 @@ def build_full_laplacian(spec: HammockSpec) -> np.ndarray:
     Node order is :func:`hammocknet.lattice.node_index`: bottom hub first,
     interior nodes by flat index, top hub last. Row sums vanish and the
     rank is M*N + 1. Built from :func:`hammocknet.lattice.edge_indices`
-    alone, so it is independent of the Kronecker minor that the spectral
-    route builds.
+    alone; the spectral route's dense minor is this matrix without the
+    hub rows and columns.
     """
     _check_cap(spec, "float")
     return _laplacian(spec)

@@ -4,19 +4,14 @@ Deleting both hub rows/columns from the full Kirchhoff matrix leaves a
 positive-definite minor that factors as a Kronecker sum of two chain
 matrices: fixed-end (Dirichlet) across the rows, free-end across the
 columns. Its eigensystem is therefore fully analytic, and the resistance
-follows from four inverse-minor elements plus a boundary correction built
-from two bottom-row sums.
+follows from four inverse-minor elements plus one term that puts the
+hubs back.
 
-The inverse-minor element comes in two forms: the plain double sum over
-all (row mode, column mode) pairs, and a reduced single sum over row
-modes obtained by eliminating the column modes with a cosine-sum
-identity. Both are exposed; the reduced form is the fast path, the double
-sum the reference contender for benchmarks. The eigensystem is generated
-from the analytic formulas and holds only O(M + N) data: the mode angles,
-the row-mode decay rates and the reduced form's log denominators. Row-mode
-columns are evaluated per query, so a reduced pair needs O(M) work and
-memory at any size. The dense eigenvector and eigenvalue matrices are
-built on first access, for verification only, and are size-capped.
+An element comes in two forms: the double sum over every eigenpair, read
+from the dense, size-capped matrices, and the fast reduced sum over row
+modes, where a cosine-sum identity eliminates the column modes. The
+eigensystem holds O(M + N) data, so a reduced pair needs O(M) work and
+memory at any size.
 """
 
 from __future__ import annotations
@@ -34,15 +29,13 @@ from .lattice import (
     NodeLike,
     ResistanceResult,
     SizeCapError,
-    as_node,
     env_cap,
     require_interior,
 )
+from .oracle import build_full_laplacian
 
 DEFAULT_DENSE_CAP = 400
 DENSE_CAP_ENV = "HAMMOCKNET_DENSE_VERIFY_CAP"
-
-_FORMS = ("reduced", "double_sum")
 
 
 def dense_cap() -> int:
@@ -58,34 +51,18 @@ def _require_dense(spec: HammockSpec, what: str) -> None:
             spec.interior_count, what, limit)
 
 
-def _chain_fixed(n: int) -> np.ndarray:
-    """Second-difference matrix of an n-node chain with both ends pinned."""
-    matrix = 2.0 * np.eye(n)
-    idx = np.arange(n - 1)
-    matrix[idx, idx + 1] = -1.0
-    matrix[idx + 1, idx] = -1.0
-    return matrix
-
-
-def _chain_free(n: int) -> np.ndarray:
-    """Second-difference matrix of an n-node chain with open ends."""
-    matrix = _chain_fixed(n)
-    matrix[0, 0] -= 1.0
-    matrix[-1, -1] -= 1.0
-    return matrix
-
-
 def build_second_minor(spec: HammockSpec) -> np.ndarray:
     """Dense hub-deleted Kirchhoff minor, ordered by flat node index.
 
-    Kronecker structure: (1/s) * fixed_chain(M) (x) I_N +
-    (1/r) * I_M (x) free_chain(N). Interior row sums vanish; nodes in a
-    boundary row keep one spoke conductance of 1/s per adjacent hub.
+    The full matrix of :func:`hammocknet.oracle.build_full_laplacian`,
+    stamped from :func:`hammocknet.lattice.edge_indices`, with both hub
+    rows and columns deleted; a writable copy. The analytic eigensystem
+    assumes it equals (1/s) * fixed_chain(M) (x) I_N +
+    (1/r) * I_M (x) free_chain(N), and the tests check that it does.
     Dense construction is for verification only, hence the size cap.
     """
     _require_dense(spec, "minor")
-    return (1.0 / float(spec.s)) * np.kron(_chain_fixed(spec.rows), np.eye(spec.cols)) \
-        + (1.0 / float(spec.r)) * np.kron(np.eye(spec.rows), _chain_free(spec.cols))
+    return build_full_laplacian(spec)[1:-1, 1:-1].copy()
 
 
 @dataclass(frozen=True)
@@ -96,14 +73,15 @@ class MinorEigenSystem:
     ``omegas[m]`` the per-row-mode decay rate defined by
     cosh(2*omega) = 1 + u, u = (r/s) * (1 - cos(2*phi)) = 2*(r/s)*sin(phi)^2,
     and evaluated as log1p(u + sqrt(u*(u + 2))) / 2: unlike 1 - cos and an
-    arccosh near 1, that loses no digits in the slow modes. ``log_den[m]`` the
-    pair-independent log denominator log sinh(2*omega) + log sinh(2*N*omega)
-    of the reduced form. :meth:`row_mode` gives one row-mode column.
+    arccosh near 1, that loses no digits in the slow modes (past u ~ 1.3e154,
+    where u*(u + 2) overflows, the root is sqrt(u)*sqrt(u + 2)). ``log_den[m]``
+    is the reduced form's log denominator log sinh(2*omega) + log sinh(2*N*omega).
+    :meth:`row_mode` gives one row-mode column.
 
     The dense orthonormal chain eigenvectors ``col_modes[n, x-1]`` and
     ``row_modes[m, y-1]`` and the product-mode conductance eigenvalues
-    ``eigenvalues[m, n]`` are built on first access, for checks only, and
-    raise :class:`SizeCapError` above :func:`dense_cap` interior nodes.
+    ``eigenvalues[m, n]`` are built on first access, for the double sum and
+    checks, and raise :class:`SizeCapError` above :func:`dense_cap` nodes.
     """
 
     spec: HammockSpec
@@ -131,8 +109,7 @@ class MinorEigenSystem:
     @cached_property
     def row_modes(self) -> np.ndarray:
         _require_dense(self.spec, "row_modes")
-        return _frozen(np.stack([self.row_mode(y) for y in range(1, self.spec.rows + 1)],
-                                axis=1))
+        return _frozen(self.row_mode(np.arange(1, self.spec.rows + 1)[:, None]).T)
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -154,7 +131,11 @@ def eigen_system(spec: HammockSpec) -> MinorEigenSystem:
     thetas = np.pi * np.arange(cols) / cols
     phis = np.pi * (np.arange(rows) + 1.0) / (2.0 * rows + 2.0)
     u = 2.0 * spec.ratio * np.sin(phis) ** 2
-    omegas = 0.5 * np.log1p(u + np.sqrt(u * (u + 2.0)))
+    with np.errstate(over="ignore"):
+        root = np.sqrt(u * (u + 2.0))
+    wide = np.isinf(root)
+    root[wide] = np.sqrt(u[wide]) * np.sqrt(u[wide] + 2.0)
+    omegas = 0.5 * np.log1p(u + root)
     log_den = log_sinh(2.0 * omegas) + log_sinh(2.0 * cols * omegas)
     return MinorEigenSystem(spec=spec, thetas=_frozen(thetas), phis=_frozen(phis),
                             omegas=_frozen(omegas), log_den=_frozen(log_den))
@@ -188,35 +169,43 @@ def _reduced_elements(spec: HammockSpec, nodes: list, pairs) -> list[float]:
     return [r * float((rows[i] * rows[j]) @ ratio) for (i, j), ratio in zip(pairs, ratios)]
 
 
+def _double_sum_elements(spec: HammockSpec, nodes: list, pairs) -> list[float]:
+    """Double-sum K(nodes[i], nodes[j]) for each (i, j) in pairs, size-capped.
+
+    The sum over every eigenpair (m, n) of row_modes[m, y_i-1] * row_modes[m, y_j-1]
+    * col_modes[n, x_i-1] * col_modes[n, x_j-1] / eigenvalues[m, n].
+    """
+    _require_dense(spec, "double-sum")
+    system = eigen_system(spec)
+    rows = system.row_modes[:, [node.y - 1 for node in nodes]]
+    cols = system.col_modes[:, [node.x - 1 for node in nodes]]
+    return [float((np.outer(rows[:, i] * rows[:, j], cols[:, i] * cols[:, j])
+                   / system.eigenvalues).sum()) for i, j in pairs]
+
+
+_FORMS = {"reduced": _reduced_elements, "double_sum": _double_sum_elements}
+
+
+def _prepare(spec: HammockSpec, a: NodeLike, b: NodeLike, form: str):
+    """The element function of ``form`` and both nodes, each checked once, lesser (x, y) first."""
+    elements = _FORMS.get(form)
+    if elements is None:
+        raise LatticeError(f"unknown form {form!r}; expected one of {tuple(_FORMS)}")
+    a, b = require_interior(spec, a), require_interior(spec, b)
+    return elements, ([a, b] if (a.x, a.y) <= (b.x, b.y) else [b, a])
+
+
 def inverse_minor_element(spec: HammockSpec, a: NodeLike, b: NodeLike,
                           form: str = "reduced") -> float:
     """One element of the inverse minor, in inverse ohms.
 
-    ``form="double_sum"`` evaluates the full (row mode, column mode) sum
-    with the half-integer column cosines, and like the dense matrices
-    raises :class:`SizeCapError` above :func:`dense_cap` interior nodes;
-    ``form="reduced"`` evaluates the identity-collapsed single sum over
-    row modes. Symmetric in (a, b).
+    ``form="double_sum"`` sums over every eigenpair and, like the dense
+    matrices it reads, raises :class:`SizeCapError` above :func:`dense_cap`
+    interior nodes; ``form="reduced"`` is the single sum over row modes.
+    Symmetric in (a, b).
     """
-    if form not in _FORMS:
-        raise LatticeError(f"unknown form {form!r}; expected one of {_FORMS}")
-    a = require_interior(spec, a)
-    b = require_interior(spec, b)
-    if (a.x, a.y) > (b.x, b.y):
-        a, b = b, a
-    if form == "double_sum":
-        _require_dense(spec, "double-sum")  # two M x 2N grids per element
-        system = eigen_system(spec)
-        row_weight = system.row_mode(a.y) * system.row_mode(b.y)
-        cols = spec.cols
-        angles = np.pi * np.arange(2 * cols) / cols
-        w_a = np.cos((2 * a.x - 1) * angles / 2.0) / math.sqrt(cols)
-        w_b = np.cos((2 * b.x - 1) * angles / 2.0) / math.sqrt(cols)
-        eigenvalues = (2.0 / float(spec.r)) * (1.0 - np.cos(angles))[None, :] \
-            + (2.0 / float(spec.s)) * (1.0 - np.cos(2.0 * system.phis))[:, None]
-        inner = (w_a * w_b)[None, :] / eigenvalues
-        return float(inner.sum(axis=1) @ row_weight)
-    return _reduced_elements(spec, [a, b], ((0, 1),))[0]
+    elements, nodes = _prepare(spec, a, b, form)
+    return elements(spec, nodes, ((0, 1),))[0]
 
 
 def boundary_sums(spec: HammockSpec, a: NodeLike, b: NodeLike) -> tuple[float, float]:
@@ -237,20 +226,14 @@ def boundary_sums(spec: HammockSpec, a: NodeLike, b: NodeLike) -> tuple[float, f
 
 def resistance_spectral(spec: HammockSpec, a: NodeLike, b: NodeLike,
                         form: str = "reduced") -> ResistanceResult:
-    """Resistance from four inverse-minor elements plus the hub correction.
+    """Resistance from four inverse-minor elements plus the hub term.
 
-    The correction term restores the contribution of the deleted hubs:
-    sigma2^2 / (N*s - sigma1) with the closed-form boundary sums. Agrees
-    with the closed form and the recurrence solution on interior pairs.
-    The reduced form evaluates its three elements in one pass.
+    K(a,a), K(b,b) and K(a,b) come from one call. The hub term
+    sigma2^2 / (N*s - sigma1) of the :func:`boundary_sums` puts the hubs back.
+    It is exactly s*(y_b - y_a)^2 / (N*(M+1)), which is evaluated as s times
+    one correctly rounded integer ratio: no cancelling difference, no square.
     """
-    a, b = as_node(a), as_node(b)
-    sigma1, sigma2 = boundary_sums(spec, a, b)  # checks both nodes
-    correction = sigma2 * sigma2 / (spec.cols * float(spec.s) - sigma1)
-    if form == "reduced":
-        k_aa, k_bb, k_ab = _reduced_elements(spec, sorted((a, b)), ((0, 0), (1, 1), (0, 1)))
-    else:
-        k_aa, k_bb, k_ab = (inverse_minor_element(spec, u, v, form)
-                            for u, v in ((a, a), (b, b), (a, b)))
-    spread = k_aa + k_bb - 2.0 * k_ab
-    return ResistanceResult(correction + spread, "spectral", {"form": form})
+    elements, (a, b) = _prepare(spec, a, b, form)
+    k_aa, k_bb, k_ab = elements(spec, [a, b], ((0, 0), (1, 1), (0, 1)))
+    hub = float(spec.s) * ((b.y - a.y) ** 2 / (spec.cols * (spec.rows + 1)))
+    return ResistanceResult(hub + (k_aa + k_bb - 2.0 * k_ab), "spectral", {"form": form})

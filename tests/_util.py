@@ -11,7 +11,7 @@ from mpmath import mp
 from hammocknet import CurrentField, GridNode, HammockSpec, LatticeError, SpanCoords
 from hammocknet.closed_form import _UNDERFLOW, _decay_table
 from hammocknet.hyperbolic import log_cosh, log_sinh
-from hammocknet.spectral import boundary_sums, eigen_system
+from hammocknet.spectral import eigen_system
 
 
 def interior_pairs(spec: HammockSpec, distinct: bool = True):
@@ -243,8 +243,8 @@ def inverse_minor_reference(spec: HammockSpec, a, b) -> float:
 
 def spectral_reference(spec: HammockSpec, a, b) -> float:
     """Reduced spectral resistance from three separate element evaluations."""
-    sigma1, sigma2 = boundary_sums(spec, a, b)
-    correction = sigma2 * sigma2 / (spec.cols * float(spec.s) - sigma1)
+    rise = GridNode(*b).y - GridNode(*a).y
+    correction = float(spec.s) * (rise * rise / (spec.cols * (spec.rows + 1)))
     spread = (inverse_minor_reference(spec, a, a)
               + inverse_minor_reference(spec, b, b)
               - 2.0 * inverse_minor_reference(spec, a, b))

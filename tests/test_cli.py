@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import hammocknet
-from hammocknet import ResistanceResult, cli, oracle, spectral
+from hammocknet import ResistanceResult, cli, closed_form, oracle, spectral
 from hammocknet.cli import EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, main
 
 
@@ -77,6 +79,19 @@ class TestResist:
                          "--tolerance", "1e-300")
         assert code == EXIT_TOLERANCE
 
+    def test_route_off_by_1e9_breaches_default_tolerance(self, capsys, monkeypatch):
+        # one route 1e-9 relative off the others, ten times the default
+        # tolerance, whatever the last bits of the routes are
+        def skewed(spec, a, b, *form):
+            ohms = closed_form.resistance_general(spec, a, b).ohms
+            return ResistanceResult(ohms * (1.0 + 1e-9), "spectral")
+
+        monkeypatch.setattr(spectral, "resistance_spectral", skewed)
+        code, out, _ = run(capsys, "resist", "--M", "1", "--N", "2",
+                           "--from", "1,1", "--to", "2,1", "--method", "all")
+        assert code == EXIT_TOLERANCE
+        assert out.splitlines()[-1] == "max relative deviation: 1.000e-09 (tolerance 1e-10)"
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_route_breaches_tolerance(self, capsys, monkeypatch, value):
         monkeypatch.setattr(spectral, "resistance_spectral",
@@ -111,6 +126,17 @@ class TestResist:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["method", "ohms", "exact"]
         assert rows[1][0] == "rt"
+
+    def test_csv_format_with_deviation(self, capsys):
+        code, out, _ = run(capsys, "resist", "--M", "2", "--N", "3",
+                           "--from", "1,1", "--to", "3,2", "--method", "all",
+                           "--format", "csv")
+        assert code == EXIT_OK
+        rows = list(csv.reader(io.StringIO(out)))
+        assert [row[0] for row in rows[1:-1]] == ["closed", "spectral", "rt", "oracle-rational"]
+        label, value = rows[-1]
+        assert label == "# max_relative_deviation"
+        assert 0.0 <= float(value) < 1e-10
 
     def test_invalid_node_usage_error(self, capsys):
         # the route's own check refuses the node
@@ -338,6 +364,40 @@ class TestRawFailures:
             assert out == ""
             assert err.startswith(f"error: {type(failure).__name__}: ")
             assert err.count("\n") == 1 and "Traceback" not in err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_blocks(section: str, language: str) -> list:
+    """The ``language`` code blocks of one ``## section`` of README.md."""
+    body = README.read_text().split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(rf"```{language}\n(.*?)```", body, re.S)
+
+
+class TestReadmeExamples:
+    def test_cli_block(self, capsys):
+        (block,) = _readme_blocks("CLI", "sh")
+        commands = [shlex.split(line) for line in block.splitlines()
+                    if line.startswith("hammocknet ")]
+        assert len(commands) == 5
+        for argv in commands:
+            code, _, err = run(capsys, *argv[1:])
+            assert code == EXIT_OK, (argv, err)
+
+    def test_library_quick_start(self, capsys):
+        # each block runs as printed, and a value in a comment is the one printed
+        namespace, checked = {}, 0
+        blocks = _readme_blocks("Library quick start", "python")
+        assert len(blocks) == 2
+        for block in blocks:
+            exec(compile(block, str(README), "exec"), namespace)
+            printed = capsys.readouterr().out.splitlines()
+            for value in re.findall(r"^print\(.*\)\s+# (\S+)", block, re.M):
+                if value[0].isdigit():
+                    assert value in printed
+                    checked += 1
+        assert checked == 2
 
 
 def test_package_and_cli_import_numpy_alone():

@@ -24,6 +24,8 @@ from hammocknet import (
     span_coords,
 )
 
+from hammocknet.lattice import env_cap
+
 from _util import interior_pairs
 
 
@@ -128,6 +130,11 @@ class TestNodes:
         with pytest.raises(LatticeError):
             resistance_general(HammockSpec(3, 4), (1.9, 2), (4, 3))
 
+
+    def test_as_node_refuses_other_values(self):
+        for value in [3.5, None, [1, 2], (1, 2, 3), GridNode]:
+            with pytest.raises(LatticeError, match="cannot interpret"):
+                as_node(value)
 
     def test_grid_node_refuses_non_integers(self):
         node = GridNode(np.int64(2), np.int32(3))
@@ -282,3 +289,22 @@ class TestEdgeList:
         spec = HammockSpec(2, 3, r=Fraction(1, 3), s=Fraction(2, 7))
         assert {ohms for *_, ohms in edge_indices(spec)} == {Fraction(1, 3), Fraction(2, 7)}
         assert all(type(ohms) is Fraction for *_, ohms in edge_indices(spec))
+
+
+class TestEnvCap:
+    NAME = "HAMMOCKNET_TEST_CAP"
+
+    def test_default_and_override(self, monkeypatch):
+        monkeypatch.delenv(self.NAME, raising=False)
+        assert env_cap(self.NAME, 7) == 7
+        monkeypatch.setenv(self.NAME, "12")
+        assert env_cap(self.NAME, 7) == 12
+
+    @pytest.mark.parametrize("raw, message", [("twelve", "is not an integer"),
+                                              ("1.5", "is not an integer"),
+                                              ("0", "must be positive"),
+                                              ("-3", "must be positive")])
+    def test_refuses_bad_values(self, monkeypatch, raw, message):
+        monkeypatch.setenv(self.NAME, raw)
+        with pytest.raises(LatticeError, match=message):
+            env_cap(self.NAME, 7)

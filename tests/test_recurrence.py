@@ -74,6 +74,10 @@ class TestModeTransform:
         assert np.allclose(inverse, [[0.5, math.cos(math.pi / 4)],
                                      [0.5, math.cos(3 * math.pi / 4)]])
 
+    def test_refuses_zero_rows(self):
+        with pytest.raises(LatticeError, match="at least one row"):
+            mode_transform(0)
+
     def test_inverse(self):
         for rows in range(1, 9):
             assert np.allclose(_forward(rows) @ mode_transform(rows),
@@ -130,6 +134,11 @@ class TestSolveModes:
         x_out, x_in = solve_modes(spec, coords, 2.0)
         assert x_out[0] == pytest.approx(-2.0 * (3 - 1) / 5)
         assert x_in[0] == x_out[0]
+
+    def test_refuses_another_instances_frame(self):
+        coords = span_coords(HammockSpec(4, 6), (2, 1), (4, 3))
+        with pytest.raises(LatticeError, match="covers 6 columns, spec has 5"):
+            solve_modes(HammockSpec(4, 5), coords, 1.0)
 
     def test_mirror_antisymmetry(self):
         # p == q, equal heights, equal spans: output modes negate input modes
@@ -290,6 +299,8 @@ class TestReconstructCurrents:
     def test_zero_injection(self):
         field = reconstruct_currents(HammockSpec(2, 3), (1, 1), (3, 2), 0.0)
         assert np.allclose(field.currents, 0.0, atol=0.0)
+        # no current, so no drop along either path
+        assert potential_path_check(field) == (0.0, 0.0)
 
     def test_kirchhoff_balance(self):
         field = reconstruct_currents(HammockSpec(3, 4), (1, 1), (4, 3), 1.0)

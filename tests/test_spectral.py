@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ from hammocknet import (
 )
 from hammocknet import spectral
 from hammocknet.closed_form import _decay_table
+from hammocknet.oracle import build_full_laplacian
 
 from _util import (
     cosine_sum_identity,
@@ -46,6 +48,16 @@ class TestSecondMinor:
                          [0., -1., 2., -1.], [0., 0., -1., 1.]])
         expected = np.kron(fixed, np.eye(4)) + np.kron(np.eye(3), free)
         assert np.array_equal(build_second_minor(HammockSpec(3, 4)), expected)
+
+    def test_full_matrix_without_hubs(self):
+        # the oracle's stamped matrix minus the hub rows and columns, as a
+        # copy that the caller may change without touching the oracle's
+        spec = HammockSpec(4, 3, r=2.5, s=0.7)
+        full = build_full_laplacian(spec)
+        minor = build_second_minor(spec)
+        assert np.array_equal(minor, full[1:-1, 1:-1])
+        minor[0, 0] = 99.0
+        assert full[1, 1] != 99.0
 
     def test_matches_edge_assembly(self):
         # assemble the full graph from edges, then delete the hub rows/cols
@@ -254,6 +266,10 @@ class TestInverseMinorElement:
         with pytest.raises(LatticeError):
             inverse_minor_element(HammockSpec(2, 2), (1, 1), (1, 1), "fast")
 
+    def test_unknown_form_in_resistance(self):
+        with pytest.raises(LatticeError, match="unknown form 'fast'"):
+            resistance_spectral(HammockSpec(2, 2), (1, 1), (2, 2), "fast")
+
 
 class TestBoundarySums:
     def test_closed_forms(self):
@@ -312,6 +328,56 @@ class TestResistanceSpectral:
                 values = [resistance_spectral(spec, a, b).ohms,
                           resistance_general(spec, a, b).ohms]
                 assert rel_dev(values) < 1e-10
+
+    def test_checks_each_node_once(self, monkeypatch):
+        checked = []
+        original = spectral.require_interior
+
+        def counted(spec, node):
+            checked.append(node)
+            return original(spec, node)
+
+        monkeypatch.setattr(spectral, "require_interior", counted)
+        spec = HammockSpec(4, 5, r=3.0)
+        for query, form in itertools.product((resistance_spectral, inverse_minor_element),
+                                             ("reduced", "double_sum")):
+            checked.clear()
+            query(spec, (5, 4), (2, 1), form)
+            assert checked == [(5, 4), (2, 1)]
+
+    @pytest.mark.parametrize("rows, cols, s, rise", [
+        (3, 4, 1.0, 2), (7, 1, 0.3, 6), (10 ** 4, 997, 3.0, 9_999),
+        (10 ** 5, 10 ** 5, 1.0, 77_777), (999_999, 12, 0.1, 999_998),
+        (10 ** 6, 10 ** 6, 1.0, 999_999), (10 ** 6, 3, 5e154, 654_321),
+        (10 ** 6, 10 ** 6, 2.0 ** -40, 333_333)])
+    def test_hub_term_exact(self, monkeypatch, rows, cols, s, rise):
+        # with every element zeroed the resistance is the hub term alone,
+        # exactly s*rise^2/(N*(M+1)) in rationals
+        monkeypatch.setitem(spectral._FORMS, "reduced",
+                            lambda spec, nodes, pairs: [0.0] * len(pairs))
+        spec = HammockSpec(rows, cols, r=1.0, s=s)
+        exact = Fraction(s) * rise * rise / (cols * (rows + 1))
+        for a, b in (((1, 1), (cols, 1 + rise)), ((cols, rows), (1, rows - rise))):
+            hub = resistance_spectral(spec, a, b).ohms
+            assert abs(Fraction(hub) - exact) <= 4 * Fraction(math.ulp(float(exact)))
+
+    def test_hub_term_keeps_three_blocks_close(self):
+        # a hub term off by eps*M relative puts about 2e-13 between the routes here
+        spec, a, b = TestOnePass.CASES[-1][1:]
+        values = [resistance_spectral(spec, a, b).ohms, resistance_general(spec, a, b).ohms]
+        assert rel_dev(values) <= 1e-14
+
+    @pytest.mark.parametrize("r, s", [(8e153, 1.0), (1e300, 1.0), (1.0, 5e154), (1.0, 1e300)])
+    def test_finite_past_square_overflow(self, r, s):
+        # u*(u + 2) in the decay rates overflows past r/s ~ 6.7e153 and a
+        # squared boundary sum past s ~ 1.3e154; neither is formed there
+        spec = HammockSpec(3, 4, r=r, s=s)
+        spectral.eigen_system.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ohms = resistance_spectral(spec, (1, 1), (4, 3)).ohms
+        assert math.isfinite(ohms)
+        assert rel_dev([ohms, resistance_general(spec, (1, 1), (4, 3)).ohms]) < 1e-10
 
 
 class TestOnePass:
