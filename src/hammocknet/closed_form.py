@@ -20,8 +20,9 @@ two large logarithms, at O(M) cost per node pair.
 
 Two exact shortcuts keep that O(M) cheap. The sine factors come from the
 integer residue of (i-1)*height, so they are within a few eps, and a
-long block of them is an outer product over about 2*sqrt(n) anchor and
-offset angles. And since the rates ascend, every decay factor falls
+long block of them is one batched matrix product, sin(a + b) =
+[sin a, cos a] . [cos b, sin b], over about 2*sqrt(n) anchor and offset
+angles per height. And since the rates ascend, every decay factor falls
 below rounding from some mode on (see :func:`_live_modes`); past it,
 alpha = gamma = 1/(2*sinh(2h)) and beta = 0, and the span-frame kernel
 is skipped. The mode sums run over blocks of ``_BLOCK`` modes, so a query
@@ -64,10 +65,10 @@ def _decay_table(rows: int, ratio: float) -> np.ndarray:
 # Modes per block of a mode sum: the temporaries of one query stay near
 # 1 MB however many rows the lattice has.
 _BLOCK = 1 << 14
-# Sine tables longer than this are built as an anchor x offset product.
-# Its fixed cost, some 30 numpy calls, pays off against one sine per
-# mode from about a thousand modes.
-_SPLIT = 1024
+# Sine tables longer than this are built as an anchor x offset product,
+# whose fixed cost (some 20 us of numpy calls) pays off against one sine
+# per mode from about 500 modes for rt's three heights, 650 for closed's two.
+_SPLIT = 512
 
 
 def _mode_blocks(rows: int, live: int):
@@ -96,17 +97,18 @@ def _sin_turns(turns: np.ndarray, period: int) -> np.ndarray:
     return np.sin((quarter - folded) * (np.pi / (2 * quarter)))
 
 
-def _sines(block: slice, denom: int, *heights: int) -> np.ndarray | list[np.ndarray]:
-    """sin(pi*(i-1)*h/denom) over the modes of ``block``, one table per height h.
+def _sines(block: slice, denom: int, *heights: int) -> np.ndarray:
+    """sin(pi*(i-1)*h/denom) over the modes of ``block``: one row per height h.
 
     Mode i's angle is 2*pi*t/(4*denom) with the integer t = 2*(i-1)*h,
     reduced exactly by :func:`_sin_turns` (t stays below 2**63 for any
     lattice whose decay table fits in memory), so every entry is within a
     few eps; a rounded product near pi*(i-1)*h/denom is off by up to
-    8e-10 at 10^6 rows. A block longer than ``_SPLIT`` modes is an outer
-    product of anchors and offsets, sin(a + b) = sin(a)*cos(b) +
-    cos(a)*sin(b) with both angles reduced exactly: about 4*sqrt(n) sines
-    instead of n.
+    8e-10 at 10^6 rows. A block longer than ``_SPLIT`` modes splits each
+    angle into an anchor a and an offset b, both reduced exactly, and
+    takes sin(a + b) = [sin a, cos a] . [cos b, sin b] as one batched
+    matrix product of (heights, anchors, 2) by (heights, 2, offsets):
+    about 4*sqrt(n) sines per height instead of n.
     """
     period = 4 * denom
     first, stop = 2 * block.start + 2, 2 * block.stop + 2  # 2*(i-1) of the block
@@ -115,20 +117,14 @@ def _sines(block: slice, denom: int, *heights: int) -> np.ndarray | list[np.ndar
         modes = np.arange(first, stop, 2, dtype=np.int64)
         return _sin_turns(np.multiply.outer(heights, modes), period)
     width = math.isqrt(count - 1) + 1
-    anchors = np.arange(first, stop, 2 * width, dtype=np.int64)
+    height = np.array(heights, dtype=np.int64)[:, None, None]
+    anchors = np.arange(first, stop, 2 * width, dtype=np.int64)[:, None]
     offsets = np.arange(0, 2 * width, 2, dtype=np.int64)
-    turns = np.multiply.outer(heights, np.concatenate((anchors, offsets)))
-    # rows: the sines of each height, then (a quarter period on) the cosines;
-    # columns: the anchors, then the offsets
-    waves = _sin_turns(np.concatenate((turns, turns + denom)), period)
-    n, split = len(heights), len(anchors)
-    tables = []
-    for sin_a, cos_a, sin_b, cos_b in zip(waves[:n, :split], waves[n:, :split],
-                                          waves[:n, split:], waves[n:, split:]):
-        table = np.multiply.outer(sin_a, cos_b)
-        table += np.multiply.outer(cos_a, sin_b)
-        tables.append(table.ravel()[:count])
-    return tables
+    # [sin a, cos a] per anchor and [cos b, sin b] per offset: a quarter
+    # period (denom turns) on, a sine is a cosine
+    left = _sin_turns(height * anchors + [0, denom], period)
+    right = _sin_turns(height * offsets + [[denom], [0]], period)
+    return np.matmul(left, right).reshape(len(heights), -1)[:, :count]
 
 
 # e^{-z} for z > 708 is far below rounding in every ratio built here, and numpy's

@@ -143,6 +143,9 @@ def _exact_or_float(value):
     return float(value)
 
 
+_MAX_RATIO = 2.0 ** 1021
+
+
 @dataclass(frozen=True)
 class HammockSpec:
     """Dimensions and link resistances of one hammock instance.
@@ -150,10 +153,10 @@ class HammockSpec:
     ``rows`` (M) counts interior rows, ``cols`` (N) counts columns. ``r``
     is the resistance of every horizontal link, ``s`` the resistance of
     every vertical link and of the hub spokes. ``r`` and ``s`` may be any
-    positive numbers but bools whose float ratio r/s is a normal float.
-    Rationals (int, ``fractions.Fraction``) are kept exact for the rational
-    oracle; anything else is stored as the float it converts to, so
-    ``s="2"`` and ``s=2.0`` give equal specs.
+    positive numbers but bools whose float ratio r/s is a normal float of
+    at most 2**1021. Rationals (int, ``fractions.Fraction``) are kept exact
+    for the rational oracle; anything else is stored as the float it
+    converts to, so ``s="2"`` and ``s=2.0`` give equal specs.
     """
 
     rows: int
@@ -169,12 +172,14 @@ class HammockSpec:
             object.__setattr__(self, name, int(value))
         object.__setattr__(self, "r", _positive_resistance("r", self.r))
         object.__setattr__(self, "s", _positive_resistance("s", self.s))
-        # every route reads r/s as a float; an overflowed or subnormal
-        # ratio gives wrong values or NaN, not an error
-        if not sys.float_info.min <= self.ratio < math.inf:
+        # every route reads r/s as a float; a subnormal ratio gives wrong
+        # values, and from about 2**1022 spectral's u + sqrt(u*(u + 2)), up
+        # to 4*r/s, overflows to NaN while closed and rt go wrong too; the
+        # bound keeps a factor of two below that
+        if not sys.float_info.min <= self.ratio <= _MAX_RATIO:
             raise LatticeError(
-                f"r/s must be a finite normal float, got r={self.r!r}, "
-                f"s={self.s!r}, r/s={self.ratio!r}")
+                f"r/s must be a normal float at most 2**1021 (~2.2e307), got "
+                f"r={self.r!r}, s={self.s!r}, r/s={self.ratio!r}")
 
     @property
     def ratio(self) -> float:

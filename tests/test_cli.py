@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import re
 import shlex
@@ -146,6 +147,15 @@ class TestResist:
             assert code == EXIT_USAGE
             assert out == ""
             assert err == "error: column x=9 outside 1..2 for a 2x2 hammock\n"
+
+    @pytest.mark.parametrize("r", [repr(math.nextafter(2.0 ** 1021, math.inf)), "1e308"])
+    def test_ratio_above_bound_usage_error(self, capsys, r):
+        # at r/s 1e308 closed printed inf and spectral nan before the bound
+        code, out, err = run(capsys, "resist", "--M", "3", "--N", "4", "--r", r,
+                             "--s", "1", "--from", "1,1", "--to", "4,3", "--method", "all")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: r/s must be a normal float at most 2**1021")
 
     def test_identical_nodes_above_rational_cap(self, capsys):
         # the rational oracle answers identical nodes without a solve, so

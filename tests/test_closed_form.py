@@ -1,8 +1,12 @@
 """Closed-form resistance: decay table, span-frame ratios and pinned values."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -320,6 +324,72 @@ class TestAccuracyAtScale:
                 exact, rel=1e-13)
 
 
+class TestProductSinesAtScale:
+    """closed and rt on rows whose sine tables take the anchor x offset product.
+
+    A block of more than ``_SPLIT`` modes is built as a matrix product;
+    the references above stop at 50 rows, on the direct path. Block edges
+    sit at 2*_SPLIT modes here, so that mpmath sums a few thousand modes,
+    not ``_BLOCK``.
+    """
+
+    @pytest.mark.parametrize("rows,block,a,b", [
+        (_SPLIT + 88, _BLOCK, (2, 17), (8, _SPLIT + 40)),
+        (_SPLIT + 88, _BLOCK, (9, 300), (1, 301)),
+        (3 * _SPLIT + 100, 2 * _SPLIT, (3, 1000), (7, 3 * _SPLIT + 50)),  # product | product
+        (2 * _SPLIT + 100, 2 * _SPLIT, (1, 5), (9, 2 * _SPLIT + 60)),  # product | direct
+    ])
+    def test_within_1e13_of_mpmath(self, monkeypatch, rows, block, a, b):
+        monkeypatch.setattr(closed_form, "_BLOCK", block)
+        spec = HammockSpec(rows, 9, r=3.0)
+        exact = _mp_mode_sum(spec, a, b)
+        assert resistance_general(spec, a, b).ohms == pytest.approx(exact, rel=1e-13)
+        assert resistance_rt(spec, a, b).ohms == pytest.approx(exact, rel=1e-13)
+
+    def test_specialised_forms_within_1e13_of_mpmath(self):
+        spec = HammockSpec(_SPLIT + 88, 9, r=3.0)
+        exact = _mp_mode_sum(spec, (4, 3), (4, _SPLIT + 1))
+        assert resistance_same_column(spec, 4, 3, _SPLIT + 1).ohms == pytest.approx(
+            exact, rel=1e-13)
+        exact = _mp_mode_sum(spec, (2, 250), (8, 250))
+        assert resistance_same_row(spec, 250, 2, 8).ohms == pytest.approx(exact, rel=1e-13)
+
+    @pytest.mark.parametrize("count", [_SPLIT, _SPLIT + 1, 3 * _SPLIT + 5])
+    @pytest.mark.parametrize("heights", [(5,), (5, 700), (1, 10, 1400)])
+    def test_one_row_per_height(self, count, heights):
+        tables = _sines(slice(40, 40 + count), 1000, *heights)
+        assert tables.shape == (len(heights), count)
+
+
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_BLAS_PROBE = """
+from hammocknet import HammockSpec, resistance_general, resistance_rt
+rows = 10 ** 5
+for cols, a, b in ((rows, (20001, 33334), (80000, 66667)), (7, (1, 12345), (7, 98765)),
+                   (rows, (4, 1), (rows - 3, rows))):
+    spec = HammockSpec(rows, cols, r=3.0)
+    for route in (resistance_general, resistance_rt):
+        print(route(spec, a, b).ohms.hex())
+"""
+
+
+def test_pairs_bitwise_equal_across_blas_threads():
+    # the product sine tables call BLAS; a thread split must not move a bit
+    source_root = str(Path(closed_form.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", None):
+        env = {name: value for name, value in os.environ.items() if name not in _BLAS_THREADS}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
+        if threads:
+            env.update(dict.fromkeys(_BLAS_THREADS, threads))
+        done = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout.split())
+    assert len(outputs[0]) == 6
+    assert outputs[0] == outputs[1]
+
+
 class TestWellConditionedRates:
     """Decay rates and resistances where 1 - cos(theta) would lose digits.
 
@@ -398,8 +468,10 @@ class TestExactSines:
     last product and the sine round.
     """
 
+    # 1023-1025 rows: one product block of about a thousand modes, the
+    # mid-size queries that took the direct path while it reached 1024
     @pytest.mark.parametrize("rows", [1, 127, 128, 129, _SPLIT - 1, _SPLIT, _SPLIT + 1,
-                                      2 * _BLOCK + 1, 10 ** 6])
+                                      1023, 1024, 1025, 2 * _BLOCK + 1, 10 ** 6])
     @pytest.mark.parametrize("double", [False, True])
     def test_within_4_eps_of_mpmath(self, rows, double):
         denom = (rows + 1) * (2 if double else 1)

@@ -2,7 +2,9 @@
 
 import itertools
 import json
+import math
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -21,12 +23,15 @@ from hammocknet import (
     node_index,
     parse_node,
     resistance_general,
+    resistance_rt,
+    resistance_spectral,
     span_coords,
+    spectral,
 )
 
 from hammocknet.lattice import env_cap
 
-from _util import interior_pairs
+from _util import interior_pairs, rel_dev
 
 
 class TestHammockSpec:
@@ -92,17 +97,36 @@ class TestHammockSpec:
         with pytest.raises(LatticeError):
             HammockSpec(rows, cols)
 
-    @pytest.mark.parametrize("r,s", [(1e160, 1e-160), (1e-160, 1e160)])
+    @pytest.mark.parametrize("r,s", [(1e160, 1e-160), (1e-160, 1e160), (1.7e308, 1.0),
+                                     (1e308, 1.0), (math.nextafter(2.0 ** 1021, math.inf), 1.0),
+                                     (1.0, 2.0 ** -1022)])
     def test_rejects_ratio_outside_normal_floats(self, r, s):
-        # r/s overflows to inf or underflows to a subnormal: the routes
-        # would return NaN or a wrong value for pair (1,1)-(4,3) on 3x4
-        with pytest.raises(LatticeError, match="r/s"):
+        # r/s overflows to inf, underflows to a subnormal or passes 2**1021:
+        # the routes would return NaN or a wrong value for pair (1,1)-(4,3)
+        # on 3x4 (at 1.7e308 closed inf, spectral NaN and rt 1.6036 for 1.75)
+        with pytest.raises(LatticeError, match=r"r/s must be .* at most 2\*\*1021"):
             HammockSpec(3, 4, r, s)
 
     def test_accepts_ratio_at_normal_float_limits(self):
         tiny = sys.float_info.min
         assert HammockSpec(3, 4, tiny, 1.0).ratio == tiny
         assert HammockSpec(3, 4, 1e300, 1e-7).ratio == pytest.approx(1e307)
+
+    @pytest.mark.parametrize("rows,cols,a,b", [(3, 4, (1, 1), (4, 3)),
+                                               (1000, 3, (1, 1), (3, 1000)),
+                                               (1000, 3, (2, 500), (3, 501)),
+                                               (40, 40, (3, 7), (31, 22))])
+    @pytest.mark.parametrize("r,s", [(2.0 ** 1021, 1.0), (1.0, 2.0 ** -1021)])
+    def test_routes_agree_at_ratio_bound(self, rows, cols, a, b, r, s):
+        spec = HammockSpec(rows, cols, r, s)
+        assert spec.ratio == 2.0 ** 1021
+        spectral.eigen_system.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            values = [route(spec, a, b).ohms for route in
+                      (resistance_general, resistance_rt, resistance_spectral)]
+        assert all(map(math.isfinite, values))
+        assert rel_dev(values) <= 1e-10
 
 
 class TestNodes:
