@@ -43,7 +43,6 @@ from .lattice import (
     NodeLike,
     ResistanceResult,
     SpanCoords,
-    require_interior,
     span_coords,
 )
 
@@ -144,8 +143,8 @@ def _live_modes(coords: SpanCoords, half: np.ndarray) -> int:
     """
     # x_in <= x_out: near_in = 2*x_in - 1 and far_out = 2*(N - x_out) + 1
     # are the shorter near and far lengths
-    p, q = coords.p_offset, coords.q_offset
-    shortest = min(2 * (coords.span_left - p) + 1, 2 * (coords.span_right - q) + 1, p + q)
+    shortest = min(2 * coords.x_in - 1, 2 * (coords.cols - coords.x_out) + 1,
+                   coords.separation)
     if shortest == 0 or 2 * shortest * half[-1] < _UNDERFLOW:
         return half.size
     return int(half.searchsorted(_UNDERFLOW / (2 * shortest)))
@@ -203,7 +202,12 @@ def _mode_sum(spec: HammockSpec, coords: SpanCoords) -> float:
 
 
 def _uniform_term(spec: HammockSpec, y1: int, y2: int) -> float:
-    return float(spec.s) * (y2 - y1) ** 2 / (spec.cols * (spec.rows + 1))
+    # s*(y2 - y1)^2 is often exact (s = 3, say), and then only the quotient
+    # rounds; only where the product overflows is the integer ratio taken first
+    lift, cells = float(spec.s) * (y2 - y1) ** 2, spec.cols * (spec.rows + 1)
+    if lift == math.inf:
+        return float(spec.s) * ((y2 - y1) ** 2 / cells)
+    return lift / cells
 
 
 def resistance_general(spec: HammockSpec, a: NodeLike, b: NodeLike) -> ResistanceResult:
@@ -215,7 +219,8 @@ def resistance_general(spec: HammockSpec, a: NodeLike, b: NodeLike) -> Resistanc
     """
     coords = span_coords(spec, a, b)
     total = _mode_sum(spec, coords)
-    value = (2.0 * float(spec.r) / (spec.rows + 1)) * total \
+    # r/(M + 1) before its factor 2: the same bits, and no large r overflows
+    value = float(spec.r) / (spec.rows + 1) * (2.0 * total) \
         + _uniform_term(spec, coords.y_in, coords.y_out)
     return ResistanceResult(value, "closed", {"swapped": coords.swapped})
 
@@ -237,8 +242,7 @@ def resistance_same_column(spec: HammockSpec, x: int, y1: int, y2: int) -> Resis
         sin_1, sin_2 = _sines(block, spec.rows + 1, y1, y2)
         sine_diff = sin_2 - sin_1
         total += float((sine_diff * sine_diff * alpha).sum())
-    value = (2.0 * float(spec.r) / (spec.rows + 1)) * total \
-        + _uniform_term(spec, y1, y2)
+    value = float(spec.r) / (spec.rows + 1) * (2.0 * total) + _uniform_term(spec, y1, y2)
     return ResistanceResult(value, "closed", {"specialization": "same_column"})
 
 
@@ -250,14 +254,13 @@ def resistance_same_row(spec: HammockSpec, y: int, x1: int, x2: int) -> Resistan
     sinh * cosh ratio. Off-centre pairs raise; use
     :func:`resistance_general` for those.
     """
-    require_interior(spec, (x1, y))
-    require_interior(spec, (x2, y))
-    if x1 + x2 != spec.cols + 1:
+    coords = span_coords(spec, (x1, y), (x2, y))
+    if coords.x_in + coords.x_out != spec.cols + 1:
         raise LatticeError(
             f"columns x1={x1}, x2={x2} are not centred (need x1 + x2 = "
             f"{spec.cols + 1}); use resistance_general for off-centre pairs"
         )
-    distance = abs(x2 - x1)
+    distance = coords.separation
     if distance == 0:
         return ResistanceResult(0.0, "closed", {"specialization": "same_row"})
     # sinh(dh) * cosh((N-d)h) / (sinh(2h) * cosh(Nh)) with e^{Nh} cancelled
@@ -270,5 +273,5 @@ def resistance_same_row(spec: HammockSpec, y: int, x1: int, x2: int) -> Resistan
             / (2.0 * np.sinh(-step) * (1.0 + np.exp(spec.cols * step)))
         (sines,) = _sines(block, spec.rows + 1, y)
         total += float((sines * sines * coef).sum())
-    value = (4.0 * float(spec.r) / (spec.rows + 1)) * total
+    value = float(spec.r) / (spec.rows + 1) * (4.0 * total)
     return ResistanceResult(value, "closed", {"specialization": "same_row"})

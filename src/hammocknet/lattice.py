@@ -232,65 +232,62 @@ def require_interior(spec: HammockSpec, node: NodeLike) -> GridNode:
 
 @dataclass(frozen=True)
 class SpanCoords:
-    """Column-span frame for a pair of interior nodes.
+    """Column-span frame of a node pair, as :func:`span_coords` checked it.
 
+    It stores the two nodes in frame order, ``node_in`` never right of
+    ``node_out`` (ties broken on y), the column count ``cols`` and whether
+    the caller's order was ``swapped``; the rest derives from them.
     Columns are relabelled k = -span_left .. span_right with
     ``cols = span_left + span_right + 1``. The input node sits on column
     ``k = -p_offset`` at height ``y_in``, the output node on ``k = q_offset``
     at height ``y_out``. The origin is centred between the two columns, so
     ``p_offset`` and ``q_offset`` differ by at most one and are equal when
-    the column separation is even.
+    the column separation x_out - x_in (never negative) is even.
     """
 
-    span_left: int
-    span_right: int
-    p_offset: int
-    q_offset: int
-    y_in: int
-    y_out: int
-    swapped: bool = False
+    node_in: GridNode
+    node_out: GridNode
+    cols: int
+    swapped: bool
 
-    @property
-    def cols(self) -> int:
-        return self.span_left + self.span_right + 1
-
-    @property
-    def x_in(self) -> int:
-        return self.span_left - self.p_offset + 1
-
-    @property
-    def x_out(self) -> int:
-        return self.span_left + self.q_offset + 1
-
-    @property
-    def separation(self) -> int:
-        """Column distance x_out - x_in (never negative)."""
-        return self.p_offset + self.q_offset
+    x_in = property(lambda self: self.node_in.x)
+    y_in = property(lambda self: self.node_in.y)
+    x_out = property(lambda self: self.node_out.x)
+    y_out = property(lambda self: self.node_out.y)
+    separation = property(lambda self: self.node_out.x - self.node_in.x)
+    span_left = property(lambda self: (self.node_in.x + self.node_out.x) // 2 - 1)
+    span_right = property(lambda self: self.cols - 1 - self.span_left)
+    p_offset = property(lambda self: self.span_left - self.node_in.x + 1)
+    q_offset = property(lambda self: self.node_out.x - self.span_left - 1)
 
 
 def span_coords(spec: HammockSpec, a: NodeLike, b: NodeLike) -> SpanCoords:
-    """Map an interior node pair to its column-span frame.
+    """Check an interior node pair and map it to its column-span frame.
 
-    Pairs are normalised so the input column is never right of the output
-    column: if ``a`` lies right of ``b`` (ties broken on y) the pair is
-    swapped and the ``swapped`` flag records it. The round trip through
-    ``x_in``/``x_out`` is exact.
+    The one place a pair is admitted: each node is coerced and
+    bounds-checked once (:func:`require_interior`), and the pair is
+    ordered so the input column is never right of the output column. If
+    ``a`` lies right of ``b`` (ties broken on y) the pair is swapped and
+    the ``swapped`` flag records it. closed, rt, spectral and the current
+    fields read their nodes from the frame.
     """
     a = require_interior(spec, a)
     b = require_interior(spec, b)
     swapped = (a.x, a.y) > (b.x, b.y)
     if swapped:
         a, b = b, a
-    span_left = (a.x + b.x) // 2 - 1
-    return SpanCoords(
-        span_left=span_left,
-        span_right=spec.cols - 1 - span_left,
-        p_offset=span_left - a.x + 1,
-        q_offset=b.x - span_left - 1,
-        y_in=a.y,
-        y_out=b.y,
-        swapped=swapped,
-    )
+    return SpanCoords(a, b, spec.cols, swapped)
+
+
+def require_frame(spec: HammockSpec, coords: SpanCoords) -> None:
+    """Refuse a span frame that was made for another instance's columns or rows."""
+    if coords.cols != spec.cols:
+        raise LatticeError(f"span frame covers {coords.cols} columns, spec has {spec.cols}")
+    top = max(coords.y_in, coords.y_out)
+    if top > spec.rows:
+        raise LatticeError(
+            f"span frame has a node at row y={top}, outside 1..{spec.rows} for a "
+            f"{spec.rows}x{spec.cols} hammock")
 
 
 def flat_index(spec: HammockSpec, node: NodeLike) -> int:

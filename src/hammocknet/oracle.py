@@ -25,16 +25,12 @@ import numpy as np
 from .lattice import (
     HammockSpec,
     LatticeError,
-    Node,
     NodeLike,
     ResistanceResult,
     SizeCapError,
-    Terminal,
-    as_node,
     edge_indices,
     env_cap,
     node_index,
-    require_interior,
 )
 
 DEFAULT_FLOAT_CAP = 2500
@@ -242,16 +238,6 @@ def _check_arithmetic(arithmetic: str) -> None:
         raise LatticeError(f"unknown arithmetic {arithmetic!r}; use 'float' or 'rational'")
 
 
-def _query_nodes(spec: HammockSpec, a: NodeLike, b: NodeLike) -> Tuple[Node, Node]:
-    """Coerce both nodes; grid nodes must lie inside the instance."""
-    a = as_node(a)
-    b = as_node(b)
-    for node in (a, b):
-        if not isinstance(node, Terminal):
-            require_interior(spec, node)
-    return a, b
-
-
 def resistance_dense(spec: HammockSpec, a: NodeLike, b: NodeLike,
                      arithmetic: str = "float",
                      cap: int | None = None) -> ResistanceResult:
@@ -263,14 +249,13 @@ def resistance_dense(spec: HammockSpec, a: NodeLike, b: NodeLike,
     reports the exact value in ``meta["exact"]``.
     """
     _check_arithmetic(arithmetic)
-    a, b = _query_nodes(spec, a, b)
+    ia, ib = node_index(spec, a), node_index(spec, b)
     method = f"oracle-{arithmetic}"
-    if a == b:
+    if ia == ib:
         meta = {"exact": Fraction(0)} if arithmetic == "rational" else {}
         return ResistanceResult(0.0, method, meta)
 
     _check_cap(spec, arithmetic, cap)
-    ia, ib = node_index(spec, a), node_index(spec, b)
     pos = ia if ia < ib else ia - 1  # a's index once b's row and column are gone
     if arithmetic == "float":
         keep = np.arange(spec.node_count) != ib
@@ -295,11 +280,10 @@ def resistance_eigen_full(spec: HammockSpec, a: NodeLike, b: NodeLike) -> Resist
     dropped. The eigenpairs are decomposed once per instance and cached.
     """
     _check_cap(spec, "float")
-    a, b = _query_nodes(spec, a, b)
-    if a == b:
+    ia, ib = node_index(spec, a), node_index(spec, b)
+    if ia == ib:
         return ResistanceResult(0.0, "oracle-eigen", {})
     eigenvalues, vectors = _eigenpairs(spec)
-    ia, ib = node_index(spec, a), node_index(spec, b)
     diffs = vectors[ia, 1:] - vectors[ib, 1:]  # eigh sorts; column 0 is the zero mode
     value = float(np.sum(diffs * diffs / eigenvalues[1:]))
     return ResistanceResult(value, "oracle-eigen", {"zero_mode": float(eigenvalues[0])})

@@ -51,7 +51,7 @@ from .lattice import (
     ResistanceResult,
     SpanCoords,
     node_code,
-    require_interior,
+    require_frame,
     span_coords,
 )
 
@@ -147,8 +147,7 @@ def solve_modes(spec: HammockSpec, coords: SpanCoords,
     closed form's scaled span-frame ratios, so they scale to 10^4+ rows
     and columns, and they are the values rt sums.
     """
-    if coords.cols != spec.cols:
-        raise LatticeError(f"span frame covers {coords.cols} columns, spec has {spec.cols}")
+    require_frame(spec, coords)
     uniform = [-injected * (coords.y_out - coords.y_in) / spec.cols]
     outs, ins, _, _ = zip(*_boundary_blocks(spec, coords, injected))
     return np.concatenate((uniform, *outs)), np.concatenate((uniform, *ins))
@@ -282,6 +281,7 @@ def transformed_columns(spec: HammockSpec, coords: SpanCoords,
     themselves near the subnormal range. Coincident nodes, like a zero
     current, give an all-zero field.
     """
+    require_frame(spec, coords)
     rows, cols = spec.rows, spec.cols
     values = np.zeros((rows + 1, cols))
     values[0, :] = -injected * (coords.y_out - coords.y_in) / cols
@@ -401,9 +401,10 @@ def reconstruct_currents(spec: HammockSpec, a: NodeLike, b: NodeLike,
     ``injected`` may be zero (zero field). Every intermediate is bounded,
     so any size that fits in memory reconstructs without overflow.
     """
-    a = require_interior(spec, a)
-    b = require_interior(spec, b)
     coords = span_coords(spec, a, b)
+    a, b = coords.node_in, coords.node_out
+    if coords.swapped:
+        a, b = b, a
     # the solution is odd in the current, so solving for -J negates exactly
     transformed, kept = transformed_columns(spec, coords,
                                             injected if coords.swapped else -injected)

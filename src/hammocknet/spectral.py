@@ -31,6 +31,7 @@ from .lattice import (
     SizeCapError,
     env_cap,
     require_interior,
+    span_coords,
 )
 from .oracle import build_full_laplacian
 
@@ -187,12 +188,13 @@ _FORMS = {"reduced": _reduced_elements, "double_sum": _double_sum_elements}
 
 
 def _prepare(spec: HammockSpec, a: NodeLike, b: NodeLike, form: str):
-    """The element function of ``form`` and both nodes, each checked once, lesser (x, y) first."""
+    """The element function of ``form`` and both nodes, checked and ordered
+    (lesser (x, y) first) by :func:`hammocknet.lattice.span_coords`."""
     elements = _FORMS.get(form)
     if elements is None:
         raise LatticeError(f"unknown form {form!r}; expected one of {tuple(_FORMS)}")
-    a, b = require_interior(spec, a), require_interior(spec, b)
-    return elements, ([a, b] if (a.x, a.y) <= (b.x, b.y) else [b, a])
+    coords = span_coords(spec, a, b)
+    return elements, [coords.node_in, coords.node_out]
 
 
 def inverse_minor_element(spec: HammockSpec, a: NodeLike, b: NodeLike,

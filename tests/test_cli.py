@@ -157,6 +157,14 @@ class TestResist:
         assert out == ""
         assert err.startswith("error: r/s must be a normal float at most 2**1021")
 
+    @pytest.mark.parametrize("r, s", [("1e308", "10"), ("1e307", "1e308")])
+    def test_large_r_and_s_inside_bound(self, capsys, r, s):
+        # closed printed inf here, a tolerance breach against rt and the oracles
+        code, out, err = run(capsys, "resist", "--M", "3", "--N", "4", "--r", r, "--s", s,
+                             "--from", "1,1", "--to", "4,3", "--method", "all")
+        assert (code, err) == (EXIT_OK, "")
+        assert "inf" not in out
+
     def test_identical_nodes_above_rational_cap(self, capsys):
         # the rational oracle answers identical nodes without a solve, so
         # nothing is skipped

@@ -18,6 +18,7 @@ from hammocknet import (
     Terminal,
     UnsupportedNodeError,
     eigen_system,
+    resistance_dense,
     resistance_general,
     resistance_rt,
     resistance_same_column,
@@ -249,6 +250,23 @@ class TestSameRow:
                     special = resistance_same_row(spec, y, x1, x2).ohms
                     general = resistance_general(spec, (x1, y), (x2, y)).ohms
                     assert rel_dev([special, general]) < 1e-12
+
+
+@pytest.mark.parametrize("rows, r, s", [(3, 1e308, 10.0), (3, 1e307, 1e308), (1, 1.7e308, 8.0)])
+def test_large_r_and_s_stay_finite(rows, r, s):
+    # closed once formed 2*r and s*(y2 - y1)^2 before dividing, and gave inf
+    # at these r and s, which r/s <= 2**1021 admits
+    spec = HammockSpec(rows, 4, r=r, s=s)
+    cases = [(resistance_general, (1, 1), (4, rows)), (resistance_general, (2, 1), (2, rows)),
+             (lambda spec, a, b: resistance_same_row(spec, 1, 1, 4), (1, 1), (4, 1)),
+             (lambda spec, a, b: resistance_same_column(spec, 2, 1, rows), (2, 1), (2, rows))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for route, a, b in cases:
+            value = route(spec, a, b).ohms
+            assert math.isfinite(value)
+            references = [resistance_rt(spec, a, b).ohms, resistance_dense(spec, a, b).ohms]
+            assert rel_dev([value, *references]) < 1e-10
 
 
 def test_exchange_is_bitwise():

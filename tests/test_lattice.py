@@ -19,16 +19,23 @@ from hammocknet import (
     as_node,
     edge_indices,
     flat_index,
+    inverse_minor_element,
     node_code,
     node_index,
     parse_node,
+    reconstruct_currents,
+    resistance_dense,
+    resistance_eigen_full,
     resistance_general,
     resistance_rt,
+    resistance_same_column,
+    resistance_same_row,
     resistance_spectral,
     span_coords,
     spectral,
 )
 
+from hammocknet import lattice
 from hammocknet.lattice import env_cap
 
 from _util import interior_pairs, rel_dev
@@ -218,6 +225,52 @@ class TestSpanCoords:
             span_coords(spec, (5, 1), (1, 1))
         with pytest.raises(LatticeError, match="y=9"):
             span_coords(spec, (1, 9), (1, 1))
+
+
+@pytest.fixture
+def interior_checks(monkeypatch):
+    """The nodes passed to ``lattice.require_interior``, under any module's name for it."""
+    checked = []
+    original = lattice.require_interior
+
+    def counted(spec, node):
+        checked.append(as_node(node))
+        return original(spec, node)
+
+    for name, module in list(sys.modules.items()):
+        if name == "hammocknet" or name.startswith("hammocknet."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return checked
+
+
+_A, _B = (5, 4), (2, 1)
+
+
+@pytest.mark.parametrize("query, grid_nodes", [
+    (lambda spec: resistance_general(spec, _A, _B), [_A, _B]),
+    (lambda spec: resistance_same_column(spec, 2, 4, 1), [(2, 4), (2, 1)]),
+    (lambda spec: resistance_same_row(spec, 2, 5, 1), [(5, 2), (1, 2)]),
+    (lambda spec: resistance_rt(spec, _A, _B), [_A, _B]),
+    (lambda spec: resistance_spectral(spec, _A, _B, "reduced"), [_A, _B]),
+    (lambda spec: resistance_spectral(spec, _A, _B, "double_sum"), [_A, _B]),
+    (lambda spec: inverse_minor_element(spec, _A, _B, "reduced"), [_A, _B]),
+    (lambda spec: inverse_minor_element(spec, _A, _B, "double_sum"), [_A, _B]),
+    (lambda spec: reconstruct_currents(spec, _A, _B), [_A, _B]),
+    (lambda spec: resistance_dense(spec, _A, _B), [_A, _B]),
+    (lambda spec: resistance_dense(spec, _A, _B, "rational"), [_A, _B]),
+    (lambda spec: resistance_dense(spec, "O", _B), [_B]),
+    (lambda spec: resistance_dense(spec, _A, "OP", "rational"), [_A]),
+    (lambda spec: resistance_eigen_full(spec, _A, _B), [_A, _B]),
+], ids=["closed", "same_column", "same_row", "rt", "spectral-reduced",
+        "spectral-double_sum", "inverse-reduced", "inverse-double_sum", "currents",
+        "dense-float", "dense-rational", "dense-float-hub", "dense-rational-hub", "eigen"])
+def test_checks_each_node_once(interior_checks, query, grid_nodes):
+    # every route admits its pair through span_coords or node_index, which
+    # check each grid node once, in the order given
+    query(HammockSpec(4, 5, r=3.0))
+    assert interior_checks == [GridNode(*node) for node in grid_nodes]
 
 
 class TestFlatIndex:

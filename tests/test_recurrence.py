@@ -140,6 +140,17 @@ class TestSolveModes:
         with pytest.raises(LatticeError, match="covers 6 columns, spec has 5"):
             solve_modes(HammockSpec(4, 5), coords, 1.0)
 
+    @pytest.mark.parametrize("route", [solve_modes, transformed_columns])
+    @pytest.mark.parametrize("frame_spec, a, b, match", [
+        (HammockSpec(9, 9), (8, 8), (9, 9), "covers 9 columns, spec has 6"),
+        (HammockSpec(9, 6), (2, 8), (5, 9), "row y=9, outside 1..4 for a 4x6"),
+    ], ids=["wider", "taller"])
+    def test_refuses_frames_of_other_shapes(self, route, frame_spec, a, b, match):
+        # a wider frame once failed in numpy broadcasting, a taller one of
+        # the same width gave values for rows the instance does not have
+        with pytest.raises(LatticeError, match=match):
+            route(HammockSpec(4, 6), span_coords(frame_spec, a, b), 1.0)
+
     def test_mirror_antisymmetry(self):
         # p == q, equal heights, equal spans: output modes negate input modes
         spec = HammockSpec(3, 5)

@@ -329,22 +329,6 @@ class TestResistanceSpectral:
                           resistance_general(spec, a, b).ohms]
                 assert rel_dev(values) < 1e-10
 
-    def test_checks_each_node_once(self, monkeypatch):
-        checked = []
-        original = spectral.require_interior
-
-        def counted(spec, node):
-            checked.append(node)
-            return original(spec, node)
-
-        monkeypatch.setattr(spectral, "require_interior", counted)
-        spec = HammockSpec(4, 5, r=3.0)
-        for query, form in itertools.product((resistance_spectral, inverse_minor_element),
-                                             ("reduced", "double_sum")):
-            checked.clear()
-            query(spec, (5, 4), (2, 1), form)
-            assert checked == [(5, 4), (2, 1)]
-
     @pytest.mark.parametrize("rows, cols, s, rise", [
         (3, 4, 1.0, 2), (7, 1, 0.3, 6), (10 ** 4, 997, 3.0, 9_999),
         (10 ** 5, 10 ** 5, 1.0, 77_777), (999_999, 12, 0.1, 999_998),
