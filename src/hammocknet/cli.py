@@ -226,23 +226,24 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 f"unknown bench method {name!r}; expected one of {BENCH_METHODS}"
             )
     writer = csv.writer(sys.stdout)
-    writer.writerow(["M", "N", "method", "seconds_per_pair", "ohms", "note"])
+    writer.writerow(["M", "N", "method", "cold_seconds", "seconds_per_pair", "ohms", "note"])
     for size in args.sizes:
         spec = HammockSpec(rows=size, cols=size, r=args.r, s=args.s)
         a, b = _bench_pair(spec)
         for name in args.methods:
+            # one first call (it may build the instance's tables), then the warm reps
             timings = []
             value = 0.0
             try:
-                for _ in range(args.reps):
+                for _ in range(1 + args.reps):
                     start = time.perf_counter()
                     value = ROUTES[name](spec, a, b).ohms
                     timings.append(time.perf_counter() - start)
             except SizeCapError as exc:
-                writer.writerow([size, size, name, "", "", _skip_note(exc)])
+                writer.writerow([size, size, name, "", "", "", _skip_note(exc)])
                 continue
-            writer.writerow([size, size, name,
-                             repr(statistics.median(timings)), repr(value), ""])
+            writer.writerow([size, size, name, repr(timings[0]),
+                             repr(statistics.median(timings[1:])), repr(value), ""])
     return EXIT_OK
 
 
@@ -345,7 +346,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="comma-separated square sizes, e.g. 10,100,1000")
     bench.add_argument("--methods", default=",".join(BENCH_METHODS),
                        type=_listed(str, "method name"))
-    bench.add_argument("--reps", type=_positive(int), default=5)
+    bench.add_argument("--reps", type=_positive(int), default=5,
+                       help="warm calls per method after its first (cold) call")
     bench.add_argument("--r", type=float, default=1.0)
     bench.add_argument("--s", type=float, default=1.0)
     return parser

@@ -24,15 +24,33 @@ long block of them is one batched matrix product, sin(a + b) =
 [sin a, cos a] . [cos b, sin b], over about 2*sqrt(n) anchor and offset
 angles per height. And since the rates ascend, every decay factor falls
 below rounding from some mode on (see :func:`_live_modes`); past it,
-alpha = gamma = 1/(2*sinh(2h)) and beta = 0, and the span-frame kernel
-is skipped. The mode sums run over blocks of ``_BLOCK`` modes, so a query
-holds O(_BLOCK) temporaries on top of the cached decay table. Functions
-are pure; node pairs can be evaluated in parallel by callers.
+alpha = gamma = f = 1/(2*sinh(2h)) and beta = 0, and the span-frame
+kernel is skipped.
+
+The pair routes read one cached table per instance, :func:`_free_table`:
+f for every mode and h for the first ``_BLOCK`` modes; the rates of live
+modes past those are formed one block at a time, so a query holds
+O(_BLOCK) temporaries on top of the table. closed contracts the blocks
+after the first and after the last live one (:func:`_far_sum`): with
+sin^2 = (1 - cos 2*theta)/2 and the angle addition, each block of f is
+two small matrix products, with no per-mode sine. That rounds like
+eps*sum(f) over the contracted modes, not like eps*sum(f*sin^2), so the
+first block stays direct: at large r/s, f falls like 1/i^2, and with a
+node next to a hub (y = 1 or M) the slow modes carry most of sum(f)
+while their sin^2 is small. With F = (2r/(M+1)) * sum of f over the
+contracted modes, closed's R is within eps*(4*R + 8*F) of the same sum
+taken exactly over the same rates (tested against a long-double sum at
+4*_BLOCK + 1 and 10^6 rows, r/s 0.5 to 2**1021, y = 1, M and (M+1)/2).
+The current fields and the same-column and same-row forms read the rate
+table :func:`_decay_table`. Functions are pure; node pairs can be
+evaluated in parallel by callers.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -47,27 +65,66 @@ from .lattice import (
 )
 
 
+def _rates(rows: int, ratio: float, start: int, stop: int) -> np.ndarray:
+    """Decay rates asinh(sqrt(r/s) * sin(theta_i/2)) of table entries start..stop-1.
+
+    Entry j belongs to mode i = j + 2. Every entry is formed on its own, so
+    any range of entries has the bits of the same slice of the whole table.
+    """
+    idx = np.arange(start + 1, stop + 1, dtype=float)
+    return np.arcsinh(np.sqrt(ratio) * np.sin(idx * np.pi / (2 * rows + 2)))
+
+
 @lru_cache(maxsize=64)
 def _decay_table(rows: int, ratio: float) -> np.ndarray:
-    """Decay rates asinh(sqrt(r/s) * sin(theta_i/2)) for modes 2..rows+1.
+    """Decay rates h_i for modes 2..rows+1, cached per instance shape.
 
-    Cached per instance shape; the one per-mode table that the closed
-    form, the recurrence route and the current fields read. The rates
-    ascend with the mode, which :func:`_live_modes` relies on.
+    The per-mode table that the current fields and the same-column and
+    same-row forms read. The rates ascend with the mode.
     """
-    idx = np.arange(1, rows + 1, dtype=float)
-    table = np.arcsinh(np.sqrt(ratio) * np.sin(idx * np.pi / (2 * rows + 2)))
+    table = _rates(rows, ratio, 0, rows)
     table.flags.writeable = False
     return table
 
 
-# Modes per block of a mode sum: the temporaries of one query stay near
-# 1 MB however many rows the lattice has.
+# Modes per block of a mode sum: the temporaries of one query stay within
+# a few MB however many rows the lattice has.
 _BLOCK = 1 << 14
+# Modes per row of a contracted block: _BLOCK = _WIDTH**2, so each block
+# is a square of anchors by offsets.
+_WIDTH = 1 << 7
 # Sine tables longer than this are built as an anchor x offset product,
 # whose fixed cost (some 20 us of numpy calls) pays off against one sine
 # per mode from about 500 modes for rt's three heights, 650 for closed's two.
 _SPLIT = 512
+
+
+@lru_cache(maxsize=64)
+def _free_table(rows: int, ratio: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(free, head)``: f_i = 1/(2*sinh(2h_i)) for every mode, and h_i for
+    the first ``_BLOCK`` modes; cached per instance shape.
+
+    f is alpha = gamma past the live cut-off, and descends with the mode,
+    which :func:`_live_modes` relies on. Each entry has the bits of
+    0.5/sinh(2*h) over :func:`_decay_table`; the table is built one block
+    at a time, so the build holds O(_BLOCK) temporaries.
+    """
+    free = np.empty(rows)
+    for block, _ in _mode_blocks(rows, 0):
+        half = _rates(rows, ratio, block.start, block.stop)
+        if block.start == 0:
+            head = half
+        np.divide(0.5, np.sinh(2.0 * half), out=free[block])
+    free.flags.writeable = False
+    head.flags.writeable = False
+    return free, head
+
+
+def _live_rates(spec: HammockSpec, head: np.ndarray, block: slice, cut: int) -> np.ndarray:
+    """Rates of the first ``cut`` modes of ``block``: the cached head, else formed here."""
+    if block.start == 0:
+        return head[:cut]
+    return _rates(spec.rows, spec.ratio, block.start, block.start + cut)
 
 
 def _mode_blocks(rows: int, live: int):
@@ -96,6 +153,23 @@ def _sin_turns(turns: np.ndarray, period: int) -> np.ndarray:
     return np.sin((quarter - folded) * (np.pi / (2 * quarter)))
 
 
+def _angle_tables(anchors: range, width: int, denom: int, heights):
+    """Anchor and offset tables of the angles pi*(i-1)*h/denom, reduced exactly.
+
+    Mode i's angle is 2*pi*t/(4*denom) with the integer t = 2*(i-1)*h, split
+    as 2*(i-1) = a + b over the ``anchors`` a and the offsets b = 0, 2, ...,
+    2*width - 2. Returns [sin a, cos a] per anchor, shape (heights,
+    anchors, 2), and [cos b, sin b] per offset, shape (heights, 2, width):
+    a quarter period (denom turns) on, a sine is a cosine.
+    """
+    period = 4 * denom
+    height = np.array(heights, dtype=np.int64)[:, None, None]
+    starts = np.arange(anchors.start, anchors.stop, anchors.step, dtype=np.int64)[:, None]
+    offsets = np.arange(0, 2 * width, 2, dtype=np.int64)
+    return (_sin_turns(height * starts + [0, denom], period),
+            _sin_turns(height * offsets + [[denom], [0]], period))
+
+
 def _sines(block: slice, denom: int, *heights: int) -> np.ndarray:
     """sin(pi*(i-1)*h/denom) over the modes of ``block``: one row per height h.
 
@@ -104,25 +178,18 @@ def _sines(block: slice, denom: int, *heights: int) -> np.ndarray:
     lattice whose decay table fits in memory), so every entry is within a
     few eps; a rounded product near pi*(i-1)*h/denom is off by up to
     8e-10 at 10^6 rows. A block longer than ``_SPLIT`` modes splits each
-    angle into an anchor a and an offset b, both reduced exactly, and
+    angle into an anchor a and an offset b (:func:`_angle_tables`) and
     takes sin(a + b) = [sin a, cos a] . [cos b, sin b] as one batched
     matrix product of (heights, anchors, 2) by (heights, 2, offsets):
     about 4*sqrt(n) sines per height instead of n.
     """
-    period = 4 * denom
     first, stop = 2 * block.start + 2, 2 * block.stop + 2  # 2*(i-1) of the block
     count = block.stop - block.start
     if count <= _SPLIT:
         modes = np.arange(first, stop, 2, dtype=np.int64)
-        return _sin_turns(np.multiply.outer(heights, modes), period)
+        return _sin_turns(np.multiply.outer(heights, modes), 4 * denom)
     width = math.isqrt(count - 1) + 1
-    height = np.array(heights, dtype=np.int64)[:, None, None]
-    anchors = np.arange(first, stop, 2 * width, dtype=np.int64)[:, None]
-    offsets = np.arange(0, 2 * width, 2, dtype=np.int64)
-    # [sin a, cos a] per anchor and [cos b, sin b] per offset: a quarter
-    # period (denom turns) on, a sine is a cosine
-    left = _sin_turns(height * anchors + [0, denom], period)
-    right = _sin_turns(height * offsets + [[denom], [0]], period)
+    left, right = _angle_tables(range(first, stop, 2 * width), width, denom, heights)
     return np.matmul(left, right).reshape(len(heights), -1)[:, :count]
 
 
@@ -133,29 +200,27 @@ _UNDERFLOW = 708.0
 _CLAMP = 700.0
 
 
-def _live_modes(coords: SpanCoords, half: np.ndarray) -> int:
+def _live_modes(coords: SpanCoords, free: np.ndarray) -> int:
     """How many modes come before the first in which every span-frame decay underflows.
 
     From there on, a suffix because the rates ascend, e^{-2*length*h} < e^{-708}
     for each of the five lengths of :func:`_span_ratios`, and so is e^{-4Nh}:
-    far below rounding, so alpha = gamma = :func:`_free_scale` and beta = 0.
-    A zero length (nodes in one column) keeps every mode live.
+    far below rounding, so alpha = gamma = f = 1/(2*sinh(2h)) and beta = 0.
+    With ``shortest`` the least length, that is 2h >= 708/shortest, read off
+    the descending f table of :func:`_free_table` as f <= 1/(2*sinh(708/shortest))
+    by bisection, without a reversed copy. A zero length (nodes in one
+    column) keeps every mode live.
     """
     # x_in <= x_out: near_in = 2*x_in - 1 and far_out = 2*(N - x_out) + 1
     # are the shorter near and far lengths
     shortest = min(2 * coords.x_in - 1, 2 * (coords.cols - coords.x_out) + 1,
                    coords.separation)
-    if shortest == 0 or 2 * shortest * half[-1] < _UNDERFLOW:
-        return half.size
-    return int(half.searchsorted(_UNDERFLOW / (2 * shortest)))
-
-
-def _free_scale(half: np.ndarray) -> np.ndarray:
-    """alpha = gamma = D/4 = 1 / (2*sinh(2h)) past the live modes.
-
-    There every C of :func:`_span_ratios` is 1/2 and e^{-4Nh} is 0.
-    """
-    return 0.5 / np.sinh(2.0 * half)
+    if shortest == 0:
+        return free.size
+    floor = 0.5 / math.sinh(_UNDERFLOW / shortest)
+    if free[-1] > floor:
+        return free.size
+    return bisect.bisect_left(free, -floor, key=operator.neg)
 
 
 def _span_ratios(coords: SpanCoords, half: np.ndarray):
@@ -182,22 +247,71 @@ def _span_ratios(coords: SpanCoords, half: np.ndarray):
     return near_in * far_in, near_in * far_out * apart, near_out * far_out
 
 
+def _far_sum(free: np.ndarray, start: int, denom: int, *heights: int) -> float:
+    """Sum of f_i * sin^2(pi*(i-1)*y/denom) over the heights y and the table
+    entries from ``start`` on, with no per-mode sine.
+
+    As sin^2 = (1 - cos 2*theta)/2, only the sums of f*cos(2*theta) are
+    needed. Each 2*theta splits as c + a + b: the base c of its block, the
+    anchor a of its line of ``_WIDTH`` modes, and the offset b within the
+    line, each reduced exactly by :func:`_angle_tables`. A block of f,
+    viewed as (lines x ``_WIDTH``), takes one matrix product by the offset
+    table ([cos b, sin b] per height and a column of ones) and one by the
+    anchor table ([cos a, sin a] per height and a row of ones); the block
+    bases are applied once at the end.
+    """
+    count = len(heights)
+    doubled = [2 * y for y in heights]  # the angle 2*theta of height y
+    lines, offsets = _angle_tables(range(0, 2 * _BLOCK, 2 * _WIDTH), _WIDTH, denom, doubled)
+    bases, _ = _angle_tables(range(2 * start + 2, 2 * free.size + 2, 2 * _BLOCK), 0,
+                             denom, doubled)
+    by_offset = np.vstack((offsets.reshape(-1, _WIDTH), np.ones(_WIDTH))).T
+    by_line = np.vstack((lines[:, :, ::-1].transpose(0, 2, 1).reshape(-1, _WIDTH),
+                         np.ones(_WIDTH)))
+    # parts[k, 2h + p, 2h + q] = sum over block k of f * [cos a, sin a][p]
+    # * [cos b, sin b][q] for height h; parts[k, -1, -1] = sum of f over it
+    parts = np.empty((bases.shape[1], 2 * count + 1, 2 * count + 1))
+    for part, first in zip(parts, range(start, free.size, _BLOCK)):
+        weights = free[first:first + _BLOCK]
+        if weights.size % _WIDTH:  # the last block, padded with weight 0
+            weights = np.concatenate((weights, np.zeros(-weights.size % _WIDTH)))
+        size = weights.size // _WIDTH
+        np.matmul(by_line[:, :size], np.matmul(weights.reshape(size, _WIDTH), by_offset),
+                  out=part)
+    cosines = 0.0
+    for height, (sin_c, cos_c) in enumerate(bases.transpose(0, 2, 1)):
+        cc, cs, sc, ss = (parts[:, 2 * height + p, 2 * height + q]
+                          for p in (0, 1) for q in (0, 1))
+        # cos(c + a + b) = cos c * cos(a + b) - sin c * sin(a + b)
+        cosines += float((cos_c * (cc - ss) - sin_c * (sc + cs)).sum())
+    return 0.5 * (count * float(parts[:, -1, -1].sum()) - cosines)
+
+
 def _mode_sum(spec: HammockSpec, coords: SpanCoords) -> float:
-    """Hyperbolic mode sum of the general form, one block of modes at a time."""
-    table = _decay_table(spec.rows, spec.ratio)
+    """Hyperbolic mode sum of the general form, one block of modes at a time.
+
+    The first block and those up to the last live mode sum the span-frame
+    kernel (f past the cut-off) against the sine tables; the blocks after
+    them are contracted (see the module docstring for the rounding bound).
+    """
+    rows, denom = spec.rows, spec.rows + 1
+    free, head = _free_table(rows, spec.ratio)
+    live = _live_modes(coords, free)
+    direct = max(1, -(-live // _BLOCK)) * _BLOCK
     total = 0.0
-    for block, cut in _mode_blocks(spec.rows, _live_modes(coords, table)):
-        sin_in, sin_out = _sines(block, spec.rows + 1, coords.y_in, coords.y_out)
-        half = table[block]
+    for block, cut in _mode_blocks(min(direct, rows), live):
+        sin_in, sin_out = _sines(block, denom, coords.y_in, coords.y_out)
         if cut:
-            alpha, beta, gamma = _span_ratios(coords, half[:cut])
+            alpha, beta, gamma = _span_ratios(coords, _live_rates(spec, head, block, cut))
             s_in, s_out = sin_in[:cut], sin_out[:cut]
             total += float((s_in * s_in * alpha
                             - 2.0 * s_in * s_out * beta
                             + s_out * s_out * gamma).sum())
-        if cut < len(half):
+        if cut < block.stop - block.start:
             s_in, s_out = sin_in[cut:], sin_out[cut:]
-            total += float((_free_scale(half[cut:]) * (s_in * s_in + s_out * s_out)).sum())
+            total += float((free[block][cut:] * (s_in * s_in + s_out * s_out)).sum())
+    if direct < rows:
+        total += _far_sum(free, direct, denom, coords.y_in, coords.y_out)
     return total
 
 

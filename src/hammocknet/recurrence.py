@@ -36,8 +36,9 @@ import numpy as np
 
 from .closed_form import (
     _decay_table,
-    _free_scale,
+    _free_table,
     _live_modes,
+    _live_rates,
     _mode_blocks,
     _sin_turns,
     _sines,
@@ -104,23 +105,24 @@ def _boundary_blocks(spec: HammockSpec, coords: SpanCoords, injected: float):
     """Yield the ``(x_out, x_in, w_out, w_in)`` of :func:`solve_modes` and
     :func:`mode_weights` per :func:`_mode_blocks` block, split at the live
     cut-off. Past it the cross ratio is exactly 0: the values are
-    (r/s)*J*D*zeta_out and -(r/s)*J*D*zeta_in, with D = 1/(2*sinh(2h)).
+    (r/s)*J*f*zeta_out and -(r/s)*J*f*zeta_in, with f = 1/(2*sinh(2h)) read
+    from :func:`_free_table`.
     """
     scale = spec.ratio * injected
-    table = _decay_table(spec.rows, spec.ratio)
-    for block, cut in _mode_blocks(spec.rows, _live_modes(coords, table)):
+    free, head = _free_table(spec.rows, spec.ratio)
+    for block, cut in _mode_blocks(spec.rows, _live_modes(coords, free)):
         zeta_in, zeta_out, w_in, w_out = _profiles(spec.rows + 1, block,
                                                    coords.y_in, coords.y_out)
-        half = table[block]
         if cut:
-            ratio_in, ratio_cross, ratio_out = _span_ratios(coords, half[:cut])
+            ratio_in, ratio_cross, ratio_out = _span_ratios(
+                coords, _live_rates(spec, head, block, cut))
             z_in, z_out = zeta_in[:cut], zeta_out[:cut]
             yield (scale * (ratio_out * z_out - ratio_cross * z_in),
                    -scale * (ratio_in * z_in - ratio_cross * z_out),
                    w_out[:cut], w_in[:cut])
-        if cut < len(half):
-            free = scale * _free_scale(half[cut:])
-            yield free * zeta_out[cut:], -free * zeta_in[cut:], w_out[cut:], w_in[cut:]
+        if cut < block.stop - block.start:
+            weight = scale * free[block][cut:]
+            yield weight * zeta_out[cut:], -weight * zeta_in[cut:], w_out[cut:], w_in[cut:]
 
 
 def mode_weights(rows: int, height: int) -> np.ndarray:

@@ -10,6 +10,7 @@ from mpmath import mp
 
 from hammocknet import CurrentField, GridNode, HammockSpec, LatticeError, SpanCoords
 from hammocknet.closed_form import _UNDERFLOW, _decay_table
+from hammocknet.lattice import span_coords
 from hammocknet.hyperbolic import log_cosh, log_sinh
 from hammocknet.spectral import eigen_system
 
@@ -224,6 +225,64 @@ def span_ratios_reference(coords: SpanCoords, half: np.ndarray):
     return (near_in * far_in,
             near_in * far_out * _decay_reference(half, coords.separation),
             near_out * far_out)
+
+
+_LONG_PI = 4 * np.arctan(np.longdouble(1))
+
+
+def _long_sines(modes: np.ndarray, height: int, denom: int) -> np.ndarray:
+    """sin(pi*k*height/denom) in long double, from the exact residue of the turns
+    2*k*height mod 4*denom folded to an angle in [-pi/2, pi/2]."""
+    folded = np.abs((2 * modes * height + denom) % (4 * denom) - 2 * denom)
+    return np.sin((denom - folded).astype(np.longdouble) * (_LONG_PI / (2 * denom)))
+
+
+def long_double_closed(spec: HammockSpec, pairs) -> list:
+    """closed's general form for each node pair, summed over every mode in
+    ``np.longdouble``.
+
+    The span-frame kernel, with one exponential per length and no live
+    cut-off, against sine products of exactly reduced angles, in blocks of
+    2**16 modes; pairs that share their columns share the kernel, and
+    heights their sines. It reads closed's double rates from
+    ``_decay_table``, so it measures how closed sums, not how the rates
+    round. On x86 the long double is the 80-bit format (eps 1.1e-19);
+    where it is binary64 (MSVC, arm64 macOS) this is only a second
+    double-precision sum.
+    """
+    rows, cols = spec.rows, spec.cols
+    frames = [span_coords(spec, a, b) for a, b in pairs]
+    columns = {(frame.x_in, frame.x_out, frame.separation) for frame in frames}
+    heights = {y for frame in frames for y in (frame.y_in, frame.y_out)}
+    table = _decay_table(rows, spec.ratio)
+    totals = [np.longdouble(0)] * len(frames)
+    for start in range(0, rows, 1 << 16):
+        half = table[start:start + (1 << 16)].astype(np.longdouble)
+        modes = np.arange(start + 1, start + 1 + half.size, dtype=np.int64)
+        scale = 1 / (2 * np.sinh(2 * half) * -np.expm1(-4 * cols * half))
+
+        def decay(length):
+            # e^{-2*length*h}, zero where even the long double underflows
+            exponent = -2 * length * half
+            return np.exp(exponent, out=np.zeros_like(half), where=exponent > -12000)
+
+        kernels = {}
+        for x_in, x_out, apart in columns:
+            near_in = scale * (1 + decay(2 * x_in - 1))
+            near_out = scale * (1 + decay(2 * x_out - 1))
+            far_in, far_out = 1 + decay(2 * (cols - x_in) + 1), 1 + decay(2 * (cols - x_out) + 1)
+            kernels[x_in, x_out] = (near_in * far_in, near_in * far_out * decay(apart),
+                                    near_out * far_out)
+        sines = {y: _long_sines(modes, y, rows + 1) for y in heights}
+        for n, frame in enumerate(frames):
+            alpha, beta, gamma = kernels[frame.x_in, frame.x_out]
+            s_in, s_out = sines[frame.y_in], sines[frame.y_out]
+            totals[n] += (s_in * s_in * alpha - 2 * s_in * s_out * beta
+                          + s_out * s_out * gamma).sum()
+    cells = cols * (rows + 1)
+    return [np.longdouble(spec.r) / (rows + 1) * 2 * total
+            + np.longdouble(spec.s) * (frame.y_out - frame.y_in) ** 2 / cells
+            for frame, total in zip(frames, totals)]
 
 
 def inverse_minor_reference(spec: HammockSpec, a, b) -> float:

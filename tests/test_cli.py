@@ -286,11 +286,12 @@ class TestBench:
                            "--methods", "closed,rt,oracle-rational", "--reps", "2")
         assert code == EXIT_OK
         rows = list(csv.reader(io.StringIO(out)))
-        assert rows[0] == ["M", "N", "method", "seconds_per_pair", "ohms", "note"]
+        assert rows[0] == ["M", "N", "method", "cold_seconds", "seconds_per_pair",
+                           "ohms", "note"]
         assert len(rows) == 1 + 2 * 3
         for row in rows[1:]:
-            assert float(row[3]) >= 0.0
-            assert float(row[4]) > 0.0
+            assert float(row[3]) >= 0.0 and float(row[4]) >= 0.0
+            assert float(row[5]) > 0.0
 
     def test_cap_skip_row(self, capsys, monkeypatch):
         monkeypatch.setenv(oracle.RATIONAL_CAP_ENV, "5")
@@ -300,15 +301,15 @@ class TestBench:
         rows = list(csv.reader(io.StringIO(out)))
         skipped = [row for row in rows if row[2] == "oracle-rational"]
         assert len(skipped) == 1
-        assert "skipped" in skipped[0][5]
-        assert skipped[0][3] == ""
+        assert "skipped" in skipped[0][6]
+        assert skipped[0][3] == skipped[0][4] == ""
 
     def test_double_sum_skip_row(self, capsys):
         code, out, _ = run(capsys, "bench", "--sizes", "21",
                            "--methods", "closed,spectral-double", "--reps", "1")
         assert code == EXIT_OK
         rows = list(csv.reader(io.StringIO(out)))
-        assert rows[2] == ["21", "21", "spectral-double", "", "",
+        assert rows[2] == ["21", "21", "spectral-double", "", "", "",
                            "skipped: 441 nodes above double-sum cap 400"]
 
     def test_double_sum_agrees_with_reduced(self, capsys):
@@ -317,7 +318,7 @@ class TestBench:
                            "--reps", "1")
         assert code == EXIT_OK
         rows = list(csv.reader(io.StringIO(out)))[1:]
-        values = [float(row[4]) for row in rows]
+        values = [float(row[5]) for row in rows]
         assert values[0] == pytest.approx(values[1], rel=1e-11)
 
     def test_unknown_method(self, capsys):
@@ -439,8 +440,8 @@ def test_package_and_cli_import_numpy_alone():
         "assert not extra, f'non-stdlib modules loaded: {extra}'",
         "assert threading.active_count() == 1, threading.enumerate()",
         "from hammocknet import closed_form, recurrence, spectral",
-        "for cache in (closed_form._decay_table, recurrence.mode_transform,",
-        "              spectral.eigen_system):",
+        "for cache in (closed_form._decay_table, closed_form._free_table,",
+        "              recurrence.mode_transform, spectral.eigen_system):",
         "    assert cache.cache_info().currsize == 0, cache",
     ])
     done = subprocess.run([sys.executable, "-c", probe, source_root], env=env,

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -32,12 +33,19 @@ from hammocknet.closed_form import (
     _CLAMP,
     _SPLIT,
     _decay_table,
+    _free_table,
     _live_modes,
     _sines,
     _span_ratios,
 )
 
-from _util import interior_pairs, live_ratio, rel_dev, span_ratios_reference
+from _util import (
+    interior_pairs,
+    live_ratio,
+    long_double_closed,
+    rel_dev,
+    span_ratios_reference,
+)
 
 
 class TestModeParams:
@@ -577,7 +585,7 @@ class TestDecayFreeTail:
         for y_in, y_out in [(1, rows), (rows // 3, rows // 3 + 1), (rows, 7)]:
             a, b = (x_in, y_in), (x_out, y_out)
             coords = span_coords(spec, a, b)
-            assert _live_modes(coords, _decay_table(rows, spec.ratio)) == live
+            assert _live_modes(coords, _free_table(rows, spec.ratio)[0]) == live
             self._check(spec, a, b)
 
     @pytest.mark.parametrize("ratio", [0.5, 3.0])
@@ -585,10 +593,10 @@ class TestDecayFreeTail:
         # one column (separation 0), and columns 1 and N (near_in = far_out = 1)
         rows, cols = self.ROWS, 5000
         spec = HammockSpec(rows, cols, r=ratio, s=1.0)
-        table = _decay_table(rows, ratio)
+        free, _ = _free_table(rows, ratio)
         for a, b in [((2500, 3), (2500, rows - 5)), ((cols, 9), (cols, 10)),
                      ((1, 1), (cols, rows)), ((1, rows // 2), (cols, rows // 2 + 1))]:
-            assert _live_modes(span_coords(spec, a, b), table) == rows
+            assert _live_modes(span_coords(spec, a, b), free) == rows
             self._check(spec, a, b)
 
     @staticmethod
@@ -633,7 +641,7 @@ class TestSpanRatiosReference:
         if label == "every far length underflowing":
             assert 2 * (2 * (spec.cols - coords.x_out) + 1) * half[0] > 708.0
         if label == "live cut-off in the second block":
-            assert _BLOCK < _live_modes(coords, half) < 2 * _BLOCK
+            assert _BLOCK < _live_modes(coords, _free_table(spec.rows, spec.ratio)[0]) < 2 * _BLOCK
         alpha, beta, gamma = _span_ratios(coords, half)
         want_alpha, want_beta, want_gamma = span_ratios_reference(coords, half)
         assert np.array_equal(alpha, want_alpha) and np.array_equal(gamma, want_gamma)
@@ -656,6 +664,97 @@ class TestSpanRatiosReference:
         monkeypatch.setattr(recurrence, "_span_ratios", span_ratios_reference)
         want = [route(*arg).ohms for route, arg in zip(routes, args)]
         assert got == want
+
+
+class TestFreeTable:
+    """The pair routes' cached table: f = 1/(2*sinh(2h)) per mode and the head rates."""
+
+    @pytest.mark.parametrize("rows", [1, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+    @pytest.mark.parametrize("ratio", [1e-12, 3.0, 2.0 ** 1021])
+    def test_bitwise_the_decay_table(self, rows, ratio):
+        free, head = _free_table(rows, ratio)
+        half = _decay_table(rows, ratio)
+        assert np.array_equal(free, 0.5 / np.sinh(2.0 * half))
+        assert np.array_equal(head, half[:_BLOCK])
+        assert not free.flags.writeable and not head.flags.writeable
+
+    def test_pair_routes_never_build_the_decay_table(self):
+        spec = HammockSpec(4 * _BLOCK + 3, 900, r=1.2345)  # a shape no other test asks
+        built = _decay_table.cache_info().misses
+        for a, b in [((1, 9), (900, 4 * _BLOCK)), ((300, 5), (600, 3 * _BLOCK)),
+                     ((450, 7), (450, 8))]:
+            resistance_general(spec, a, b)
+            resistance_rt(spec, a, b)
+        assert _decay_table.cache_info().misses == built
+
+
+def _contracted_cases():
+    """(rows, cols, x_in, x_out, heights): far-apart columns keep every live
+    mode in the first block. Heights 1, M and (M+1)//2, and one y with
+    k*y = 0 mod M+1 for the least factor k of M + 1."""
+    cases = []
+    for rows, cols in [(4 * _BLOCK + 1, 10000), (10 ** 6, 10 ** 5)]:
+        factor = next(k for k in range(2, rows + 2) if (rows + 1) % k == 0)
+        zero, mid = (rows + 1) // factor, (rows + 1) // 2
+        cases.append((rows, cols, cols // 4, 3 * cols // 4,
+                      [(1, rows), (1, mid), (rows, zero), (1, 1), (mid, zero)]))
+    return cases
+
+
+class TestContractedTail:
+    """closed's contracted blocks against a long-double sine-product sum.
+
+    The bound in ``closed_form``'s docstring: within eps*(4*R + 8*F), F being
+    2r/(M+1) times the sum of f over the contracted modes. Nodes next to a
+    hub and heights whose angles return to 0 are where it is tightest.
+    """
+
+    @pytest.mark.parametrize("ratio", [0.5, 3.0, 1e12, 2.0 ** 1021])
+    @pytest.mark.parametrize("rows, cols, x_in, x_out, heights", _contracted_cases(),
+                             ids=["4 blocks + 1", "1e6"])
+    def test_within_bound_of_long_double(self, rows, cols, x_in, x_out, heights, ratio):
+        spec = HammockSpec(rows, cols, r=ratio, s=1.0)
+        free, _ = _free_table(rows, ratio)
+        far = 2.0 * ratio / (rows + 1) * float(free[_BLOCK:].sum())
+        pairs = [((x_in, y_in), (x_out, y_out)) for y_in, y_out in heights]
+        references = long_double_closed(spec, pairs)
+        for (a, b), reference in zip(pairs, references):
+            # every block after the first is contracted
+            assert _live_modes(span_coords(spec, a, b), free) <= _BLOCK
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                value = resistance_general(spec, a, b).ohms
+            error = abs(np.longdouble(value) - reference)
+            assert error <= _EPS * (4.0 * value + 8.0 * far), (a, b)
+
+
+# Peak traced bytes of one warm pair query: 32 block-length float arrays.
+_QUERY_BUDGET = 32 * _BLOCK * 8
+
+
+@pytest.mark.parametrize("route", [resistance_general, resistance_rt])
+def test_warm_query_memory_stays_within_blocks(route):
+    rows = 10 ** 6
+    spec = HammockSpec(rows, rows, r=3.0)
+    _free_table(rows, spec.ratio)
+    pairs = [
+        # live cut-off near mode 650: the contracted tail carries the sum
+        ((rows // 10 + 1, rows // 3 + 1), (9 * rows // 10, 2 * rows // 3)),
+        # a node in column 1: every mode live, rates formed block by block
+        ((1, rows // 2), (rows // 2, rows // 3)),
+        # near length 3999: the cut-off falls in the second block
+        ((2000, 5), (rows // 2, rows - 3)),
+    ]
+    assert [_live_modes(span_coords(spec, a, b), _free_table(rows, spec.ratio)[0]) > _BLOCK
+            for a, b in pairs] == [False, True, True]
+    for a, b in pairs:
+        tracemalloc.start()
+        try:
+            route(spec, a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _QUERY_BUDGET, (a, b, peak)
 
 
 @pytest.mark.parametrize("spec", [HammockSpec(100, 100), HammockSpec(28, 600, r=3.0),

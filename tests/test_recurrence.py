@@ -26,7 +26,7 @@ from hammocknet import (
     transformed_columns,
 )
 from hammocknet import recurrence
-from hammocknet.closed_form import _BLOCK, _decay_table, _live_modes
+from hammocknet.closed_form import _BLOCK, _decay_table, _free_table, _live_modes
 
 from _util import (
     coupling_matrix,
@@ -285,7 +285,7 @@ class TestResistanceRT:
     def test_sums_solve_modes_and_mode_weights(self, spec, a, b, live):
         # rt reads the very tables that solve_modes and mode_weights return
         coords = span_coords(spec, a, b)
-        assert _live_modes(coords, _decay_table(spec.rows, spec.ratio)) == live
+        assert _live_modes(coords, _free_table(spec.rows, spec.ratio)[0]) == live
         x_out, x_in = solve_modes(spec, coords, 1.0)
         twin = float(spec.s) * (math.fsum(x_out * mode_weights(spec.rows, coords.y_out))
                                 - math.fsum(x_in * mode_weights(spec.rows, coords.y_in)))
