@@ -9,6 +9,7 @@ the full graph (:mod:`hammocknet.oracle`). The ``hammocknet`` CLI wraps
 all of them.
 """
 
+from . import hyperbolic  # no route calls it; the benchmark tracer looks it up
 from .closed_form import (
     resistance_general,
     resistance_same_column,

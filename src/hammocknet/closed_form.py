@@ -332,6 +332,8 @@ def resistance_general(spec: HammockSpec, a: NodeLike, b: NodeLike) -> Resistanc
     rejected (the dense oracle covers them).
     """
     coords = span_coords(spec, a, b)
+    if coords.node_in == coords.node_out:  # the mode sum misses 0 past r/s ~ 1e305
+        return ResistanceResult(0.0, "closed", {"swapped": coords.swapped})
     total = _mode_sum(spec, coords)
     # r/(M + 1) before its factor 2: the same bits, and no large r overflows
     value = float(spec.r) / (spec.rows + 1) * (2.0 * total) \

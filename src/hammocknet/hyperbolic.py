@@ -1,11 +1,8 @@
-"""Log-domain hyperbolic helpers for the spectral route.
+"""Log-domain hyperbolic helpers, which no route calls.
 
-Mode sums over an N-column lattice need cosh/sinh of arguments that grow
-like N times the per-column decay rate, which overflows doubles once the
-argument passes ~710. The spectral route therefore assembles its ratios
-of hyperbolic products from log magnitudes; the large exponents cancel
-analytically before anything is exponentiated, so lattices with millions
-of columns evaluate inside double range.
+Every route scales its hyperbolic ratios so that each exponent is <= 0.
+These stay for the benchmark tracer, which looks them up by name, and for
+the tests' cosine-sum identity reference, until the tracer drops them.
 """
 
 from __future__ import annotations
@@ -24,11 +21,8 @@ def log_cosh(z):
 
 
 def log_sinh(z):
-    """log(sinh(z)) for z > 0, elementwise, finite for large ``z``.
-
-    ``expm1`` keeps small ``z`` accurate. Returns -inf at z = 0 (callers
-    exclude the degenerate uniform mode).
-    """
+    """log(sinh(z)) for z > 0, elementwise, finite for large ``z``; ``expm1``
+    keeps small ``z`` accurate, and z = 0 gives -inf."""
     z = np.asarray(z, dtype=float)
     with np.errstate(divide="ignore"):
         return z + np.log(-np.expm1(-2.0 * z)) - _LN2
@@ -39,7 +33,6 @@ def larger_root(coeff):
 
     The sqrt argument is clamped at zero so round-off at coeff = 2 cannot
     produce a NaN; the smaller root is never formed, avoiding cancellation.
-    No route calls it; ``perfbench/spans.py`` traces it by name.
     """
     coeff = np.asarray(coeff, dtype=float)
     half = coeff / 2.0

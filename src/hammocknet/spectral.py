@@ -10,8 +10,10 @@ hubs back.
 An element comes in two forms: the double sum over every eigenpair, read
 from the dense, size-capped matrices, and the fast reduced sum over row
 modes, where a cosine-sum identity eliminates the column modes. The
-eigensystem holds O(M + N) data, so a reduced pair needs O(M) work and
-memory at any size.
+eigensystem holds O(M + N) data, so a reduced pair needs O(M) work, in
+blocks of modes with O(_BLOCK) temporaries, at any size. A reduced
+resistance is within 4 eps of the same sum taken exactly over the route's
+own rates and angles (tested in long double at 10^5 and 10^6 rows).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .hyperbolic import log_cosh, log_sinh
+from .closed_form import _BLOCK, _CLAMP
 from .lattice import (
     HammockSpec,
     LatticeError,
@@ -75,8 +77,8 @@ class MinorEigenSystem:
     cosh(2*omega) = 1 + u, u = (r/s) * (1 - cos(2*phi)) = 2*(r/s)*sin(phi)^2,
     and evaluated as log1p(u + sqrt(u*(u + 2))) / 2: unlike 1 - cos and an
     arccosh near 1, that loses no digits in the slow modes (past u ~ 1.3e154,
-    where u*(u + 2) overflows, the root is sqrt(u)*sqrt(u + 2)). ``log_den[m]``
-    is the reduced form's log denominator log sinh(2*omega) + log sinh(2*N*omega).
+    where u*(u + 2) overflows, the root is sqrt(u)*sqrt(u + 2)). ``scale[m]`` is
+    the reduced form's S = 1/(2*sinh(2*omega)*(1 - e^{-4*N*omega})), from ``expm1``.
     :meth:`row_mode` gives one row-mode column.
 
     The dense orthonormal chain eigenvectors ``col_modes[n, x-1]`` and
@@ -89,11 +91,11 @@ class MinorEigenSystem:
     thetas: np.ndarray
     phis: np.ndarray
     omegas: np.ndarray
-    log_den: np.ndarray
+    scale: np.ndarray
 
-    def row_mode(self, y) -> np.ndarray:
-        """Row-mode column ``row_modes[:, y-1]``; rows y shaped (k, 1) give k columns."""
-        modes = 2.0 * y * self.phis
+    def row_mode(self, y, block: slice = slice(None)) -> np.ndarray:
+        """Row-mode column ``row_modes[block, y-1]``; rows y shaped (k, 1) give k columns."""
+        modes = 2.0 * y * self.phis[block]
         np.sin(modes, out=modes)
         modes *= math.sqrt(2.0 / (self.spec.rows + 1))
         return modes
@@ -137,37 +139,38 @@ def eigen_system(spec: HammockSpec) -> MinorEigenSystem:
     wide = np.isinf(root)
     root[wide] = np.sqrt(u[wide]) * np.sqrt(u[wide] + 2.0)
     omegas = 0.5 * np.log1p(u + root)
-    log_den = log_sinh(2.0 * omegas) + log_sinh(2.0 * cols * omegas)
+    scale = 0.5 / (np.sinh(2.0 * omegas) * -np.expm1(-4.0 * cols * omegas))
     return MinorEigenSystem(spec=spec, thetas=_frozen(thetas), phis=_frozen(phis),
-                            omegas=_frozen(omegas), log_den=_frozen(log_den))
-
-
-# Modes per block of the reduced form's elementwise pass (temporaries near 1 MB).
-_BLOCK = 1 << 14
+                            omegas=_frozen(omegas), scale=_frozen(scale))
 
 
 def _reduced_elements(spec: HammockSpec, nodes: list, pairs) -> list[float]:
     """Reduced-form K(nodes[i], nodes[j]), nodes[i] <= nodes[j], for each (i, j) in pairs.
 
-    One ``log_cosh`` per block of modes over the near lengths of the i
-    nodes and the far lengths of the j nodes; each element is then one
-    dot product over all modes.
+    r times the sum over row modes of row_i * row_j * cosh(n*omega) * cosh(f*omega)
+    / (sinh(2*omega) * sinh(2*N*omega)), n = 2*x_i - 1 and f = 2*N - 2*x_j + 1 the
+    near and far lengths; as n + f = 2*N - 2*d, d = x_j - x_i, each ratio is
+    (1 + e^{-2*n*omega}) * (1 + e^{-2*f*omega}) * e^{-2*d*omega} * S, every exponent
+    <= 0. Per block of modes, one exponential (clamped at e^{-700}) takes every length.
     """
     system = eigen_system(spec)
-    rows = system.row_mode(np.array([n.y for n in nodes])[:, None])
-    near, far = sorted({i for i, _ in pairs}), sorted({j for _, j in pairs})
-    lengths = [2 * nodes[i].x - 1 for i in near] + [2 * spec.cols - 2 * nodes[j].x + 1 for j in far]
-    take_far = [len(near) + far.index(j) for _, j in pairs]
-    take_near = [near.index(i) for i, _ in pairs]
-    ratios = np.empty((len(pairs), spec.rows))
+    spans = [(2 * nodes[i].x - 1, 2 * spec.cols - 2 * nodes[j].x + 1, nodes[j].x - nodes[i].x)
+             for i, j in pairs]
+    near, far, gaps = (sorted(set(kind)) for kind in zip(*spans))
+    # each pair's near, far and gap rows of the exponential table
+    takes = [(near.index(n), len(near) + far.index(f), len(near) + len(far) + gaps.index(d))
+             for n, f, d in spans]
+    totals = [0.0] * len(pairs)
     for start in range(0, spec.rows, _BLOCK):
         block = slice(start, start + _BLOCK)
-        log_terms = log_cosh(np.multiply.outer(lengths, system.omegas[block]))
-        ratio = np.add(log_terms[take_far], log_terms[take_near], out=ratios[:, block])
-        ratio -= system.log_den[block]  # far + near - log_den
-        np.exp(ratio, out=ratio)
-    r = float(spec.r)
-    return [r * float((rows[i] * rows[j]) @ ratio) for (i, j), ratio in zip(pairs, ratios)]
+        rows = system.row_mode(np.array([node.y for node in nodes])[:, None], block)
+        exponents = np.multiply.outer(-2.0 * np.array(near + far + gaps), system.omegas[block])
+        decays = np.exp(np.maximum(exponents, -_CLAMP, out=exponents), out=exponents)
+        decays[:len(near) + len(far)] += 1.0  # near and far: 1 + e^{-2*length*omega}
+        decays[:len(near)] *= system.scale[block]
+        for p, ((i, j), (n, f, d)) in enumerate(zip(pairs, takes)):
+            totals[p] += float((rows[i] * rows[j]) @ (decays[n] * decays[f] * decays[d]))
+    return [float(spec.r) * total for total in totals]
 
 
 def _double_sum_elements(spec: HammockSpec, nodes: list, pairs) -> list[float]:

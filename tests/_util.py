@@ -9,10 +9,10 @@ import numpy as np
 from mpmath import mp
 
 from hammocknet import CurrentField, GridNode, HammockSpec, LatticeError, SpanCoords
-from hammocknet.closed_form import _UNDERFLOW, _decay_table
+from hammocknet.closed_form import _CLAMP, _UNDERFLOW, _decay_table
 from hammocknet.lattice import span_coords
 from hammocknet.hyperbolic import log_cosh, log_sinh
-from hammocknet.spectral import eigen_system
+from hammocknet.spectral import _BLOCK, eigen_system
 
 
 def interior_pairs(spec: HammockSpec, distinct: bool = True):
@@ -285,19 +285,74 @@ def long_double_closed(spec: HammockSpec, pairs) -> list:
             for frame, total in zip(frames, totals)]
 
 
+def long_double_spectral(spec: HammockSpec, pairs) -> list:
+    """spectral's reduced resistance for each node pair, summed in ``np.longdouble``.
+
+    K(a,a) + K(b,b) - 2*K(a,b) plus the hub term, each element the scaled
+    reduced sum over every row mode, in blocks of 2**16 modes. It reads
+    spectral's own double rates ``omegas`` and its rounded angles
+    2*y*phi, and takes the sines, the exponentials and S in long double,
+    so it measures how the route sums, not how its rates and angles
+    round. On x86 the long double is the 80-bit format (eps 1.1e-19);
+    where it is binary64 (MSVC, arm64 macOS) this is only a second
+    double-precision sum.
+    """
+    rows, cols = spec.rows, spec.cols
+    system = eigen_system(spec)
+    frames = [span_coords(spec, a, b) for a, b in pairs]
+    # (a, b) of the three elements of each pair: K(a,a), K(b,b), K(a,b)
+    elements = [[(frame.node_in, frame.node_in), (frame.node_out, frame.node_out),
+                 (frame.node_in, frame.node_out)] for frame in frames]
+    heights = {node.y for frame in frames for node in (frame.node_in, frame.node_out)}
+    lengths = {length for triple in elements for a, b in triple
+               for length in (2 * a.x - 1, 2 * (cols - b.x) + 1, b.x - a.x)}
+    norm = np.sqrt(np.longdouble(2) / (rows + 1))
+    totals = [np.longdouble(0)] * len(frames)
+    for start in range(0, rows, 1 << 16):
+        block = slice(start, start + (1 << 16))
+        omegas = system.omegas[block].astype(np.longdouble)
+        scale = 1 / (2 * np.sinh(2 * omegas) * -np.expm1(-4 * cols * omegas))
+        sines = {y: norm * np.sin((2.0 * y * system.phis[block]).astype(np.longdouble))
+                 for y in heights}
+        decays = {}
+        for length in lengths:
+            # e^{-2*length*omega}, zero where even the long double underflows
+            exponent = -2 * length * omegas
+            decays[length] = np.exp(exponent, out=np.zeros_like(omegas),
+                                    where=exponent > -12000)
+        for n, triple in enumerate(elements):
+            k_aa, k_bb, k_ab = (
+                (sines[a.y] * sines[b.y] * scale * (1 + decays[2 * a.x - 1])
+                 * (1 + decays[2 * (cols - b.x) + 1]) * decays[b.x - a.x]).sum()
+                for a, b in triple)
+            totals[n] += k_aa + k_bb - 2 * k_ab
+    return [np.longdouble(spec.r) * total
+            + np.longdouble(spec.s) * (frame.y_out - frame.y_in) ** 2 / (cols * (rows + 1))
+            for frame, total in zip(frames, totals)]
+
+
 def inverse_minor_reference(spec: HammockSpec, a, b) -> float:
     """One reduced-form inverse-minor element, evaluated on its own.
 
-    Row modes from ``MinorEigenSystem.row_mode`` and two ``log_cosh``
-    calls per element, in the order of operations the one-pass route keeps.
+    The scaled form with one exponential per length, row modes from
+    ``MinorEigenSystem.row_mode``, summed per block of ``spectral._BLOCK``
+    modes in the order of operations the one-pass route keeps.
     """
     a, b = sorted((GridNode(*a), GridNode(*b)))
     system = eigen_system(spec)
-    row_weight = system.row_mode(a.y) * system.row_mode(b.y)
-    log_ratio = log_cosh((2 * spec.cols - 2 * b.x + 1) * system.omegas) \
-        + log_cosh((2 * a.x - 1) * system.omegas) \
-        - system.log_den
-    return float(spec.r) * float(row_weight @ np.exp(log_ratio))
+    total = 0.0
+    for start in range(0, spec.rows, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        omegas = system.omegas[block]
+
+        def decay(length):
+            return np.exp(np.maximum(-2.0 * length * omegas, -_CLAMP))
+
+        ratio = (1.0 + decay(2 * a.x - 1)) * system.scale[block] \
+            * (1.0 + decay(2 * spec.cols - 2 * b.x + 1)) * decay(b.x - a.x)
+        weight = system.row_mode(a.y, block) * system.row_mode(b.y, block)
+        total += float(weight @ ratio)
+    return float(spec.r) * total
 
 
 def spectral_reference(spec: HammockSpec, a, b) -> float:

@@ -75,8 +75,9 @@ class TestResist:
 
     def test_tolerance_breach_exit_code(self, capsys):
         # last-ulp differences between methods exceed an absurd tolerance
-        code, _, _ = run(capsys, "resist", "--M", "1", "--N", "2",
-                         "--from", "1,1", "--to", "2,1", "--method", "all",
+        # (on 1x2 every route now gives 0.5 exactly)
+        code, _, _ = run(capsys, "resist", "--M", "3", "--N", "4",
+                         "--from", "1,1", "--to", "4,3", "--method", "all",
                          "--tolerance", "1e-300")
         assert code == EXIT_TOLERANCE
 
@@ -173,6 +174,13 @@ class TestResist:
         assert code == EXIT_OK
         assert err == ""
         assert out.splitlines()[3] == "oracle-rational  0.0 (0)"
+
+    def test_identical_nodes_at_large_ratio(self, capsys):
+        # closed printed -2.12e-17 here, a deviation of 1.0 from the others
+        code, out, err = run(capsys, "resist", "--M", "40", "--N", "6", "--r", "2.2e307",
+                             "--s", "1", "--from", "2,4", "--to", "2,4", "--method", "all")
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines()[0].split()[1] == "0.0"
 
     def test_routes_agree_at_1e5(self, capsys):
         # the slow modes' decay rates once put closed and spectral 1.9e-10

@@ -764,3 +764,15 @@ def test_identical_nodes_every_route_exact_zero(spec):
     for node in [(1, 1), (spec.cols, spec.rows), (spec.cols // 3, spec.rows // 2 + 1)]:
         for route in (resistance_general, resistance_rt, resistance_spectral):
             assert route(spec, node, node).ohms == 0.0, (route.__name__, node)
+
+
+@pytest.mark.parametrize("r", [1e300, 1e305, 2.2e307, 2.0 ** 1021])
+def test_identical_nodes_exact_zero_at_large_ratio(r):
+    # past r/s ~ 1e305 the subnormal products of closed's mode sum stopped
+    # cancelling: 40x6 (2,4)-(2,4) at r 2.2e307 gave -2.12e-17
+    for spec in (HammockSpec(40, 6, r=r), HammockSpec(3, 4, r=r), HammockSpec(7, 9, r=r),
+                 HammockSpec(100, 100, r=r)):
+        nodes = list(spec.interior_nodes())[::max(1, spec.interior_count // 300)]
+        for node in nodes:
+            for route in (resistance_general, resistance_rt):
+                assert route(spec, node, node).ohms == 0.0, (spec, route.__name__, node)

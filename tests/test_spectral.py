@@ -30,6 +30,7 @@ from _util import (
     cosine_sum_identity,
     interior_pairs,
     inverse_minor_reference,
+    long_double_spectral,
     rel_dev,
     specs_upto,
     spectral_reference,
@@ -158,13 +159,13 @@ class TestEigenSystem:
             for y in range(1, spec.rows + 1):
                 assert np.array_equal(system.row_mode(y), system.row_modes[:, y - 1])
 
-    def test_log_den(self):
+    def test_scale(self):
         spec = HammockSpec(9, 13, r=0.5, s=2.0)
         system = eigen_system(spec)
-        # small enough for plain sinh: sinh(2*N*omega) stays finite
-        expected = np.log(np.sinh(2.0 * system.omegas)) \
-            + np.log(np.sinh(2.0 * spec.cols * system.omegas))
-        assert np.allclose(system.log_den, expected, rtol=1e-13, atol=0.0)
+        # small enough for plain sinh: e^{2*N*omega} and sinh(2*N*omega) stay finite
+        expected = np.exp(2.0 * spec.cols * system.omegas) \
+            / (4.0 * np.sinh(2.0 * system.omegas) * np.sinh(2.0 * spec.cols * system.omegas))
+        assert np.allclose(system.scale, expected, rtol=1e-13, atol=0.0)
 
     def test_dense_matrices_capped(self, monkeypatch):
         monkeypatch.setenv("HAMMOCKNET_DENSE_VERIFY_CAP", "50")
@@ -364,6 +365,32 @@ class TestResistanceSpectral:
         assert rel_dev([ohms, resistance_general(spec, (1, 1), (4, 3)).ohms]) < 1e-10
 
 
+class TestLongDouble:
+    """The reduced route against its own sum in long double, and closed."""
+
+    @pytest.mark.parametrize("ratio", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("rows", [10 ** 5, 10 ** 6])
+    def test_within_4_eps(self, rows, ratio):
+        # the middle-column pair from the bottom row to the top row lost up
+        # to 5.5e4 eps in the log domain's cancelling exponents
+        spec = HammockSpec(rows, rows, r=ratio)
+        pairs = [((rows // 2, 1), (rows // 2 + 1, rows)),
+                 ((rows // 10 + 1, rows // 3 + 1), (9 * rows // 10, 2 * rows // 3))]
+        for (a, b), exact in zip(pairs, long_double_spectral(spec, pairs)):
+            ohms = resistance_spectral(spec, a, b).ohms
+            assert abs(ohms - exact) <= 4 * np.finfo(float).eps * exact, (a, b)
+        eigen_system.cache_clear()
+
+    def test_closed_at_1e6(self):
+        # 1.05e-11 in the log domain; what is left comes from each route's
+        # own rates and sine angles
+        spec = HammockSpec(10 ** 6, 10 ** 6, r=3.0)
+        a, b = (500_000, 1), (500_001, 10 ** 6)
+        values = [resistance_spectral(spec, a, b).ohms, resistance_general(spec, a, b).ohms]
+        assert rel_dev(values) <= 2e-12
+        eigen_system.cache_clear()
+
+
 class TestOnePass:
     """The one-pass reduced route against three separate element evaluations."""
 
@@ -387,30 +414,16 @@ class TestOnePass:
         assert inverse_minor_element(spec, b, a) == inverse_minor_reference(spec, a, b)
 
     def test_peak_allocation(self):
-        # six mode-length arrays for a pair (two row modes, three ratios and
-        # one row weight), four for one element; the rest is per block
+        # the reduced pass holds one block's temporaries, however many rows
         spec = HammockSpec(10 ** 6, 1000, r=3.0)
         a, b = (201, 333334), (800, 666666)
         resistance_spectral(spec, a, b)  # warm the eigensystem
-        mode_array = spec.rows * np.dtype(float).itemsize
-        for query, arrays in ((resistance_spectral, 6.5), (inverse_minor_element, 4.5)):
+        budget = 32 * spectral._BLOCK * np.dtype(float).itemsize
+        for query in (resistance_spectral, inverse_minor_element):
             tracemalloc.start()
             try:
                 query(spec, a, b)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < arrays * mode_array, (query.__name__, peak / mode_array)
-
-    def test_one_log_cosh_over_four_rows(self, monkeypatch):
-        spec = HammockSpec(28, 600, r=3.0)
-        sizes = []
-        original = spectral.log_cosh
-
-        def counted(z):
-            sizes.append(np.size(z))
-            return original(z)
-
-        monkeypatch.setattr(spectral, "log_cosh", counted)
-        resistance_spectral(spec, (17, 9), (402, 27))
-        assert sizes == [4 * spec.rows]
+            assert peak < budget, (query.__name__, peak / budget)
