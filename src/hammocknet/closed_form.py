@@ -6,9 +6,9 @@ mode contributes a ratio of hyperbolic products weighted by sine factors
 of the two node heights. Each mode carries a decay rate h_i: with
 theta_i = (i-1)*pi/(M+1) and c_i = 2 + 2*(r/s)*(1 - cos(theta_i)), the
 growth factor per column pair is the larger root of g*g - c_i*g + 1 = 0,
-and h_i is half its logarithm. As cosh(2*h_i) = c_i/2, the decay table
-holds h_i = asinh(sqrt(r/s) * sin(theta_i/2)), accurate to rounding in
-every mode; 1 - cos(theta) and the root would lose digits like
+and h_i is half its logarithm. As cosh(2*h_i) = c_i/2, the rates are
+formed as h_i = asinh(sqrt(r/s) * sin(theta_i/2)), accurate to rounding
+in every mode; 1 - cos(theta) and the root would lose digits like
 eps/theta^2 in the slow modes (7.6e-6 relative at 10^6 rows).
 
 Every hyperbolic ratio is scaled by its largest exponential before it is
@@ -27,23 +27,23 @@ below rounding from some mode on (see :func:`_live_modes`); past it,
 alpha = gamma = f = 1/(2*sinh(2h)) and beta = 0, and the span-frame
 kernel is skipped.
 
-The pair routes read one cached table per instance, :func:`_free_table`:
-f for every mode and h for the first ``_BLOCK`` modes; the rates of live
-modes past those are formed one block at a time, so a query holds
-O(_BLOCK) temporaries on top of the table. closed contracts the blocks
-after the first and after the last live one (:func:`_far_sum`): with
-sin^2 = (1 - cos 2*theta)/2 and the angle addition, each block of f is
-two small matrix products, with no per-mode sine. That rounds like
-eps*sum(f) over the contracted modes, not like eps*sum(f*sin^2), so the
-first block stays direct: at large r/s, f falls like 1/i^2, and with a
-node next to a hub (y = 1 or M) the slow modes carry most of sum(f)
-while their sin^2 is small. With F = (2r/(M+1)) * sum of f over the
-contracted modes, closed's R is within eps*(4*R + 8*F) of the same sum
-taken exactly over the same rates (tested against a long-double sum at
-4*_BLOCK + 1 and 10^6 rows, r/s 0.5 to 2**1021, y = 1, M and (M+1)/2).
-The current fields and the same-column and same-row forms read the rate
-table :func:`_decay_table`. Functions are pure; node pairs can be
-evaluated in parallel by callers.
+closed, rt and the same-column and same-row forms read one cached table
+per instance, :func:`_decay_table`: f for every mode and h for the first
+``_BLOCK`` modes. The rates past those are formed one block at a time
+(:func:`_live_rates`), so a pair query holds O(_BLOCK) temporaries on
+top of the table; the current fields, which need every rate, form them
+all once per field. closed contracts the blocks after the first and
+after the last live one (:func:`_far_sum`): with sin^2 = (1 - cos
+2*theta)/2 and the angle addition, each block of f is two small matrix
+products, with no per-mode sine. That rounds like eps*sum(f) over the
+contracted modes, not like eps*sum(f*sin^2), so the first block stays
+direct: at large r/s, f falls like 1/i^2, and with a node next to a hub
+(y = 1 or M) the slow modes carry most of sum(f) while their sin^2 is
+small. With F = (2r/(M+1)) * sum of f over the contracted modes,
+closed's R is within eps*(4*R + 8*F) of the same sum taken exactly over
+the same rates (tested against a long-double sum at 4*_BLOCK + 1 and
+10^6 rows, r/s 0.5 to 2**1021, y = 1, M and (M+1)/2). Functions are
+pure; node pairs can be evaluated in parallel by callers.
 """
 
 from __future__ import annotations
@@ -69,22 +69,10 @@ def _rates(rows: int, ratio: float, start: int, stop: int) -> np.ndarray:
     """Decay rates asinh(sqrt(r/s) * sin(theta_i/2)) of table entries start..stop-1.
 
     Entry j belongs to mode i = j + 2. Every entry is formed on its own, so
-    any range of entries has the bits of the same slice of the whole table.
+    any range of entries has the bits of the same slice of all ``rows``.
     """
     idx = np.arange(start + 1, stop + 1, dtype=float)
     return np.arcsinh(np.sqrt(ratio) * np.sin(idx * np.pi / (2 * rows + 2)))
-
-
-@lru_cache(maxsize=64)
-def _decay_table(rows: int, ratio: float) -> np.ndarray:
-    """Decay rates h_i for modes 2..rows+1, cached per instance shape.
-
-    The per-mode table that the current fields and the same-column and
-    same-row forms read. The rates ascend with the mode.
-    """
-    table = _rates(rows, ratio, 0, rows)
-    table.flags.writeable = False
-    return table
 
 
 # Modes per block of a mode sum: the temporaries of one query stay within
@@ -100,14 +88,14 @@ _SPLIT = 512
 
 
 @lru_cache(maxsize=64)
-def _free_table(rows: int, ratio: float) -> tuple[np.ndarray, np.ndarray]:
+def _decay_table(rows: int, ratio: float) -> tuple[np.ndarray, np.ndarray]:
     """``(free, head)``: f_i = 1/(2*sinh(2h_i)) for every mode, and h_i for
     the first ``_BLOCK`` modes; cached per instance shape.
 
     f is alpha = gamma past the live cut-off, and descends with the mode,
     which :func:`_live_modes` relies on. Each entry has the bits of
-    0.5/sinh(2*h) over :func:`_decay_table`; the table is built one block
-    at a time, so the build holds O(_BLOCK) temporaries.
+    0.5/sinh(2*h) over :func:`_rates`; the table is built one block at a
+    time, so the build holds O(_BLOCK) temporaries.
     """
     free = np.empty(rows)
     for block, _ in _mode_blocks(rows, 0):
@@ -207,7 +195,7 @@ def _live_modes(coords: SpanCoords, free: np.ndarray) -> int:
     for each of the five lengths of :func:`_span_ratios`, and so is e^{-4Nh}:
     far below rounding, so alpha = gamma = f = 1/(2*sinh(2h)) and beta = 0.
     With ``shortest`` the least length, that is 2h >= 708/shortest, read off
-    the descending f table of :func:`_free_table` as f <= 1/(2*sinh(708/shortest))
+    the descending f table of :func:`_decay_table` as f <= 1/(2*sinh(708/shortest))
     by bisection, without a reversed copy. A zero length (nodes in one
     column) keeps every mode live.
     """
@@ -295,7 +283,7 @@ def _mode_sum(spec: HammockSpec, coords: SpanCoords) -> float:
     them are contracted (see the module docstring for the rounding bound).
     """
     rows, denom = spec.rows, spec.rows + 1
-    free, head = _free_table(rows, spec.ratio)
+    free, head = _decay_table(rows, spec.ratio)
     live = _live_modes(coords, free)
     direct = max(1, -(-live // _BLOCK)) * _BLOCK
     total = 0.0
@@ -351,10 +339,10 @@ def resistance_same_column(spec: HammockSpec, x: int, y1: int, y2: int) -> Resis
     coords = span_coords(spec, (x, y1), (x, y2))
     if y1 == y2:
         return ResistanceResult(0.0, "closed", {"specialization": "same_column"})
-    table = _decay_table(spec.rows, spec.ratio)
+    _, head = _decay_table(spec.rows, spec.ratio)
     total = 0.0
-    for block, _ in _mode_blocks(spec.rows, spec.rows):
-        alpha = _span_ratios(coords, table[block])[0]
+    for block, cut in _mode_blocks(spec.rows, spec.rows):
+        alpha = _span_ratios(coords, _live_rates(spec, head, block, cut))[0]
         sin_1, sin_2 = _sines(block, spec.rows + 1, y1, y2)
         sine_diff = sin_2 - sin_1
         total += float((sine_diff * sine_diff * alpha).sum())
@@ -380,10 +368,10 @@ def resistance_same_row(spec: HammockSpec, y: int, x1: int, x2: int) -> Resistan
     if distance == 0:
         return ResistanceResult(0.0, "closed", {"specialization": "same_row"})
     # sinh(dh) * cosh((N-d)h) / (sinh(2h) * cosh(Nh)) with e^{Nh} cancelled
-    table = _decay_table(spec.rows, spec.ratio)
+    _, head = _decay_table(spec.rows, spec.ratio)
     total = 0.0
-    for block, _ in _mode_blocks(spec.rows, spec.rows):
-        step = -2.0 * table[block]
+    for block, cut in _mode_blocks(spec.rows, spec.rows):
+        step = -2.0 * _live_rates(spec, head, block, cut)
         coef = -np.expm1(distance * step) \
             * (1.0 + np.exp((spec.cols - distance) * step)) \
             / (2.0 * np.sinh(-step) * (1.0 + np.exp(spec.cols * step)))

@@ -1,8 +1,8 @@
 """Log-domain hyperbolic helpers, which no route calls.
 
-Every route scales its hyperbolic ratios so that each exponent is <= 0.
-These stay for the benchmark tracer, which looks them up by name, and for
-the tests' cosine-sum identity reference, until the tracer drops them.
+Every route scales its hyperbolic ratios so that each exponent is <= 0,
+and so does the tests' cosine-sum reference. These stay only for the
+benchmark tracer, which looks them up by name, until it drops them.
 """
 
 from __future__ import annotations

@@ -28,6 +28,7 @@ from .lattice import (
     NodeLike,
     ResistanceResult,
     SizeCapError,
+    _is_integer,
     edge_indices,
     env_cap,
     node_index,
@@ -246,9 +247,12 @@ def resistance_dense(spec: HammockSpec, a: NodeLike, b: NodeLike,
     Node ``b`` is grounded (its row and column deleted), a unit current is
     injected at ``a`` and the resistance is the resulting potential there.
     ``arithmetic="rational"`` runs the whole solve in exact integers and
-    reports the exact value in ``meta["exact"]``.
+    reports the exact value in ``meta["exact"]``. ``cap``, if given, is a
+    positive integer that replaces the environment cap.
     """
     _check_arithmetic(arithmetic)
+    if cap is not None and not (_is_integer(cap) and cap >= 1):
+        raise LatticeError(f"cap must be a positive integer, got {cap!r}")
     ia, ib = node_index(spec, a), node_index(spec, b)
     method = f"oracle-{arithmetic}"
     if ia == ib:

@@ -36,10 +36,10 @@ import numpy as np
 
 from .closed_form import (
     _decay_table,
-    _free_table,
     _live_modes,
     _live_rates,
     _mode_blocks,
+    _rates,
     _sin_turns,
     _sines,
     _span_ratios,
@@ -51,13 +51,14 @@ from .lattice import (
     NodeLike,
     ResistanceResult,
     SpanCoords,
+    _is_integer,
     node_code,
     require_frame,
     span_coords,
 )
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)  # typed: True or 2.0 must not hit 1 or 2
 def mode_transform(rows: int) -> np.ndarray:
     """Read-only inverse mode transform for M + 1 link rows, cached.
 
@@ -67,8 +68,8 @@ def mode_transform(rows: int) -> np.ndarray:
     (2/(M+1)) * cos((2j+1) * chi_i) otherwise, gathered from one period of
     an exact-residue table of cos(pi*t/(2M+2)): within a few eps of 2/(M+1).
     """
-    if rows < 1:
-        raise LatticeError(f"need at least one row, got {rows}")
+    if not _is_integer(rows) or rows < 1:
+        raise LatticeError(f"need at least one row, as an integer, got {rows!r}")
     n = rows + 1
     # cos(pi*t/(2n)) = sin(2*pi*(t + n)/(4n)) for t = 0..4n-1
     wave = (2.0 / n) * _sin_turns(np.arange(n, 5 * n), 4 * n)
@@ -106,10 +107,10 @@ def _boundary_blocks(spec: HammockSpec, coords: SpanCoords, injected: float):
     :func:`mode_weights` per :func:`_mode_blocks` block, split at the live
     cut-off. Past it the cross ratio is exactly 0: the values are
     (r/s)*J*f*zeta_out and -(r/s)*J*f*zeta_in, with f = 1/(2*sinh(2h)) read
-    from :func:`_free_table`.
+    from :func:`_decay_table`.
     """
     scale = spec.ratio * injected
-    free, head = _free_table(spec.rows, spec.ratio)
+    free, head = _decay_table(spec.rows, spec.ratio)
     for block, cut in _mode_blocks(spec.rows, _live_modes(coords, free)):
         zeta_in, zeta_out, w_in, w_out = _profiles(spec.rows + 1, block,
                                                    coords.y_in, coords.y_out)
@@ -133,8 +134,10 @@ def mode_weights(rows: int, height: int) -> np.ndarray:
     -sin(2*height*chi_i) / ((M+1)*sin(chi_i)) for the rest, the table rt
     reads (see :func:`_profiles`).
     """
-    if not 0 <= height <= rows + 1:
-        raise LatticeError(f"height {height} outside 0..{rows + 1}")
+    if not (_is_integer(rows) and rows >= 1 and _is_integer(height)
+            and 0 <= height <= rows + 1):
+        raise LatticeError(f"need integers rows >= 1 and 0 <= height <= rows + 1, "
+                           f"got rows={rows!r}, height={height!r}")
     uniform = [(rows + 1 - height) / (rows + 1)]
     return np.concatenate((uniform, _all_profiles(rows, height, height)[3]))
 
@@ -291,7 +294,7 @@ def transformed_columns(spec: HammockSpec, coords: SpanCoords,
     if injected == 0.0 or (coords.separation == 0 and coords.y_in == coords.y_out):
         return values, kept
     tolerance = _DROP_TOLERANCE * abs(injected)
-    two_log = 2.0 * _decay_table(rows, spec.ratio)
+    two_log = 2.0 * _rates(rows, spec.ratio, 0, rows)
 
     for first, weight, exponent_arrays in _region_terms(spec, coords, injected, two_log):
         thresholds = _thresholds(weight, two_log, tolerance)
@@ -400,9 +403,12 @@ def reconstruct_currents(spec: HammockSpec, a: NodeLike, b: NodeLike,
     modes its columns keep, and orients the result so ``injected`` amperes
     enter at ``a`` and leave at ``b``. Each column is summed in one call,
     so the columns around a node match the all-modes sum to rounding.
-    ``injected`` may be zero (zero field). Every intermediate is bounded,
-    so any size that fits in memory reconstructs without overflow.
+    ``injected`` must be finite and may be zero (zero field). Every
+    intermediate is bounded, so any size that fits in memory reconstructs
+    without overflow.
     """
+    if not np.isfinite(injected):
+        raise LatticeError(f"injected current must be finite, got {injected!r}")
     coords = span_coords(spec, a, b)
     a, b = coords.node_in, coords.node_out
     if coords.swapped:

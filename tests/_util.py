@@ -9,9 +9,8 @@ import numpy as np
 from mpmath import mp
 
 from hammocknet import CurrentField, GridNode, HammockSpec, LatticeError, SpanCoords
-from hammocknet.closed_form import _CLAMP, _UNDERFLOW, _decay_table
+from hammocknet.closed_form import _CLAMP, _UNDERFLOW, _rates
 from hammocknet.lattice import span_coords
-from hammocknet.hyperbolic import log_cosh, log_sinh
 from hammocknet.spectral import _BLOCK, eigen_system
 
 
@@ -70,7 +69,7 @@ def region_amplitudes(spec: HammockSpec, coords: SpanCoords, injected: float = 1
     """
     rows, cols = spec.rows, spec.cols
     chis = np.arange(1, rows + 1) * math.pi / (2 * rows + 2)
-    lam = np.exp(2.0 * _decay_table(rows, spec.ratio))
+    lam = np.exp(2.0 * _rates(rows, spec.ratio, 0, rows))
     left, right = coords.span_left, coords.span_right
     p, q = coords.p_offset, coords.q_offset
 
@@ -175,8 +174,10 @@ def cosine_sum_identity(cols: int, ell: int, omega: float) -> tuple[float, float
 
     Near ell = N with N*omega large the sum cancels down by many orders
     (the true value is ~exp(-2*N*omega) of the summands), so the direct
-    sum is taken in 60-digit arithmetic before rounding; the closed form
-    stays in log-domain doubles. The routes remain independent.
+    sum is taken in 60-digit arithmetic before rounding. The closed form is
+    scaled by its largest exponentials: with a = 2*|N - ell|*omega, rhs =
+    e^{a - 2*N*omega} * (1 + e^{-2a}) / (sinh(2*omega) * (1 - e^{-4*N*omega})),
+    every exponent <= 0. The routes remain independent.
     """
     if cols < 1:
         raise LatticeError(f"need at least one column, got {cols}")
@@ -191,9 +192,10 @@ def cosine_sum_identity(cols: int, ell: int, omega: float) -> tuple[float, float
             for n in range(2 * cols)
         )
         lhs = float(total / (2 * cols))
-    log_rhs = log_cosh(2.0 * (cols - ell) * omega) \
-        - log_sinh(2.0 * omega) - log_sinh(2.0 * cols * omega)
-    return lhs, float(np.exp(log_rhs))
+    near = 2.0 * abs(cols - ell) * omega
+    rhs = math.exp(near - 2.0 * cols * omega) * (1.0 + math.exp(-2.0 * near)) \
+        / (math.sinh(2.0 * omega) * -math.expm1(-4.0 * cols * omega))
+    return lhs, rhs
 
 
 def _decay_reference(half: np.ndarray, length: int) -> np.ndarray:
@@ -244,17 +246,16 @@ def long_double_closed(spec: HammockSpec, pairs) -> list:
     The span-frame kernel, with one exponential per length and no live
     cut-off, against sine products of exactly reduced angles, in blocks of
     2**16 modes; pairs that share their columns share the kernel, and
-    heights their sines. It reads closed's double rates from
-    ``_decay_table``, so it measures how closed sums, not how the rates
-    round. On x86 the long double is the 80-bit format (eps 1.1e-19);
-    where it is binary64 (MSVC, arm64 macOS) this is only a second
-    double-precision sum.
+    heights their sines. It reads closed's double rates from ``_rates``,
+    so it measures how closed sums, not how the rates round. On x86 the
+    long double is the 80-bit format (eps 1.1e-19); where it is binary64
+    (MSVC, arm64 macOS) this is only a second double-precision sum.
     """
     rows, cols = spec.rows, spec.cols
     frames = [span_coords(spec, a, b) for a, b in pairs]
     columns = {(frame.x_in, frame.x_out, frame.separation) for frame in frames}
     heights = {y for frame in frames for y in (frame.y_in, frame.y_out)}
-    table = _decay_table(rows, spec.ratio)
+    table = _rates(rows, spec.ratio, 0, rows)
     totals = [np.longdouble(0)] * len(frames)
     for start in range(0, rows, 1 << 16):
         half = table[start:start + (1 << 16)].astype(np.longdouble)

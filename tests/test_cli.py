@@ -448,8 +448,8 @@ def test_package_and_cli_import_numpy_alone():
         "assert not extra, f'non-stdlib modules loaded: {extra}'",
         "assert threading.active_count() == 1, threading.enumerate()",
         "from hammocknet import closed_form, recurrence, spectral",
-        "for cache in (closed_form._decay_table, closed_form._free_table,",
-        "              recurrence.mode_transform, spectral.eigen_system):",
+        "for cache in (closed_form._decay_table, recurrence.mode_transform,",
+        "              spectral.eigen_system):",
         "    assert cache.cache_info().currsize == 0, cache",
     ])
     done = subprocess.run([sys.executable, "-c", probe, source_root], env=env,

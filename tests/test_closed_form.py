@@ -33,8 +33,8 @@ from hammocknet.closed_form import (
     _CLAMP,
     _SPLIT,
     _decay_table,
-    _free_table,
     _live_modes,
+    _rates,
     _sines,
     _span_ratios,
 )
@@ -49,9 +49,9 @@ from _util import (
 
 
 class TestModeParams:
-    """Per-mode parameters, read from the one decay table.
+    """Per-mode parameters, read from the decay rates.
 
-    Entry i - 2 of ``_decay_table`` is mode i's rate h; its root is
+    Entry i - 2 of ``_rates`` is mode i's rate h; its root is
     e^{2h} and its recurrence coefficient 2*cosh(2h).
     """
 
@@ -59,25 +59,25 @@ class TestModeParams:
         # the table starts at mode 2: the uniform mode's rate is exactly 0
         # and lives in the separate quadratic term
         for spec in (HammockSpec(1, 1), HammockSpec(5, 3, r=2.0), HammockSpec(2, 7, s=3.0)):
-            table = _decay_table(spec.rows, spec.ratio)
+            table = _rates(spec.rows, spec.ratio, 0, spec.rows)
             assert table.shape == (spec.rows,)
             assert np.all(table > 0.0)
 
     def test_first_nonuniform(self):
-        (half,) = _decay_table(1, 1.0)
+        (half,) = _rates(1, 1.0, 0, 1)
         assert 2.0 * math.cosh(2.0 * half) == pytest.approx(4.0, abs=1e-14)
         assert math.exp(2.0 * half) == pytest.approx(2.0 + math.sqrt(3.0), rel=1e-14)
         assert half == pytest.approx(0.5 * math.log(2.0 + math.sqrt(3.0)), rel=1e-14)
 
     def test_third_mode(self):
-        half = _decay_table(2, 1.0)[1]
+        half = _rates(2, 1.0, 0, 2)[1]
         assert 2.0 * math.cosh(2.0 * half) == pytest.approx(5.0, abs=1e-14)
         assert math.exp(2.0 * half) == pytest.approx((5.0 + math.sqrt(21.0)) / 2.0, rel=1e-14)
 
     def test_root_identities(self):
         # 2*cosh(2h) is the defining coefficient 2 + 2(r/s)(1 - cos theta)
         for spec in (HammockSpec(6, 4, r=2.0, s=0.5), HammockSpec(9, 2)):
-            table = _decay_table(spec.rows, spec.ratio)
+            table = _rates(spec.rows, spec.ratio, 0, spec.rows)
             for mode in range(2, spec.rows + 2):
                 half = table[mode - 2]
                 coeff = 2.0 + 2.0 * spec.ratio * (
@@ -101,14 +101,14 @@ class TestCoefficientTriple:
     def test_same_column_collapses(self):
         spec = HammockSpec(3, 5, r=2.0)
         coords = span_coords(spec, (2, 1), (2, 3))
-        alpha, beta, gamma = _span_ratios(coords, _decay_table(spec.rows, spec.ratio))
+        alpha, beta, gamma = _span_ratios(coords, _rates(spec.rows, spec.ratio, 0, spec.rows))
         assert np.array_equal(alpha, beta) and np.array_equal(beta, gamma)
 
     def test_direct_cosh_cross_check(self):
         # small instance where plain cosh evaluation cannot overflow
         spec = HammockSpec(2, 3)
         coords = span_coords(spec, (1, 1), (3, 2))
-        table = _decay_table(spec.rows, spec.ratio)
+        table = _rates(spec.rows, spec.ratio, 0, spec.rows)
         ratios = _span_ratios(coords, table)
         for got, want in zip(ratios, _plain_ratios(spec, coords, table[0])):
             assert got[0] == pytest.approx(want, rel=1e-12)
@@ -116,7 +116,7 @@ class TestCoefficientTriple:
     def test_column_frame_matches_plain_coordinates(self):
         # span-frame and plain-coordinate spellings of the products agree
         for spec in (HammockSpec(4, 6, r=3.0, s=2.0), HammockSpec(2, 9)):
-            table = _decay_table(spec.rows, spec.ratio)
+            table = _rates(spec.rows, spec.ratio, 0, spec.rows)
             for a, b in [((1, 1), (5, 2)), ((2, 2), (4, 1)), ((3, 1), (3, 2))]:
                 b = (min(b[0], spec.cols), min(b[1], spec.rows))
                 coords = span_coords(spec, a, b)
@@ -429,7 +429,7 @@ class TestWellConditionedRates:
     @pytest.mark.parametrize("ratio", [1e-12, 0.5, 1.0, 3.0])
     def test_rates_within_1e15_of_mpmath(self, rows, ratio):
         # uncached builds, so the large tables are not retained
-        closed = _decay_table.__wrapped__(rows, ratio)
+        closed = _rates(rows, ratio, 0, rows)
         spectral = eigen_system.__wrapped__(HammockSpec(rows, 2, r=ratio)).omegas
         with mpmath.workdps(60):
             for mode in [*range(1, 21), *range(rows - 4, rows + 1)]:
@@ -469,7 +469,7 @@ class TestModeBlocks:
         # underflowing exponentials are skipped as a suffix of each block
         for rows in (1, 7, 1000, 2 * _BLOCK + 1):
             for ratio in (0.5, 1.0, 3.0):
-                assert np.all(np.diff(_decay_table(rows, ratio)) > 0.0)
+                assert np.all(np.diff(_rates(rows, ratio, 0, rows)) > 0.0)
 
 
 _EPS = np.finfo(float).eps
@@ -555,7 +555,7 @@ class TestExactSines:
 
 def _all_modes_value(spec, coords):
     """The general form summed over every mode with the span-frame kernel."""
-    alpha, beta, gamma = _span_ratios(coords, _decay_table(spec.rows, spec.ratio))
+    alpha, beta, gamma = _span_ratios(coords, _rates(spec.rows, spec.ratio, 0, spec.rows))
     sin_in, sin_out = _sines(slice(0, spec.rows), spec.rows + 1, coords.y_in, coords.y_out)
     total = float((sin_in * sin_in * alpha - 2.0 * sin_in * sin_out * beta
                    + sin_out * sin_out * gamma).sum())
@@ -585,7 +585,7 @@ class TestDecayFreeTail:
         for y_in, y_out in [(1, rows), (rows // 3, rows // 3 + 1), (rows, 7)]:
             a, b = (x_in, y_in), (x_out, y_out)
             coords = span_coords(spec, a, b)
-            assert _live_modes(coords, _free_table(rows, spec.ratio)[0]) == live
+            assert _live_modes(coords, _decay_table(rows, spec.ratio)[0]) == live
             self._check(spec, a, b)
 
     @pytest.mark.parametrize("ratio", [0.5, 3.0])
@@ -593,7 +593,7 @@ class TestDecayFreeTail:
         # one column (separation 0), and columns 1 and N (near_in = far_out = 1)
         rows, cols = self.ROWS, 5000
         spec = HammockSpec(rows, cols, r=ratio, s=1.0)
-        free, _ = _free_table(rows, ratio)
+        free, _ = _decay_table(rows, ratio)
         for a, b in [((2500, 3), (2500, rows - 5)), ((cols, 9), (cols, 10)),
                      ((1, 1), (cols, rows)), ((1, rows // 2), (cols, rows // 2 + 1))]:
             assert _live_modes(span_coords(spec, a, b), free) == rows
@@ -635,13 +635,14 @@ class TestSpanRatiosReference:
                              ids=[case[0] for case in _reference_cases()])
     def test_kernel(self, label, spec, a, b):
         coords = span_coords(spec, a, b)
-        half = _decay_table(spec.rows, spec.ratio)
+        half = _rates(spec.rows, spec.ratio, 0, spec.rows)
         if label == "every decay live":
             assert 2 * (2 * spec.cols - 1) * half[-1] < _CLAMP
         if label == "every far length underflowing":
             assert 2 * (2 * (spec.cols - coords.x_out) + 1) * half[0] > 708.0
         if label == "live cut-off in the second block":
-            assert _BLOCK < _live_modes(coords, _free_table(spec.rows, spec.ratio)[0]) < 2 * _BLOCK
+            free, _ = _decay_table(spec.rows, spec.ratio)
+            assert _BLOCK < _live_modes(coords, free) < 2 * _BLOCK
         alpha, beta, gamma = _span_ratios(coords, half)
         want_alpha, want_beta, want_gamma = span_ratios_reference(coords, half)
         assert np.array_equal(alpha, want_alpha) and np.array_equal(gamma, want_gamma)
@@ -667,25 +668,35 @@ class TestSpanRatiosReference:
 
 
 class TestFreeTable:
-    """The pair routes' cached table: f = 1/(2*sinh(2h)) per mode and the head rates."""
+    """The one cached table: f = 1/(2*sinh(2h)) per mode and the head rates."""
 
     @pytest.mark.parametrize("rows", [1, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
     @pytest.mark.parametrize("ratio", [1e-12, 3.0, 2.0 ** 1021])
     def test_bitwise_the_decay_table(self, rows, ratio):
-        free, head = _free_table(rows, ratio)
-        half = _decay_table(rows, ratio)
+        free, head = _decay_table(rows, ratio)
+        half = _rates(rows, ratio, 0, rows)
         assert np.array_equal(free, 0.5 / np.sinh(2.0 * half))
         assert np.array_equal(head, half[:_BLOCK])
         assert not free.flags.writeable and not head.flags.writeable
 
-    def test_pair_routes_never_build_the_decay_table(self):
+    def test_pair_routes_form_rates_one_block_at_a_time(self, monkeypatch):
         spec = HammockSpec(4 * _BLOCK + 3, 900, r=1.2345)  # a shape no other test asks
-        built = _decay_table.cache_info().misses
+        formed = []
+
+        def counted(rows, ratio, start, stop):
+            formed.append(stop - start)
+            return _rates(rows, ratio, start, stop)
+
+        monkeypatch.setattr(closed_form, "_rates", counted)
+        monkeypatch.setattr(recurrence, "_rates", counted)
         for a, b in [((1, 9), (900, 4 * _BLOCK)), ((300, 5), (600, 3 * _BLOCK)),
                      ((450, 7), (450, 8))]:
             resistance_general(spec, a, b)
             resistance_rt(spec, a, b)
-        assert _decay_table.cache_info().misses == built
+        resistance_same_column(spec, 450, 7, 4 * _BLOCK)
+        resistance_same_row(spec, 3 * _BLOCK, 300, 601)
+        # every mode is live in all eight queries: each forms four blocks past the head
+        assert len(formed) >= 8 * 4 and max(formed) <= _BLOCK
 
 
 def _contracted_cases():
@@ -714,7 +725,7 @@ class TestContractedTail:
                              ids=["4 blocks + 1", "1e6"])
     def test_within_bound_of_long_double(self, rows, cols, x_in, x_out, heights, ratio):
         spec = HammockSpec(rows, cols, r=ratio, s=1.0)
-        free, _ = _free_table(rows, ratio)
+        free, _ = _decay_table(rows, ratio)
         far = 2.0 * ratio / (rows + 1) * float(free[_BLOCK:].sum())
         pairs = [((x_in, y_in), (x_out, y_out)) for y_in, y_out in heights]
         references = long_double_closed(spec, pairs)
@@ -736,7 +747,7 @@ _QUERY_BUDGET = 32 * _BLOCK * 8
 def test_warm_query_memory_stays_within_blocks(route):
     rows = 10 ** 6
     spec = HammockSpec(rows, rows, r=3.0)
-    _free_table(rows, spec.ratio)
+    _decay_table(rows, spec.ratio)
     pairs = [
         # live cut-off near mode 650: the contracted tail carries the sum
         ((rows // 10 + 1, rows // 3 + 1), (9 * rows // 10, 2 * rows // 3)),
@@ -745,7 +756,7 @@ def test_warm_query_memory_stays_within_blocks(route):
         # near length 3999: the cut-off falls in the second block
         ((2000, 5), (rows // 2, rows - 3)),
     ]
-    assert [_live_modes(span_coords(spec, a, b), _free_table(rows, spec.ratio)[0]) > _BLOCK
+    assert [_live_modes(span_coords(spec, a, b), _decay_table(rows, spec.ratio)[0]) > _BLOCK
             for a, b in pairs] == [False, True, True]
     for a, b in pairs:
         tracemalloc.start()

@@ -3,8 +3,8 @@ route imports the log-domain helpers.
 
 A stdlib stand-in for a linter's unused-import rule: ``__init__.py``
 imports to re-export, so it is left out. ``hyperbolic`` stays only for
-the benchmark tracer's names and the tests' cosine-sum reference; the
-package re-exports it, but no route may import it.
+the benchmark tracer, which looks its names up; the package re-exports
+it, but no route may import it.
 """
 
 import ast

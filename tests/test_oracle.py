@@ -170,6 +170,14 @@ class TestResistanceDense:
             assert (refused.value.nodes, refused.value.label, refused.value.cap) == (
                 11, arithmetic, 5)
 
+    @pytest.mark.parametrize("cap", [-1, 0, 2.5, 100.0, True, "100"])
+    def test_refuses_a_bad_cap(self, cap):
+        spec = HammockSpec(3, 3)
+        for arithmetic in ("rational", "float"):
+            for b in [(3, 3), (1, 1)]:  # identical nodes too
+                with pytest.raises(LatticeError, match="cap must be a positive integer"):
+                    resistance_dense(spec, (1, 1), b, arithmetic, cap=cap)
+
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv(oracle.RATIONAL_CAP_ENV, "5")
         with pytest.raises(SizeCapError):

@@ -26,7 +26,7 @@ from hammocknet import (
     transformed_columns,
 )
 from hammocknet import recurrence
-from hammocknet.closed_form import _BLOCK, _decay_table, _free_table, _live_modes
+from hammocknet.closed_form import _BLOCK, _decay_table, _live_modes, _rates
 
 from _util import (
     coupling_matrix,
@@ -42,8 +42,9 @@ from _util import (
 
 
 def _mode_coeffs(spec):
-    """Recurrence coefficients 2*cosh(2h) of modes 1..M+1 from the decay table."""
-    return np.concatenate(([2.0], 2.0 * np.cosh(2.0 * _decay_table(spec.rows, spec.ratio))))
+    """Recurrence coefficients 2*cosh(2h) of modes 1..M+1 from the decay rates."""
+    half = _rates(spec.rows, spec.ratio, 0, spec.rows)
+    return np.concatenate(([2.0], 2.0 * np.cosh(2.0 * half)))
 
 
 class TestCouplingMatrix:
@@ -77,6 +78,14 @@ class TestModeTransform:
     def test_refuses_zero_rows(self):
         with pytest.raises(LatticeError, match="at least one row"):
             mode_transform(0)
+
+    @pytest.mark.parametrize("rows", [2.5, 2.0, True, "3"])
+    def test_refuses_non_integer_rows(self, rows):
+        # cached first: True and 2.0 must not hit the entries of 1 and 2
+        mode_transform(1)
+        mode_transform(2)
+        with pytest.raises(LatticeError, match="as an integer"):
+            mode_transform(rows)
 
     def test_inverse(self):
         for rows in range(1, 9):
@@ -125,6 +134,16 @@ class TestModeWeights:
     def test_range(self):
         with pytest.raises(LatticeError):
             mode_weights(3, 5)
+
+    @pytest.mark.parametrize("rows, height", [(5, 1.5), (5, 2.0), (5, True), (5, -1),
+                                              (2.5, 1), (True, 1), (0, 0), (-3, 0)])
+    def test_refuses_non_integers_and_zero_rows(self, rows, height):
+        with pytest.raises(LatticeError):
+            mode_weights(rows, height)
+
+    def test_accepts_numpy_integers(self):
+        assert np.array_equal(mode_weights(np.int64(5), np.int32(2)), mode_weights(5, 2))
+        assert np.array_equal(mode_transform(np.int64(3)), mode_transform(3))
 
 
 class TestSolveModes:
@@ -285,7 +304,7 @@ class TestResistanceRT:
     def test_sums_solve_modes_and_mode_weights(self, spec, a, b, live):
         # rt reads the very tables that solve_modes and mode_weights return
         coords = span_coords(spec, a, b)
-        assert _live_modes(coords, _free_table(spec.rows, spec.ratio)[0]) == live
+        assert _live_modes(coords, _decay_table(spec.rows, spec.ratio)[0]) == live
         x_out, x_in = solve_modes(spec, coords, 1.0)
         twin = float(spec.s) * (math.fsum(x_out * mode_weights(spec.rows, coords.y_out))
                                 - math.fsum(x_in * mode_weights(spec.rows, coords.y_in)))
@@ -306,6 +325,11 @@ class TestReconstructCurrents:
         rail, lattice = potential_path_check(field)
         assert rail == pytest.approx(0.5, abs=1e-12)
         assert lattice == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("injected", [math.nan, math.inf, -math.inf])
+    def test_refuses_non_finite_injection(self, injected):
+        with pytest.raises(LatticeError, match="finite"):
+            reconstruct_currents(HammockSpec(3, 4), (1, 1), (4, 3), injected)
 
     def test_zero_injection(self):
         field = reconstruct_currents(HammockSpec(2, 3), (1, 1), (3, 2), 0.0)
@@ -445,7 +469,7 @@ class TestModeTruncation:
     def test_kept_is_each_columns_depth(self, spec, a, b, injected):
         coords = span_coords(spec, a, b)
         _, kept = transformed_columns(spec, coords, injected)
-        two_log = 2.0 * _decay_table(spec.rows, spec.ratio)
+        two_log = 2.0 * _rates(spec.rows, spec.ratio, 0, spec.rows)
         tolerance = recurrence._DROP_TOLERANCE * abs(injected)
         expected = np.zeros(spec.cols, dtype=int)
         for first, weight, exponent_arrays in recurrence._region_terms(spec, coords, injected, two_log):

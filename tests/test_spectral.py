@@ -23,7 +23,7 @@ from hammocknet import (
     resistance_spectral,
 )
 from hammocknet import spectral
-from hammocknet.closed_form import _decay_table
+from hammocknet.closed_form import _rates
 from hammocknet.oracle import build_full_laplacian
 
 from _util import (
@@ -147,9 +147,9 @@ class TestEigenSystem:
             ratio = spec.ratio
             assert np.allclose(np.sinh(system.omegas),
                                math.sqrt(ratio) * np.sin(system.phis), atol=1e-12)
-            # row-mode decay rates coincide with the closed form's table, an
+            # row-mode decay rates coincide with the closed form's rates, an
             # independent formula for the same rates
-            table = _decay_table(spec.rows, spec.ratio)
+            table = _rates(spec.rows, spec.ratio, 0, spec.rows)
             for m in range(spec.rows):
                 assert system.omegas[m] == pytest.approx(table[m], rel=1e-12)
 
