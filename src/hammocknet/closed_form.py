@@ -32,18 +32,19 @@ per instance, :func:`_decay_table`: f for every mode and h for the first
 ``_BLOCK`` modes. The rates past those are formed one block at a time
 (:func:`_live_rates`), so a pair query holds O(_BLOCK) temporaries on
 top of the table; the current fields, which need every rate, form them
-all once per field. closed contracts the blocks after the first and
-after the last live one (:func:`_far_sum`): with sin^2 = (1 - cos
-2*theta)/2 and the angle addition, each block of f is two small matrix
-products, with no per-mode sine. That rounds like eps*sum(f) over the
-contracted modes, not like eps*sum(f*sin^2), so the first block stays
-direct: at large r/s, f falls like 1/i^2, and with a node next to a hub
-(y = 1 or M) the slow modes carry most of sum(f) while their sin^2 is
-small. With F = (2r/(M+1)) * sum of f over the contracted modes,
-closed's R is within eps*(4*R + 8*F) of the same sum taken exactly over
-the same rates (tested against a long-double sum at 4*_BLOCK + 1 and
-10^6 rows, r/s 0.5 to 2**1021, y = 1, M and (M+1)/2). Functions are
-pure; node pairs can be evaluated in parallel by callers.
+all once per field. closed and rt both contract the blocks after the
+first and after the last live one (:func:`_direct_modes`,
+:func:`_far_sum`): with sin^2 = (1 - cos 2*theta)/2 and the angle
+addition, each block of f is two small matrix products, with no per-mode
+sine. That rounds like eps*sum(f) over the contracted modes, not like
+eps*sum(f*sin^2), so the first block stays direct: at large r/s, f falls
+like 1/i^2, and with a node next to a hub (y = 1 or M) the slow modes
+carry most of sum(f) while their sin^2 is small. With F = (2r/(M+1)) *
+sum of f over the contracted modes, closed's R and rt's are each within
+eps*(4*R + 8*F) of the same sum taken exactly over the same rates
+(tested against a long-double sum at 4*_BLOCK + 1 and 10^6 rows, r/s 0.5
+to 2**1021, y = 1, M and (M+1)/2). Functions are pure; node pairs can be
+evaluated in parallel by callers.
 """
 
 from __future__ import annotations
@@ -235,9 +236,15 @@ def _span_ratios(coords: SpanCoords, half: np.ndarray):
     return near_in * far_in, near_in * far_out * apart, near_out * far_out
 
 
+def _direct_modes(live: int, rows: int) -> int:
+    """Entries a pair sums mode by mode: the first block and those to the last live mode."""
+    return min(max(1, -(-live // _BLOCK)) * _BLOCK, rows)
+
+
 def _far_sum(free: np.ndarray, start: int, denom: int, *heights: int) -> float:
     """Sum of f_i * sin^2(pi*(i-1)*y/denom) over the heights y and the table
-    entries from ``start`` on, with no per-mode sine.
+    entries from ``start`` on, with no per-mode sine: plumbing, like
+    :func:`_sines`, with which closed and rt both sum their far blocks.
 
     As sin^2 = (1 - cos 2*theta)/2, only the sums of f*cos(2*theta) are
     needed. Each 2*theta splits as c + a + b: the base c of its block, the
@@ -285,9 +292,9 @@ def _mode_sum(spec: HammockSpec, coords: SpanCoords) -> float:
     rows, denom = spec.rows, spec.rows + 1
     free, head = _decay_table(rows, spec.ratio)
     live = _live_modes(coords, free)
-    direct = max(1, -(-live // _BLOCK)) * _BLOCK
+    direct = _direct_modes(live, rows)
     total = 0.0
-    for block, cut in _mode_blocks(min(direct, rows), live):
+    for block, cut in _mode_blocks(direct, live):
         sin_in, sin_out = _sines(block, denom, coords.y_in, coords.y_out)
         if cut:
             alpha, beta, gamma = _span_ratios(coords, _live_rates(spec, head, block, cut))

@@ -12,7 +12,8 @@ input column, between the two nodes, right of the output column).
 Every mode table (injection profiles, path weights, boundary values and
 the inverse transform) is built from the closed form's exact-residue
 sines, the first three through :func:`_profiles`, so rt and the fields
-read one table per quantity and every entry is within a few eps.
+read one table per quantity and every entry is within a few eps. Past
+the blocks that hold a live mode, rt contracts its terms as closed does.
 
 Sign conventions: upward currents are positive, and the transformed
 values returned by :func:`solve_modes` correspond to a unit current
@@ -36,6 +37,8 @@ import numpy as np
 
 from .closed_form import (
     _decay_table,
+    _direct_modes,
+    _far_sum,
     _live_modes,
     _live_rates,
     _mode_blocks,
@@ -102,16 +105,17 @@ def _all_profiles(rows: int, y_in: int, y_out: int) -> list[np.ndarray]:
         _profiles(rows + 1, block, y_in, y_out) for block, _ in _mode_blocks(rows, rows)))]
 
 
-def _boundary_blocks(spec: HammockSpec, coords: SpanCoords, injected: float):
+def _boundary_blocks(spec: HammockSpec, coords: SpanCoords, injected: float,
+                     live: int, modes: int):
     """Yield the ``(x_out, x_in, w_out, w_in)`` of :func:`solve_modes` and
-    :func:`mode_weights` per :func:`_mode_blocks` block, split at the live
-    cut-off. Past it the cross ratio is exactly 0: the values are
-    (r/s)*J*f*zeta_out and -(r/s)*J*f*zeta_in, with f = 1/(2*sinh(2h)) read
-    from :func:`_decay_table`.
+    :func:`mode_weights` per :func:`_mode_blocks` block over the first
+    ``modes`` non-uniform modes, split at the live cut-off ``live``. Past it
+    the cross ratio is exactly 0: the values are (r/s)*J*f*zeta_out and
+    -(r/s)*J*f*zeta_in, with f = 1/(2*sinh(2h)) read from :func:`_decay_table`.
     """
     scale = spec.ratio * injected
     free, head = _decay_table(spec.rows, spec.ratio)
-    for block, cut in _mode_blocks(spec.rows, _live_modes(coords, free)):
+    for block, cut in _mode_blocks(modes, live):
         zeta_in, zeta_out, w_in, w_out = _profiles(spec.rows + 1, block,
                                                    coords.y_in, coords.y_out)
         if cut:
@@ -154,7 +158,8 @@ def solve_modes(spec: HammockSpec, coords: SpanCoords,
     """
     require_frame(spec, coords)
     uniform = [-injected * (coords.y_out - coords.y_in) / spec.cols]
-    outs, ins, _, _ = zip(*_boundary_blocks(spec, coords, injected))
+    live = _live_modes(coords, _decay_table(spec.rows, spec.ratio)[0])
+    outs, ins, _, _ = zip(*_boundary_blocks(spec, coords, injected, live, spec.rows))
     return np.concatenate((uniform, *outs)), np.concatenate((uniform, *ins))
 
 
@@ -328,16 +333,24 @@ def resistance_rt(spec: HammockSpec, a: NodeLike, b: NodeLike) -> ResistanceResu
     Potential differences are summed along the path through the common
     top hub: R = (s/J) * (sum_i X_out(i) * w_i(y_out) -
     sum_i X_in(i) * w_i(y_in)), with the boundary values of
-    :func:`solve_modes` and the weights of :func:`mode_weights`. Both are
-    formed one block of modes at a time (:func:`_boundary_blocks`) and
-    only the block sums are kept, so this scales to very large lattices.
+    :func:`solve_modes` and the weights of :func:`mode_weights`, formed a
+    block at a time (:func:`_boundary_blocks`) over the blocks of
+    :func:`_direct_modes`. Past those, X*w = (r/s)*J*f*(2/(M+1))*sin^2 per
+    node, which :func:`_far_sum` sums with no per-mode sine: a warm query
+    costs O(live modes) sines at any size.
     """
     coords = span_coords(spec, a, b)
-    y_in, y_out = coords.y_in, coords.y_out
+    y_in, y_out, n = coords.y_in, coords.y_out, spec.rows + 1
+    free, _ = _decay_table(spec.rows, spec.ratio)
+    live = _live_modes(coords, free)
+    direct = _direct_modes(live, spec.rows)
     # uniform mode: value -(y_out - y_in)/N, weight (M + 1 - y)/(M + 1)
-    total = -(y_out - y_in) / spec.cols * (y_in - y_out) / (spec.rows + 1)
-    for x_out, x_in, w_out, w_in in _boundary_blocks(spec, coords, 1.0):
+    total = -(y_out - y_in) / spec.cols * (y_in - y_out) / n
+    for x_out, x_in, w_out, w_in in _boundary_blocks(spec, coords, 1.0, live, direct):
         total += float((x_out * w_out).sum()) - float((x_in * w_in).sum())
+    if direct < spec.rows:
+        # past the cut-off, x*w = (r/s)*f*zeta*w per node, zeta*w = (2/n)*sin^2(2*y*chi)
+        total += spec.ratio * (2.0 / n) * _far_sum(free, direct, n, y_in, y_out)
     value = float(spec.s) * total
     return ResistanceResult(value, "rt", {"swapped": coords.swapped})
 
@@ -405,7 +418,8 @@ def reconstruct_currents(spec: HammockSpec, a: NodeLike, b: NodeLike,
     so the columns around a node match the all-modes sum to rounding.
     ``injected`` must be finite and may be zero (zero field). Every
     intermediate is bounded, so any size that fits in memory reconstructs
-    without overflow.
+    without overflow; a ``LatticeError`` names a J whose currents themselves
+    pass the float range.
     """
     if not np.isfinite(injected):
         raise LatticeError(f"injected current must be finite, got {injected!r}")
@@ -422,6 +436,10 @@ def reconstruct_currents(spec: HammockSpec, a: NodeLike, b: NodeLike,
         depth = _depth(kept, first, stop)
         np.matmul(inverse[:, :depth], transformed[:depth, first:stop],
                   out=currents[:, first:stop])
+    # BLAS overflows with no numpy flag; min and max need no field-sized temporary
+    if not np.isfinite((currents.min(), currents.max())).all():
+        raise LatticeError(f"the currents for J={injected!r} pass the float range; "
+                           "they scale linearly in J, so solve for a smaller J")
     currents.flags.writeable = False
     return CurrentField(spec=spec, source=a, sink=b, injected=injected,
                         coords=coords, currents=currents,

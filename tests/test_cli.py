@@ -9,6 +9,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -280,6 +281,15 @@ class TestCurrents:
                            "--format", "json")
         assert code == EXIT_OK
         assert json.loads(out)["J"] == float(injected)
+
+    def test_currents_past_the_float_range_usage_error(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(capsys, "currents", "--M", "3", "--N", "4",
+                                 "--from", "1,1", "--to", "4,3", "--J", "1e308")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: the currents for J=1e+308 pass the float range")
 
     def test_terminal_rejected(self, capsys):
         code, _, err = run(capsys, "currents", "--M", "2", "--N", "2",

@@ -713,11 +713,13 @@ def _contracted_cases():
 
 
 class TestContractedTail:
-    """closed's contracted blocks against a long-double sine-product sum.
+    """closed's and rt's contracted blocks against a long-double sine-product sum.
 
     The bound in ``closed_form``'s docstring: within eps*(4*R + 8*F), F being
     2r/(M+1) times the sum of f over the contracted modes. Nodes next to a
-    hub and heights whose angles return to 0 are where it is tightest.
+    hub and heights whose angles return to 0 are where it is tightest. Past
+    those blocks the two routes share the contraction, so each is checked
+    against the reference here, not only against the other.
     """
 
     @pytest.mark.parametrize("ratio", [0.5, 3.0, 1e12, 2.0 ** 1021])
@@ -732,11 +734,37 @@ class TestContractedTail:
         for (a, b), reference in zip(pairs, references):
             # every block after the first is contracted
             assert _live_modes(span_coords(spec, a, b), free) <= _BLOCK
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", RuntimeWarning)
-                value = resistance_general(spec, a, b).ohms
-            error = abs(np.longdouble(value) - reference)
-            assert error <= _EPS * (4.0 * value + 8.0 * far), (a, b)
+            for route in (resistance_general, resistance_rt):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    value = route(spec, a, b).ohms
+                error = abs(np.longdouble(value) - reference)
+                assert error <= _EPS * (4.0 * value + 8.0 * far), (route.__name__, a, b)
+
+
+def test_far_blocks_take_no_sine_table(monkeypatch):
+    # modes each route passes to _sines: a pair whose cut-off falls in the
+    # first block covers that block only, a node in column 1 every block
+    rows = 10 ** 6
+    spec = HammockSpec(rows, rows, r=3.0)
+    covered = []
+
+    def counted(block, *args):
+        covered.append(block.stop - block.start)
+        return _sines(block, *args)
+
+    monkeypatch.setattr(closed_form, "_sines", counted)
+    monkeypatch.setattr(recurrence, "_sines", counted)
+    free, _ = _decay_table(rows, spec.ratio)
+    for (a, b), modes in [
+            (((rows // 10 + 1, rows // 3 + 1), (9 * rows // 10, 2 * rows // 3)), _BLOCK),
+            (((1, rows // 2), (rows // 2, rows // 3)), rows)]:
+        live = _live_modes(span_coords(spec, a, b), free)
+        assert (live <= _BLOCK) == (modes == _BLOCK)
+        for route in (resistance_general, resistance_rt):
+            covered.clear()
+            route(spec, a, b)
+            assert sum(covered) == modes, (route.__name__, a, b)
 
 
 # Peak traced bytes of one warm pair query: 32 block-length float arrays.

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -26,7 +27,7 @@ from hammocknet import (
     transformed_columns,
 )
 from hammocknet import recurrence
-from hammocknet.closed_form import _BLOCK, _decay_table, _live_modes, _rates
+from hammocknet.closed_form import _BLOCK, _decay_table, _direct_modes, _live_modes, _rates
 
 from _util import (
     coupling_matrix,
@@ -39,6 +40,8 @@ from _util import (
     rel_dev,
     specs_upto,
 )
+
+_EPS = np.finfo(float).eps
 
 
 def _mode_coeffs(spec):
@@ -300,16 +303,27 @@ class TestResistanceRT:
          (401, 7), (802, 2 * _BLOCK - 2), _BLOCK + 5000),
         (HammockSpec(28, 600, r=3.0, s=2.0), (17, 3), (420, 25), 28),
         (HammockSpec(28, 600, r=0.5), (590, 27), (4, 1), 28),
+        # the cut-off falls in the first block, so the three blocks and one
+        # mode after it are contracted; nodes next to both hubs
+        (HammockSpec(4 * _BLOCK + 1, 3000, r=3.0, s=2.0), (750, 1), (2250, 4 * _BLOCK + 1),
+         8172),
     ])
     def test_sums_solve_modes_and_mode_weights(self, spec, a, b, live):
         # rt reads the very tables that solve_modes and mode_weights return
+        # in its direct blocks, and contracts f*(zeta*w) past them: the
+        # fsum twin is the direct per-mode sum of every mode
         coords = span_coords(spec, a, b)
-        assert _live_modes(coords, _decay_table(spec.rows, spec.ratio)[0]) == live
+        free, _ = _decay_table(spec.rows, spec.ratio)
+        assert _live_modes(coords, free) == live
         x_out, x_in = solve_modes(spec, coords, 1.0)
         twin = float(spec.s) * (math.fsum(x_out * mode_weights(spec.rows, coords.y_out))
                                 - math.fsum(x_in * mode_weights(spec.rows, coords.y_in)))
         value = resistance_rt(spec, a, b).ohms
         assert abs(value - twin) <= 1e-15 * value
+        # the contraction's bound in closed_form, F over the contracted modes
+        far = 2.0 * float(spec.r) / (spec.rows + 1) \
+            * float(free[_direct_modes(live, spec.rows):].sum())
+        assert abs(value - twin) <= _EPS * (4.0 * value + 8.0 * far)
 
     def test_exchange_is_bitwise(self):
         spec = HammockSpec(3, 4, r=2.0, s=0.5)
@@ -330,6 +344,21 @@ class TestReconstructCurrents:
     def test_refuses_non_finite_injection(self, injected):
         with pytest.raises(LatticeError, match="finite"):
             reconstruct_currents(HammockSpec(3, 4), (1, 1), (4, 3), injected)
+
+    @pytest.mark.parametrize("shape, a, b, injected", [
+        ((3, 4), (1, 1), (4, 3), 1e308),
+        ((30, 40), (1, 1), (40, 30), 1e307),
+    ])
+    def test_refuses_currents_past_the_float_range(self, shape, a, b, injected):
+        # the inverse product overflows inside BLAS, which sets no numpy flag
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(LatticeError, match=re.escape(f"J={injected!r} ")):
+                reconstruct_currents(HammockSpec(*shape), a, b, injected)
+
+    def test_largest_finite_field_still_returned(self):
+        field = reconstruct_currents(HammockSpec(3, 4), (1, 1), (4, 3), 4e307)
+        assert np.isfinite(field.currents).all()
 
     def test_zero_injection(self):
         field = reconstruct_currents(HammockSpec(2, 3), (1, 1), (3, 2), 0.0)
