@@ -73,10 +73,18 @@ def _max_relative_deviation(values: Sequence[float]) -> float:
     return (max(values) - min(values)) / scale
 
 
+# Longest exact fraction the text format prints; JSON and CSV print any length.
+_EXACT_TEXT_WIDTH = 40
+
+
 def _format_result(result: ResistanceResult) -> str:
     exact = result.meta.get("exact")
-    suffix = f" ({exact})" if isinstance(exact, Fraction) else ""
-    return f"{result.ohms!r}{suffix}"
+    if not isinstance(exact, Fraction):
+        return repr(result.ohms)
+    text = str(exact)
+    if len(text) > _EXACT_TEXT_WIDTH:
+        text = f"exact fraction of {len(text)} characters in --format json or csv"
+    return f"{result.ohms!r} ({text})"
 
 
 def _emit_results(args: argparse.Namespace, results: list[ResistanceResult],

@@ -27,24 +27,32 @@ below rounding from some mode on (see :func:`_live_modes`); past it,
 alpha = gamma = f = 1/(2*sinh(2h)) and beta = 0, and the span-frame
 kernel is skipped.
 
-closed, rt and the same-column and same-row forms read one cached table
-per instance, :func:`_decay_table`: f for every mode and h for the first
-``_BLOCK`` modes. The rates past those are formed one block at a time
-(:func:`_live_rates`), so a pair query holds O(_BLOCK) temporaries on
-top of the table; the current fields, which need every rate, form them
-all once per field. closed and rt both contract the blocks after the
-first and after the last live one (:func:`_direct_modes`,
-:func:`_far_sum`): with sin^2 = (1 - cos 2*theta)/2 and the angle
-addition, each block of f is two small matrix products, with no per-mode
-sine. That rounds like eps*sum(f) over the contracted modes, not like
-eps*sum(f*sin^2), so the first block stays direct: at large r/s, f falls
+Modes i and M + 3 - i share sin^2 at every height, so past the cut-off
+their isolated-node terms fold: closed, rt and the same-column and
+same-row forms read one cached table per instance, :func:`_decay_table`,
+which holds the folded weights g_j = f_j + f_{M-1-j} over ceil(M/2)
+entries, the rates h and the raw f of the first ``_BLOCK`` modes, and the
+raw f of the last ``_BLOCK``. The rates past the head are formed one
+block at a time (:func:`_live_rates`), so a pair query holds O(_BLOCK)
+temporaries on top of the table; the current fields, which need every
+rate, form them all once per field. closed and rt sum every mode past
+their cut-off through the same plumbing: :func:`_free_terms` against the
+sine rows of the blocks they form anyway (g past the cut-off, and the
+mirror's f for a live mode whose mirror is past it), and :func:`_far_sum`
+over g after the first block and after the block of the last live mode
+(:func:`_direct_modes`): with sin^2 = (1 - cos 2*theta)/2 and the angle
+addition, each block of g is two small matrix products, with no per-mode
+sine. That rounds like eps*sum(g) over the contracted entries, not like
+eps*sum(g*sin^2), so the first block stays direct: at large r/s, f falls
 like 1/i^2, and with a node next to a hub (y = 1 or M) the slow modes
 carry most of sum(f) while their sin^2 is small. With F = (2r/(M+1)) *
-sum of f over the contracted modes, closed's R and rt's are each within
+sum of g over the contracted entries, closed's R and rt's are each within
 eps*(4*R + 8*F) of the same sum taken exactly over the same rates
-(tested against a long-double sum at 4*_BLOCK + 1 and 10^6 rows, r/s 0.5
-to 2**1021, y = 1, M and (M+1)/2). Functions are pure; node pairs can be
-evaluated in parallel by callers.
+(tested against a long-double sum at 4*_BLOCK + 1, 4*_BLOCK + 2 and 10^6
+rows, r/s 0.5 to 2**1021, y = 1, M and (M+1)/2). Live terms that cancel
+are not counted by that bound: a pair one column apart at the middle
+height reads 8.8 eps off at 4*_BLOCK + 2 rows and r/s 0.5. Functions are
+pure; node pairs can be evaluated in parallel by callers.
 """
 
 from __future__ import annotations
@@ -53,6 +61,7 @@ import bisect
 import math
 import operator
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,14 +75,20 @@ from .lattice import (
 )
 
 
-def _rates(rows: int, ratio: float, start: int, stop: int) -> np.ndarray:
+def _rates(rows: int, ratio: float, start: int, stop: int, step: int = 1) -> np.ndarray:
     """Decay rates asinh(sqrt(r/s) * sin(theta_i/2)) of table entries start..stop-1.
 
     Entry j belongs to mode i = j + 2. Every entry is formed on its own, so
-    any range of entries has the bits of the same slice of all ``rows``.
+    any range of entries, or every ``step``-th one, has the bits of the same
+    entries of all ``rows``.
     """
-    idx = np.arange(start + 1, stop + 1, dtype=float)
+    idx = np.arange(start + 1, stop + 1, step, dtype=float)
     return np.arcsinh(np.sqrt(ratio) * np.sin(idx * np.pi / (2 * rows + 2)))
+
+
+def _free(rows: int, ratio: float, start: int, stop: int, step: int = 1) -> np.ndarray:
+    """f = 1/(2*sinh(2h)) over the rates of :func:`_rates`, with their bits."""
+    return 0.5 / np.sinh(2.0 * _rates(rows, ratio, start, stop, step))
 
 
 # Modes per block of a mode sum: the temporaries of one query stay within
@@ -88,25 +103,50 @@ _WIDTH = 1 << 7
 _SPLIT = 512
 
 
-@lru_cache(maxsize=64)
-def _decay_table(rows: int, ratio: float) -> tuple[np.ndarray, np.ndarray]:
-    """``(free, head)``: f_i = 1/(2*sinh(2h_i)) for every mode, and h_i for
-    the first ``_BLOCK`` modes; cached per instance shape.
+class _ModeTable(NamedTuple):
+    """The per-instance mode table of :func:`_decay_table`, entry j for mode j + 2."""
 
-    f is alpha = gamma past the live cut-off, and descends with the mode,
-    which :func:`_live_modes` relies on. Each entry has the bits of
-    0.5/sinh(2*h) over :func:`_rates`; the table is built one block at a
-    time, so the build holds O(_BLOCK) temporaries.
+    rows: int
+    ratio: float
+    folded: np.ndarray  # g_j = f_j + f_{M-1-j} for j < ceil(M/2); f_j alone at a middle j = M-1-j
+    head: np.ndarray  # h_j for j < min(_BLOCK, M)
+    first: np.ndarray  # f_j for j < min(_BLOCK, M)
+    top: np.ndarray  # f_{M-1-j} for j < min(_BLOCK, M): the last entries, mirrored
+
+
+@lru_cache(maxsize=64)
+def _decay_table(rows: int, ratio: float) -> _ModeTable:
+    """The folded table of f_i = 1/(2*sinh(2h_i)), and O(_BLOCK) raw entries;
+    cached per instance shape.
+
+    Mode i and its mirror M + 3 - i have the same sin^2 at every height, so
+    past the live cut-off a pair sums the folded weights g_j = f_j +
+    f_{M-1-j} over ceil(M/2) entries instead of f over M. The table keeps
+    the rates h of the first ``_BLOCK`` modes for :func:`_live_rates`, and
+    the raw f of those modes and of the last ``_BLOCK``: f descends with the
+    mode, and :func:`_live_modes` bisects the two ends for the cut-off, and
+    :func:`_free_terms` reads the mirror terms of first-block live modes
+    from the top. Every f has the bits of :func:`_free`; the build takes a
+    low block and its mirror block at a time, so it holds O(_BLOCK)
+    temporaries.
     """
-    free = np.empty(rows)
-    for block, _ in _mode_blocks(rows, 0):
-        half = _rates(rows, ratio, block.start, block.stop)
+    edge = min(_BLOCK, rows)
+    head = _rates(rows, ratio, 0, edge)
+    first = 0.5 / np.sinh(2.0 * head)
+    top = first[::-1] if edge == rows else _free(rows, ratio, rows - edge, rows)[::-1]
+    folded = np.empty((rows + 1) // 2)
+    for block, _ in _mode_blocks(folded.size, 0):
         if block.start == 0:
-            head = half
-        np.divide(0.5, np.sinh(2.0 * half), out=free[block])
-    free.flags.writeable = False
-    head.flags.writeable = False
-    return free, head
+            low, high = first[block], top[block]
+        else:
+            low = _free(rows, ratio, block.start, block.stop)
+            high = _free(rows, ratio, rows - block.stop, rows - block.start)[::-1]
+        np.add(low, high, out=folded[block])
+    if rows % 2:  # the middle mode is its own mirror
+        folded[-1] = low[-1]
+    for table in (folded, head, first, top):
+        table.flags.writeable = False
+    return _ModeTable(rows, ratio, folded, head, first, top)
 
 
 def _live_rates(spec: HammockSpec, head: np.ndarray, block: slice, cut: int) -> np.ndarray:
@@ -189,27 +229,42 @@ _UNDERFLOW = 708.0
 _CLAMP = 700.0
 
 
-def _live_modes(coords: SpanCoords, free: np.ndarray) -> int:
+def _live_modes(coords: SpanCoords, table: _ModeTable) -> int:
     """How many modes come before the first in which every span-frame decay underflows.
 
     From there on, a suffix because the rates ascend, e^{-2*length*h} < e^{-708}
     for each of the five lengths of :func:`_span_ratios`, and so is e^{-4Nh}:
     far below rounding, so alpha = gamma = f = 1/(2*sinh(2h)) and beta = 0.
     With ``shortest`` the least length, that is 2h >= 708/shortest, read off
-    the descending f table of :func:`_decay_table` as f <= 1/(2*sinh(708/shortest))
-    by bisection, without a reversed copy. A zero length (nodes in one
-    column) keeps every mode live.
+    the descending f as f <= 1/(2*sinh(708/shortest)): by bisection of the
+    table's raw first or last ``_BLOCK`` entries, and between them of f
+    formed on coarse to fine grids of :func:`_free`. A zero length (nodes
+    in one column) keeps every mode live.
     """
     # x_in <= x_out: near_in = 2*x_in - 1 and far_out = 2*(N - x_out) + 1
     # are the shorter near and far lengths
     shortest = min(2 * coords.x_in - 1, 2 * (coords.cols - coords.x_out) + 1,
                    coords.separation)
+    rows, top = table.rows, table.top
     if shortest == 0:
-        return free.size
+        return rows
     floor = 0.5 / math.sinh(_UNDERFLOW / shortest)
-    if free[-1] > floor:
-        return free.size
-    return bisect.bisect_left(free, -floor, key=operator.neg)
+    if top[0] > floor:
+        return rows
+    if table.first[-1] <= floor:
+        return bisect.bisect_left(table.first, -floor, key=operator.neg)
+    if top[-1] > floor:  # top ascends: its entries <= floor are the last modes
+        return rows - bisect.bisect_right(top, floor)
+    # f_{lo-1} > floor >= f_hi: the cut-off is in lo..hi
+    lo, hi = top.size, rows - top.size
+    while lo < hi:
+        step = -(-(hi - lo) // 64)
+        # of the entries lo, lo + step, ... before hi, the first ``above`` are above the floor
+        above = int(np.count_nonzero(_free(rows, table.ratio, lo, hi, step) > floor))
+        if not above:
+            return lo
+        lo, hi = lo + (above - 1) * step + 1, min(lo + above * step, hi)
+    return lo
 
 
 def _span_ratios(coords: SpanCoords, half: np.ndarray):
@@ -237,41 +292,78 @@ def _span_ratios(coords: SpanCoords, half: np.ndarray):
 
 
 def _direct_modes(live: int, rows: int) -> int:
-    """Entries a pair sums mode by mode: the first block and those to the last live mode."""
-    return min(max(1, -(-live // _BLOCK)) * _BLOCK, rows)
+    """Entries a pair sums mode by mode, from the sine rows it forms: the live
+    modes, and the folded entries to the end of the first block or of the
+    block that holds the last live mode."""
+    return max(live, min(max(1, -(-live // _BLOCK)) * _BLOCK, (rows + 1) // 2))
 
 
-def _far_sum(free: np.ndarray, start: int, denom: int, *heights: int) -> float:
-    """Sum of f_i * sin^2(pi*(i-1)*y/denom) over the heights y and the table
-    entries from ``start`` on, with no per-mode sine: plumbing, like
-    :func:`_sines`, with which closed and rt both sum their far blocks.
+def _free_terms(table: _ModeTable, block: slice, live: int,
+                sin_in: np.ndarray, sin_out: np.ndarray) -> float:
+    """Sum of the isolated-node terms f*(sin_in^2 + sin_out^2) that fold into
+    the modes of ``block``: plumbing, like :func:`_far_sum`, with which closed
+    and rt both sum every mode past their live cut-off.
 
-    As sin^2 = (1 - cos 2*theta)/2, only the sums of f*cos(2*theta) are
+    ``sin_in`` and ``sin_out`` are the sine rows the route formed for the
+    block. Its entries from the cut-off on take the folded weight g, and
+    each live entry j < min(live, M - live), whose mirror M-1-j is past the
+    cut-off, takes f_{M-1-j}: from the table's top for the first block,
+    else formed here.
+    """
+    start, size = block.start, block.stop - block.start
+    cut = min(max(live - start, 0), size)
+    mirrored = min(max(min(live, table.rows - live) - start, 0), size)
+    total = 0.0
+    if cut < size:
+        s_in, s_out = sin_in[cut:], sin_out[cut:]
+        weights = table.folded[start + cut:block.stop]
+        total += float((weights * (s_in * s_in + s_out * s_out)).sum())
+    if mirrored:
+        stop = start + mirrored
+        if stop <= table.top.size:
+            weights = table.top[start:stop]
+        else:
+            weights = _free(table.rows, table.ratio, table.rows - stop, table.rows - start)[::-1]
+        s_in, s_out = sin_in[:mirrored], sin_out[:mirrored]
+        total += float((weights * (s_in * s_in + s_out * s_out)).sum())
+    return total
+
+
+def _far_sum(weights: np.ndarray, start: int, denom: int, *heights: int) -> float:
+    """Sum of w_i * sin^2(pi*(i-1)*y/denom) over the heights y and the
+    entries of ``weights`` from ``start`` on, with no per-mode sine: with
+    :func:`_free_terms`, the plumbing with which closed and rt both sum the
+    modes past their cut-off, over the folded weights g of
+    :func:`_decay_table` from :func:`_direct_modes` to ceil(M/2).
+
+    As sin^2 = (1 - cos 2*theta)/2, only the sums of w*cos(2*theta) are
     needed. Each 2*theta splits as c + a + b: the base c of its block, the
     anchor a of its line of ``_WIDTH`` modes, and the offset b within the
-    line, each reduced exactly by :func:`_angle_tables`. A block of f,
+    line, each reduced exactly by :func:`_angle_tables`. A block of w,
     viewed as (lines x ``_WIDTH``), takes one matrix product by the offset
     table ([cos b, sin b] per height and a column of ones) and one by the
     anchor table ([cos a, sin a] per height and a row of ones); the block
     bases are applied once at the end.
     """
+    if start >= weights.size:
+        return 0.0
     count = len(heights)
     doubled = [2 * y for y in heights]  # the angle 2*theta of height y
     lines, offsets = _angle_tables(range(0, 2 * _BLOCK, 2 * _WIDTH), _WIDTH, denom, doubled)
-    bases, _ = _angle_tables(range(2 * start + 2, 2 * free.size + 2, 2 * _BLOCK), 0,
+    bases, _ = _angle_tables(range(2 * start + 2, 2 * weights.size + 2, 2 * _BLOCK), 0,
                              denom, doubled)
     by_offset = np.vstack((offsets.reshape(-1, _WIDTH), np.ones(_WIDTH))).T
     by_line = np.vstack((lines[:, :, ::-1].transpose(0, 2, 1).reshape(-1, _WIDTH),
                          np.ones(_WIDTH)))
-    # parts[k, 2h + p, 2h + q] = sum over block k of f * [cos a, sin a][p]
-    # * [cos b, sin b][q] for height h; parts[k, -1, -1] = sum of f over it
+    # parts[k, 2h + p, 2h + q] = sum over block k of w * [cos a, sin a][p]
+    # * [cos b, sin b][q] for height h; parts[k, -1, -1] = sum of w over it
     parts = np.empty((bases.shape[1], 2 * count + 1, 2 * count + 1))
-    for part, first in zip(parts, range(start, free.size, _BLOCK)):
-        weights = free[first:first + _BLOCK]
-        if weights.size % _WIDTH:  # the last block, padded with weight 0
-            weights = np.concatenate((weights, np.zeros(-weights.size % _WIDTH)))
-        size = weights.size // _WIDTH
-        np.matmul(by_line[:, :size], np.matmul(weights.reshape(size, _WIDTH), by_offset),
+    for part, first in zip(parts, range(start, weights.size, _BLOCK)):
+        block = weights[first:first + _BLOCK]
+        if block.size % _WIDTH:  # the last block, padded with weight 0
+            block = np.concatenate((block, np.zeros(-block.size % _WIDTH)))
+        size = block.size // _WIDTH
+        np.matmul(by_line[:, :size], np.matmul(block.reshape(size, _WIDTH), by_offset),
                   out=part)
     cosines = 0.0
     for height, (sin_c, cos_c) in enumerate(bases.transpose(0, 2, 1)):
@@ -285,29 +377,26 @@ def _far_sum(free: np.ndarray, start: int, denom: int, *heights: int) -> float:
 def _mode_sum(spec: HammockSpec, coords: SpanCoords) -> float:
     """Hyperbolic mode sum of the general form, one block of modes at a time.
 
-    The first block and those up to the last live mode sum the span-frame
-    kernel (f past the cut-off) against the sine tables; the blocks after
+    The blocks of :func:`_direct_modes` sum the span-frame kernel over the
+    live modes against the sine rows, and :func:`_free_terms` the folded
+    terms past the cut-off against the same rows; the folded entries after
     them are contracted (see the module docstring for the rounding bound).
     """
-    rows, denom = spec.rows, spec.rows + 1
-    free, head = _decay_table(rows, spec.ratio)
-    live = _live_modes(coords, free)
-    direct = _direct_modes(live, rows)
+    denom = spec.rows + 1
+    table = _decay_table(spec.rows, spec.ratio)
+    live = _live_modes(coords, table)
+    direct = _direct_modes(live, spec.rows)
     total = 0.0
     for block, cut in _mode_blocks(direct, live):
         sin_in, sin_out = _sines(block, denom, coords.y_in, coords.y_out)
         if cut:
-            alpha, beta, gamma = _span_ratios(coords, _live_rates(spec, head, block, cut))
+            alpha, beta, gamma = _span_ratios(coords, _live_rates(spec, table.head, block, cut))
             s_in, s_out = sin_in[:cut], sin_out[:cut]
             total += float((s_in * s_in * alpha
                             - 2.0 * s_in * s_out * beta
                             + s_out * s_out * gamma).sum())
-        if cut < block.stop - block.start:
-            s_in, s_out = sin_in[cut:], sin_out[cut:]
-            total += float((free[block][cut:] * (s_in * s_in + s_out * s_out)).sum())
-    if direct < rows:
-        total += _far_sum(free, direct, denom, coords.y_in, coords.y_out)
-    return total
+        total += _free_terms(table, block, live, sin_in, sin_out)
+    return total + _far_sum(table.folded, direct, denom, coords.y_in, coords.y_out)
 
 
 def _uniform_term(spec: HammockSpec, y1: int, y2: int) -> float:
@@ -346,7 +435,7 @@ def resistance_same_column(spec: HammockSpec, x: int, y1: int, y2: int) -> Resis
     coords = span_coords(spec, (x, y1), (x, y2))
     if y1 == y2:
         return ResistanceResult(0.0, "closed", {"specialization": "same_column"})
-    _, head = _decay_table(spec.rows, spec.ratio)
+    head = _decay_table(spec.rows, spec.ratio).head
     total = 0.0
     for block, cut in _mode_blocks(spec.rows, spec.rows):
         alpha = _span_ratios(coords, _live_rates(spec, head, block, cut))[0]
@@ -375,7 +464,7 @@ def resistance_same_row(spec: HammockSpec, y: int, x1: int, x2: int) -> Resistan
     if distance == 0:
         return ResistanceResult(0.0, "closed", {"specialization": "same_row"})
     # sinh(dh) * cosh((N-d)h) / (sinh(2h) * cosh(Nh)) with e^{Nh} cancelled
-    _, head = _decay_table(spec.rows, spec.ratio)
+    head = _decay_table(spec.rows, spec.ratio).head
     total = 0.0
     for block, cut in _mode_blocks(spec.rows, spec.rows):
         step = -2.0 * _live_rates(spec, head, block, cut)

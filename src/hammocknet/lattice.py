@@ -209,25 +209,36 @@ def require_interior(spec: HammockSpec, node: NodeLike) -> GridNode:
     """Coerce and bounds-check an interior node.
 
     Hub terminals raise :class:`UnsupportedNodeError`; only the dense
-    oracle accepts them.
+    oracle accepts them. A tuple of two ints, the common case, becomes a
+    :class:`GridNode` directly, without the coercions of :func:`as_node`.
     """
-    node = as_node(node)
-    if isinstance(node, Terminal):
-        raise UnsupportedNodeError(
-            f"hub terminal {node.code!r} is not an interior node; "
-            "use hammocknet.oracle.resistance_dense for terminal queries"
-        )
-    if not 1 <= node.x <= spec.cols:
+    if type(node) is tuple and len(node) == 2 and type(node[0]) is int \
+            and type(node[1]) is int:
+        x, y = node
+    else:
+        node = as_node(node)
+        if isinstance(node, Terminal):
+            raise UnsupportedNodeError(
+                f"hub terminal {node.code!r} is not an interior node; "
+                "use hammocknet.oracle.resistance_dense for terminal queries"
+            )
+        x, y = node.x, node.y
+    if not 1 <= x <= spec.cols:
         raise LatticeError(
-            f"column x={node.x} outside 1..{spec.cols} for a "
+            f"column x={x} outside 1..{spec.cols} for a "
             f"{spec.rows}x{spec.cols} hammock"
         )
-    if not 1 <= node.y <= spec.rows:
+    if not 1 <= y <= spec.rows:
         raise LatticeError(
-            f"row y={node.y} outside 1..{spec.rows} for a "
+            f"row y={y} outside 1..{spec.rows} for a "
             f"{spec.rows}x{spec.cols} hammock"
         )
-    return node
+    if isinstance(node, GridNode):
+        return node
+    grid = object.__new__(GridNode)  # two ints need none of GridNode's checks
+    object.__setattr__(grid, "x", x)
+    object.__setattr__(grid, "y", y)
+    return grid
 
 
 @dataclass(frozen=True)

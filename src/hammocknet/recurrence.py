@@ -13,7 +13,8 @@ Every mode table (injection profiles, path weights, boundary values and
 the inverse transform) is built from the closed form's exact-residue
 sines, the first three through :func:`_profiles`, so rt and the fields
 read one table per quantity and every entry is within a few eps. Past
-the blocks that hold a live mode, rt contracts its terms as closed does.
+its live cut-off rt has no pair algebra left: it sums f*sin^2 over the
+folded table through closed's plumbing, as closed does.
 
 Sign conventions: upward currents are positive, and the transformed
 values returned by :func:`solve_modes` correspond to a unit current
@@ -39,6 +40,8 @@ from .closed_form import (
     _decay_table,
     _direct_modes,
     _far_sum,
+    _free,
+    _free_terms,
     _live_modes,
     _live_rates,
     _mode_blocks,
@@ -84,14 +87,15 @@ def mode_transform(rows: int) -> np.ndarray:
     return inverse
 
 
-def _profiles(n: int, block: slice, y_in: int, y_out: int) -> tuple[np.ndarray, ...]:
-    """``(zeta_in, zeta_out, w_in, w_out)`` over the modes of ``block``.
+def _profiles(n: int, sin_chi: np.ndarray, lift_in: np.ndarray,
+              lift_out: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(zeta_in, zeta_out, w_in, w_out)`` from the sine rows of :func:`_sines`.
 
     The unit-injection profile zeta_i = -2*sin(2*y*chi_i)*sin(chi_i) and
     the path weight w_i = -sin(2*y*chi_i)/(n*sin(chi_i)), chi_i =
-    (i-1)*pi/(2n), from one exact-residue table call for all three sines.
+    (i-1)*pi/(2n), from the rows sin(chi) and sin(2*y*chi) of the two
+    heights, which one exact-residue table call forms for a block of modes.
     """
-    sin_chi, lift_in, lift_out = _sines(block, 2 * n, 1, 2 * y_in, 2 * y_out)
     # scaling by -2 and negating are exact, so each factor is shared
     zeta_scale = -2.0 * sin_chi
     weight_scale = -n * sin_chi
@@ -101,33 +105,19 @@ def _profiles(n: int, block: slice, y_in: int, y_out: int) -> tuple[np.ndarray, 
 
 def _all_profiles(rows: int, y_in: int, y_out: int) -> list[np.ndarray]:
     """:func:`_profiles` over every non-uniform mode, in the blocks rt reads."""
+    n = rows + 1
     return [np.concatenate(tables) for tables in zip(*(
-        _profiles(rows + 1, block, y_in, y_out) for block, _ in _mode_blocks(rows, rows)))]
+        _profiles(n, *_sines(block, 2 * n, 1, 2 * y_in, 2 * y_out))
+        for block, _ in _mode_blocks(rows, rows)))]
 
 
-def _boundary_blocks(spec: HammockSpec, coords: SpanCoords, injected: float,
-                     live: int, modes: int):
-    """Yield the ``(x_out, x_in, w_out, w_in)`` of :func:`solve_modes` and
-    :func:`mode_weights` per :func:`_mode_blocks` block over the first
-    ``modes`` non-uniform modes, split at the live cut-off ``live``. Past it
-    the cross ratio is exactly 0: the values are (r/s)*J*f*zeta_out and
-    -(r/s)*J*f*zeta_in, with f = 1/(2*sinh(2h)) read from :func:`_decay_table`.
-    """
-    scale = spec.ratio * injected
-    free, head = _decay_table(spec.rows, spec.ratio)
-    for block, cut in _mode_blocks(modes, live):
-        zeta_in, zeta_out, w_in, w_out = _profiles(spec.rows + 1, block,
-                                                   coords.y_in, coords.y_out)
-        if cut:
-            ratio_in, ratio_cross, ratio_out = _span_ratios(
-                coords, _live_rates(spec, head, block, cut))
-            z_in, z_out = zeta_in[:cut], zeta_out[:cut]
-            yield (scale * (ratio_out * z_out - ratio_cross * z_in),
-                   -scale * (ratio_in * z_in - ratio_cross * z_out),
-                   w_out[:cut], w_in[:cut])
-        if cut < block.stop - block.start:
-            weight = scale * free[block][cut:]
-            yield weight * zeta_out[cut:], -weight * zeta_in[cut:], w_out[cut:], w_in[cut:]
+def _live_values(spec: HammockSpec, coords: SpanCoords, head: np.ndarray, block: slice,
+                 cut: int, zeta_in: np.ndarray, zeta_out: np.ndarray, scale: float):
+    """``(x_out, x_in)`` of :func:`solve_modes` over the first ``cut`` modes of
+    ``block``, all before the live cut-off, with ``scale`` = (r/s)*J for the current J."""
+    ratio_in, ratio_cross, ratio_out = _span_ratios(coords, _live_rates(spec, head, block, cut))
+    return (scale * (ratio_out * zeta_out - ratio_cross * zeta_in),
+            -scale * (ratio_in * zeta_in - ratio_cross * zeta_out))
 
 
 def mode_weights(rows: int, height: int) -> np.ndarray:
@@ -154,13 +144,30 @@ def solve_modes(spec: HammockSpec, coords: SpanCoords,
     (k = q_offset) and input column (k = -p_offset); the uniform mode is
     the analytic limit -J*(y_out - y_in)/N. They are assembled from the
     closed form's scaled span-frame ratios, so they scale to 10^4+ rows
-    and columns, and they are the values rt sums.
+    and columns, and they are the values rt sums in its live modes. Past
+    the live cut-off the cross ratio is exactly 0: the values are
+    (r/s)*J*f*zeta_out and -(r/s)*J*f*zeta_in, with f = 1/(2*sinh(2h))
+    formed one block at a time by :func:`_free`.
     """
     require_frame(spec, coords)
     uniform = [-injected * (coords.y_out - coords.y_in) / spec.cols]
-    live = _live_modes(coords, _decay_table(spec.rows, spec.ratio)[0])
-    outs, ins, _, _ = zip(*_boundary_blocks(spec, coords, injected, live, spec.rows))
-    return np.concatenate((uniform, *outs)), np.concatenate((uniform, *ins))
+    table = _decay_table(spec.rows, spec.ratio)
+    live = _live_modes(coords, table)
+    scale, n = spec.ratio * injected, spec.rows + 1
+    outs, ins = [uniform], [uniform]
+    for block, cut in _mode_blocks(spec.rows, live):
+        zeta_in, zeta_out, _, _ = _profiles(n, *_sines(block, 2 * n, 1, 2 * coords.y_in,
+                                                       2 * coords.y_out))
+        if cut:
+            x_out, x_in = _live_values(spec, coords, table.head, block, cut,
+                                       zeta_in[:cut], zeta_out[:cut], scale)
+            outs.append(x_out)
+            ins.append(x_in)
+        if cut < block.stop - block.start:
+            weight = scale * _free(spec.rows, spec.ratio, block.start + cut, block.stop)
+            outs.append(weight * zeta_out[cut:])
+            ins.append(-weight * zeta_in[cut:])
+    return np.concatenate(outs), np.concatenate(ins)
 
 
 # Largest transformed term that truncation drops, per unit of |J|. Two
@@ -333,25 +340,34 @@ def resistance_rt(spec: HammockSpec, a: NodeLike, b: NodeLike) -> ResistanceResu
     Potential differences are summed along the path through the common
     top hub: R = (s/J) * (sum_i X_out(i) * w_i(y_out) -
     sum_i X_in(i) * w_i(y_in)), with the boundary values of
-    :func:`solve_modes` and the weights of :func:`mode_weights`, formed a
-    block at a time (:func:`_boundary_blocks`) over the blocks of
-    :func:`_direct_modes`. Past those, X*w = (r/s)*J*f*(2/(M+1))*sin^2 per
-    node, which :func:`_far_sum` sums with no per-mode sine: a warm query
-    costs O(live modes) sines at any size.
+    :func:`solve_modes` and the weights of :func:`mode_weights`. rt forms
+    them, and sums X*w, over its live modes only, a block at a time. Past
+    the cut-off X*w = (r/s)*J*f*(2/(M+1))*sin^2(2*y*chi) per node, with no
+    pair algebra left: rt sums f*sin^2 through the plumbing closed uses,
+    :func:`_free_terms` against the sine rows of its blocks up to
+    :func:`_direct_modes` and :func:`_far_sum` over the folded table past
+    them, and a warm query costs O(live modes) sines at any size.
     """
     coords = span_coords(spec, a, b)
     y_in, y_out, n = coords.y_in, coords.y_out, spec.rows + 1
-    free, _ = _decay_table(spec.rows, spec.ratio)
-    live = _live_modes(coords, free)
+    table = _decay_table(spec.rows, spec.ratio)
+    live = _live_modes(coords, table)
     direct = _direct_modes(live, spec.rows)
     # uniform mode: value -(y_out - y_in)/N, weight (M + 1 - y)/(M + 1)
     total = -(y_out - y_in) / spec.cols * (y_in - y_out) / n
-    for x_out, x_in, w_out, w_in in _boundary_blocks(spec, coords, 1.0, live, direct):
-        total += float((x_out * w_out).sum()) - float((x_in * w_in).sum())
-    if direct < spec.rows:
-        # past the cut-off, x*w = (r/s)*f*zeta*w per node, zeta*w = (2/n)*sin^2(2*y*chi)
-        total += spec.ratio * (2.0 / n) * _far_sum(free, direct, n, y_in, y_out)
-    value = float(spec.s) * total
+    free = 0.0
+    for block, cut in _mode_blocks(direct, live):
+        sin_chi, lift_in, lift_out = _sines(block, 2 * n, 1, 2 * y_in, 2 * y_out)
+        if cut:
+            zeta_in, zeta_out, w_in, w_out = _profiles(n, sin_chi[:cut], lift_in[:cut],
+                                                       lift_out[:cut])
+            x_out, x_in = _live_values(spec, coords, table.head, block, cut,
+                                       zeta_in, zeta_out, spec.ratio)
+            total += float((x_out * w_out).sum()) - float((x_in * w_in).sum())
+        free += _free_terms(table, block, live, lift_in, lift_out)
+    free += _far_sum(table.folded, direct, n, y_in, y_out)
+    # past the cut-off, x*w = (r/s)*f*zeta*w per node, zeta*w = (2/n)*sin^2(2*y*chi)
+    value = float(spec.s) * (total + spec.ratio * (2.0 / n) * free)
     return ResistanceResult(value, "rt", {"swapped": coords.swapped})
 
 

@@ -104,6 +104,26 @@ class TestResist:
         assert code == EXIT_TOLERANCE
         assert "max relative deviation: inf" in out
 
+    def test_text_prints_short_fractions(self, capsys):
+        code, out, _ = run(capsys, "resist", "--M", "4", "--N", "5",
+                           "--from", "O", "--to", "2,3", "--method", "all")
+        assert code == EXIT_OK
+        assert re.search(r"^oracle-rational +0\.84545\d* \(93/110\)$", out, re.M)
+
+    def test_text_leaves_long_fractions_to_json_and_csv(self, capsys):
+        # the small-r/s pair's exact R has thousands of digits
+        argv = ["resist", "--M", "40", "--N", "6", "--r", "1", "--s", "1e12",
+                "--from", "1,21", "--to", "6,21", "--method", "oracle-rational"]
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        line = out.strip()
+        assert len(line) < 120 and "characters in --format json or csv" in line
+        _, json_out, _ = run(capsys, *argv, "--format", "json")
+        exact = json.loads(json_out)["results"][0]["exact"]
+        _, csv_out, _ = run(capsys, *argv, "--format", "csv")
+        assert len(exact) > 2000 and list(csv.reader(io.StringIO(csv_out)))[1][2] == exact
+        assert f"exact fraction of {len(exact)} characters" in line
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "resist", "--M", "2", "--N", "2",
                            "--from", "1,1", "--to", "2,2", "--method", "all",

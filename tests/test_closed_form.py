@@ -33,6 +33,8 @@ from hammocknet.closed_form import (
     _CLAMP,
     _SPLIT,
     _decay_table,
+    _direct_modes,
+    _far_sum,
     _live_modes,
     _rates,
     _sines,
@@ -585,7 +587,7 @@ class TestDecayFreeTail:
         for y_in, y_out in [(1, rows), (rows // 3, rows // 3 + 1), (rows, 7)]:
             a, b = (x_in, y_in), (x_out, y_out)
             coords = span_coords(spec, a, b)
-            assert _live_modes(coords, _decay_table(rows, spec.ratio)[0]) == live
+            assert _live_modes(coords, _decay_table(rows, spec.ratio)) == live
             self._check(spec, a, b)
 
     @pytest.mark.parametrize("ratio", [0.5, 3.0])
@@ -593,10 +595,10 @@ class TestDecayFreeTail:
         # one column (separation 0), and columns 1 and N (near_in = far_out = 1)
         rows, cols = self.ROWS, 5000
         spec = HammockSpec(rows, cols, r=ratio, s=1.0)
-        free, _ = _decay_table(rows, ratio)
+        table = _decay_table(rows, ratio)
         for a, b in [((2500, 3), (2500, rows - 5)), ((cols, 9), (cols, 10)),
                      ((1, 1), (cols, rows)), ((1, rows // 2), (cols, rows // 2 + 1))]:
-            assert _live_modes(span_coords(spec, a, b), free) == rows
+            assert _live_modes(span_coords(spec, a, b), table) == rows
             self._check(spec, a, b)
 
     @staticmethod
@@ -607,6 +609,87 @@ class TestDecayFreeTail:
             values = [route(spec, a, b).ohms for route in (resistance_general, resistance_rt)]
         for value in values:
             assert abs(value - reference) <= 1e-15 * reference, (a, b)
+
+
+class TestFold:
+    """Modes j and M-1-j share sin^2 at every height: past the cut-off closed
+    and rt sum the folded weights g = f_j + f_{M-1-j} over ceil(M/2) entries,
+    and a live mode whose mirror is past the cut-off adds the mirror's f."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_few_rows_against_rational(self, rows):
+        # columns 3 and 8 of 10: every length is 5, and r/s sets the cut-off
+        for live in range(rows + 1):
+            spec = HammockSpec(rows, 10, r=live_ratio(rows, 5, live), s=1)
+            self._against_rational(spec, [((3, y), (8, y)) for y in range(1, rows + 1)]
+                                   + [((3, 1), (8, rows)), ((3, rows), (8, 1))], live)
+        for ratio in (0.5, 3):
+            spec = HammockSpec(rows, 4, r=ratio, s=1)
+            self._against_rational(spec, interior_pairs(spec), None)
+
+    @staticmethod
+    def _against_rational(spec, pairs, live):
+        table = _decay_table(spec.rows, spec.ratio)
+        for a, b in pairs:
+            if live is not None:
+                assert _live_modes(span_coords(spec, a, b), table) == live, (a, b)
+            exact = float(resistance_dense(spec, a, b, "rational").meta["exact"])
+            for route in (resistance_general, resistance_rt):
+                assert route(spec, a, b).ohms == pytest.approx(exact, rel=1e-13, abs=0.0), \
+                    (spec, a, b, route.__name__)
+
+    @pytest.mark.parametrize("rows", [2 * _BLOCK + 1, 2 * _BLOCK + 2, 4 * _BLOCK + 2])
+    def test_live_cut_around_the_middle(self, rows):
+        # the separation of 401 is the shortest length; at 4*_BLOCK + 2 rows and a
+        # cut-off just past the middle, the mirror terms reach the second block
+        half, length = (rows + 1) // 2, 401
+        for live in (half - 1, half, half + 1, rows - 1):
+            spec = HammockSpec(rows, 3 * length, r=live_ratio(rows, length, live), s=1.0)
+            for y_in, y_out in [(1, rows), (half, 1), (rows, 7)]:
+                a, b = (length, y_in), (2 * length, y_out)
+                assert _live_modes(span_coords(spec, a, b), _decay_table(rows, spec.ratio)) == live
+                TestDecayFreeTail._check(spec, a, b)
+        # one column, and a node in column 1 or N, keep every mode live
+        for a, b in [((600, 3), (600, rows - 5)), ((1, 2), (700, half)), ((500, rows), (1203, 1))]:
+            assert _live_modes(span_coords(spec, a, b), _decay_table(rows, spec.ratio)) == rows
+            TestDecayFreeTail._check(spec, a, b)
+
+    def test_live_cut_counts_every_f_above_the_floor(self):
+        # the raw ends of the table, or coarse-to-fine grids between them
+        rows, ratio = 4 * _BLOCK + 2, 3.0
+        spec = HammockSpec(rows, 10 ** 6, r=ratio)
+        table = _decay_table(rows, ratio)
+        free = 0.5 / np.sinh(2.0 * _rates(rows, ratio, 0, rows))
+        cuts = []
+        # the cut-off moves fastest near the top, where the rates level off
+        lengths = np.geomspace(1, 10 ** 5, 60).astype(int).tolist() + list(range(236, 290, 2))
+        for length in sorted(set(lengths)):
+            coords = span_coords(spec, (400000, 5), (400000 + length, rows - 9))
+            floor = 0.5 / math.sinh(708.0 / length)
+            cuts.append(_live_modes(coords, table))
+            assert cuts[-1] == np.count_nonzero(free > floor), length
+        assert rows in cuts
+        assert any(cut < _BLOCK for cut in cuts) and any(rows - _BLOCK < cut < rows for cut in cuts)
+        assert sum(_BLOCK <= cut <= rows - _BLOCK for cut in cuts) >= 5
+
+    @pytest.mark.parametrize("rows", [4 * _BLOCK + 1, 10 ** 6])
+    def test_far_sum_reads_the_folded_half(self, monkeypatch, rows):
+        spec = HammockSpec(rows, rows, r=3.0)
+        read = []
+
+        def counted(weights, start, *args):
+            read.append(weights.size - start)
+            return _far_sum(weights, start, *args)
+
+        monkeypatch.setattr(closed_form, "_far_sum", counted)
+        monkeypatch.setattr(recurrence, "_far_sum", counted)
+        a, b = (rows // 10 + 1, rows // 3 + 1), (9 * rows // 10, 2 * rows // 3)
+        direct = _direct_modes(_live_modes(span_coords(spec, a, b),
+                                           _decay_table(rows, spec.ratio)), rows)
+        assert direct == _BLOCK
+        resistance_general(spec, a, b)
+        resistance_rt(spec, a, b)
+        assert read == [(rows + 1) // 2 - _BLOCK] * 2
 
 
 def _reference_cases():
@@ -641,8 +724,7 @@ class TestSpanRatiosReference:
         if label == "every far length underflowing":
             assert 2 * (2 * (spec.cols - coords.x_out) + 1) * half[0] > 708.0
         if label == "live cut-off in the second block":
-            free, _ = _decay_table(spec.rows, spec.ratio)
-            assert _BLOCK < _live_modes(coords, free) < 2 * _BLOCK
+            assert _BLOCK < _live_modes(coords, _decay_table(spec.rows, spec.ratio)) < 2 * _BLOCK
         alpha, beta, gamma = _span_ratios(coords, half)
         want_alpha, want_beta, want_gamma = span_ratios_reference(coords, half)
         assert np.array_equal(alpha, want_alpha) and np.array_equal(gamma, want_gamma)
@@ -668,24 +750,39 @@ class TestSpanRatiosReference:
 
 
 class TestFreeTable:
-    """The one cached table: f = 1/(2*sinh(2h)) per mode and the head rates."""
+    """The one cached table: folded f = 1/(2*sinh(2h)), the head rates, and raw
+    f at both ends."""
 
     @pytest.mark.parametrize("rows", [1, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
     @pytest.mark.parametrize("ratio", [1e-12, 3.0, 2.0 ** 1021])
     def test_bitwise_the_decay_table(self, rows, ratio):
-        free, head = _decay_table(rows, ratio)
+        table = _decay_table(rows, ratio)
         half = _rates(rows, ratio, 0, rows)
-        assert np.array_equal(free, 0.5 / np.sinh(2.0 * half))
-        assert np.array_equal(head, half[:_BLOCK])
-        assert not free.flags.writeable and not head.flags.writeable
+        free = 0.5 / np.sinh(2.0 * half)
+        pairs = rows // 2  # entries j < M-1-j; an odd M leaves one middle entry
+        assert table.folded.size == (rows + 1) // 2
+        assert np.array_equal(table.folded[:pairs], free[:pairs] + free[::-1][:pairs])
+        if rows % 2:
+            assert table.folded[-1] == free[pairs]
+        assert np.array_equal(table.head, half[:_BLOCK])
+        assert np.array_equal(table.first, free[:_BLOCK])
+        assert np.array_equal(table.top, free[::-1][:_BLOCK])
+        assert not any(array.flags.writeable for array in table[2:])
+
+    @pytest.mark.parametrize("rows", [4 * _BLOCK + 1, 4 * _BLOCK + 2, 10 ** 6])
+    def test_retains_half_a_table(self, rows):
+        table = _decay_table(rows, 3.0)
+        held = sum(array.nbytes for array in table[2:])
+        assert held <= 8 * ((rows + 1) // 2 + 3 * _BLOCK)
 
     def test_pair_routes_form_rates_one_block_at_a_time(self, monkeypatch):
         spec = HammockSpec(4 * _BLOCK + 3, 900, r=1.2345)  # a shape no other test asks
         formed = []
 
-        def counted(rows, ratio, start, stop):
-            formed.append(stop - start)
-            return _rates(rows, ratio, start, stop)
+        def counted(*args):
+            rates = _rates(*args)
+            formed.append(rates.size)
+            return rates
 
         monkeypatch.setattr(closed_form, "_rates", counted)
         monkeypatch.setattr(recurrence, "_rates", counted)
@@ -702,9 +799,10 @@ class TestFreeTable:
 def _contracted_cases():
     """(rows, cols, x_in, x_out, heights): far-apart columns keep every live
     mode in the first block. Heights 1, M and (M+1)//2, and one y with
-    k*y = 0 mod M+1 for the least factor k of M + 1."""
+    k*y = 0 mod M+1 for the least factor k of M + 1. 4*_BLOCK + 1 rows
+    has a middle mode that is its own mirror, 4*_BLOCK + 2 none."""
     cases = []
-    for rows, cols in [(4 * _BLOCK + 1, 10000), (10 ** 6, 10 ** 5)]:
+    for rows, cols in [(4 * _BLOCK + 1, 10000), (4 * _BLOCK + 2, 10000), (10 ** 6, 10 ** 5)]:
         factor = next(k for k in range(2, rows + 2) if (rows + 1) % k == 0)
         zero, mid = (rows + 1) // factor, (rows + 1) // 2
         cases.append((rows, cols, cols // 4, 3 * cols // 4,
@@ -713,33 +811,40 @@ def _contracted_cases():
 
 
 class TestContractedTail:
-    """closed's and rt's contracted blocks against a long-double sine-product sum.
+    """closed's and rt's folded and contracted terms against a long-double
+    sine-product sum.
 
     The bound in ``closed_form``'s docstring: within eps*(4*R + 8*F), F being
-    2r/(M+1) times the sum of f over the contracted modes. Nodes next to a
-    hub and heights whose angles return to 0 are where it is tightest. Past
-    those blocks the two routes share the contraction, so each is checked
-    against the reference here, not only against the other.
+    2r/(M+1) times the sum of the folded weights g over the contracted
+    entries. Nodes next to a hub and heights whose angles return to 0 are
+    where it is tightest. Past their cut-off the two routes share the fold
+    and the contraction, so each is checked against the reference here, not
+    only against the other. A pair one column apart keeps every mode live,
+    and its large live terms cancel; at y = 1, M and, for odd M, the middle
+    height (M+1)/2 it stays within the same bound.
     """
 
     @pytest.mark.parametrize("ratio", [0.5, 3.0, 1e12, 2.0 ** 1021])
     @pytest.mark.parametrize("rows, cols, x_in, x_out, heights", _contracted_cases(),
-                             ids=["4 blocks + 1", "1e6"])
+                             ids=["4 blocks + 1", "4 blocks + 2", "1e6"])
     def test_within_bound_of_long_double(self, rows, cols, x_in, x_out, heights, ratio):
         spec = HammockSpec(rows, cols, r=ratio, s=1.0)
-        free, _ = _decay_table(rows, ratio)
-        far = 2.0 * ratio / (rows + 1) * float(free[_BLOCK:].sum())
+        table = _decay_table(rows, ratio)
         pairs = [((x_in, y_in), (x_out, y_out)) for y_in, y_out in heights]
-        references = long_double_closed(spec, pairs)
-        for (a, b), reference in zip(pairs, references):
-            # every block after the first is contracted
-            assert _live_modes(span_coords(spec, a, b), free) <= _BLOCK
+        apart = [((x_in, y), (x_in + 1, y)) for y in (1, rows, (rows + 1) // 2)[:2 + rows % 2]]
+        references = long_double_closed(spec, pairs + apart)
+        for (a, b), reference in zip(pairs + apart, references):
+            live = _live_modes(span_coords(spec, a, b), table)
+            if (a, b) in pairs:  # every folded entry after the first block is contracted
+                assert live <= _BLOCK
+            contracted = table.folded[_direct_modes(live, rows):]
+            bound = 4.0 * reference + 8.0 * (2.0 * ratio / (rows + 1) * float(contracted.sum()))
             for route in (resistance_general, resistance_rt):
                 with warnings.catch_warnings():
                     warnings.simplefilter("error", RuntimeWarning)
                     value = route(spec, a, b).ohms
                 error = abs(np.longdouble(value) - reference)
-                assert error <= _EPS * (4.0 * value + 8.0 * far), (route.__name__, a, b)
+                assert error <= _EPS * bound, (route.__name__, a, b)
 
 
 def test_far_blocks_take_no_sine_table(monkeypatch):
@@ -755,11 +860,11 @@ def test_far_blocks_take_no_sine_table(monkeypatch):
 
     monkeypatch.setattr(closed_form, "_sines", counted)
     monkeypatch.setattr(recurrence, "_sines", counted)
-    free, _ = _decay_table(rows, spec.ratio)
+    table = _decay_table(rows, spec.ratio)
     for (a, b), modes in [
             (((rows // 10 + 1, rows // 3 + 1), (9 * rows // 10, 2 * rows // 3)), _BLOCK),
             (((1, rows // 2), (rows // 2, rows // 3)), rows)]:
-        live = _live_modes(span_coords(spec, a, b), free)
+        live = _live_modes(span_coords(spec, a, b), table)
         assert (live <= _BLOCK) == (modes == _BLOCK)
         for route in (resistance_general, resistance_rt):
             covered.clear()
@@ -784,7 +889,7 @@ def test_warm_query_memory_stays_within_blocks(route):
         # near length 3999: the cut-off falls in the second block
         ((2000, 5), (rows // 2, rows - 3)),
     ]
-    assert [_live_modes(span_coords(spec, a, b), _decay_table(rows, spec.ratio)[0]) > _BLOCK
+    assert [_live_modes(span_coords(spec, a, b), _decay_table(rows, spec.ratio)) > _BLOCK
             for a, b in pairs] == [False, True, True]
     for a, b in pairs:
         tracemalloc.start()

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -161,6 +162,21 @@ class TestNodes:
         with pytest.raises(LatticeError):
             resistance_general(HammockSpec(3, 4), (1.9, 2), (4, 3))
 
+    def test_require_interior_builds_grid_nodes_from_int_pairs(self):
+        spec = HammockSpec(3, 4)
+        node = lattice.require_interior(spec, (4, 3))
+        assert type(node) is GridNode and node == GridNode(4, 3)
+        assert hash(node) == hash(GridNode(4, 3)) and node < GridNode(4, 4)
+        assert lattice.require_interior(spec, (np.int64(2), 1)) == GridNode(2, 1)
+        given = GridNode(1, 2)
+        assert lattice.require_interior(spec, given) is given
+        for value, message in [((5, 1), "column x=5 outside 1..4 for a 3x4 hammock"),
+                               ((0, 1), "column x=0 outside 1..4"),
+                               ((1, 4), "row y=4 outside 1..3 for a 3x4 hammock"),
+                               ((True, 1), "must be integers"), ((1.0, 1), "must be integers"),
+                               ((1, 2, 3), "cannot interpret")]:
+            with pytest.raises(LatticeError, match=re.escape(message)):
+                lattice.require_interior(spec, value)
 
     def test_as_node_refuses_other_values(self):
         for value in [3.5, None, [1, 2], (1, 2, 3), GridNode]:

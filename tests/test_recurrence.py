@@ -313,16 +313,16 @@ class TestResistanceRT:
         # in its direct blocks, and contracts f*(zeta*w) past them: the
         # fsum twin is the direct per-mode sum of every mode
         coords = span_coords(spec, a, b)
-        free, _ = _decay_table(spec.rows, spec.ratio)
-        assert _live_modes(coords, free) == live
+        table = _decay_table(spec.rows, spec.ratio)
+        assert _live_modes(coords, table) == live
         x_out, x_in = solve_modes(spec, coords, 1.0)
         twin = float(spec.s) * (math.fsum(x_out * mode_weights(spec.rows, coords.y_out))
                                 - math.fsum(x_in * mode_weights(spec.rows, coords.y_in)))
         value = resistance_rt(spec, a, b).ohms
         assert abs(value - twin) <= 1e-15 * value
-        # the contraction's bound in closed_form, F over the contracted modes
+        # the contraction's bound in closed_form, F over the contracted folded entries
         far = 2.0 * float(spec.r) / (spec.rows + 1) \
-            * float(free[_direct_modes(live, spec.rows):].sum())
+            * float(table.folded[_direct_modes(live, spec.rows):].sum())
         assert abs(value - twin) <= _EPS * (4.0 * value + 8.0 * far)
 
     def test_exchange_is_bitwise(self):
