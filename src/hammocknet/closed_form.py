@@ -31,28 +31,37 @@ Modes i and M + 3 - i share sin^2 at every height, so past the cut-off
 their isolated-node terms fold: closed, rt and the same-column and
 same-row forms read one cached table per instance, :func:`_decay_table`,
 which holds the folded weights g_j = f_j + f_{M-1-j} over ceil(M/2)
-entries, the rates h and the raw f of the first ``_BLOCK`` modes, and the
-raw f of the last ``_BLOCK``. The rates past the head are formed one
-block at a time (:func:`_live_rates`), so a pair query holds O(_BLOCK)
-temporaries on top of the table; the current fields, which need every
-rate, form them all once per field. closed and rt sum every mode past
-their cut-off through the same plumbing: :func:`_free_terms` against the
-sine rows of the blocks they form anyway (g past the cut-off, and the
-mirror's f for a live mode whose mirror is past it), and :func:`_far_sum`
-over g after the first block and after the block of the last live mode
-(:func:`_direct_modes`): with sin^2 = (1 - cos 2*theta)/2 and the angle
-addition, each block of g is two small matrix products, with no per-mode
-sine. That rounds like eps*sum(g) over the contracted entries, not like
+entries (raw over the first ``_BLOCK``, past it as ``_DEGREE`` + 1
+Chebyshev coefficients per line of ``_WIDTH`` entries), the rates h and
+the raw f of the first ``_BLOCK`` modes, and the raw f of the last
+``_BLOCK``. The rates past the head are formed one block at a time
+(:func:`_live_rates`), so a pair query holds O(_BLOCK) temporaries on top
+of the table; the current fields, which need every rate, form them all
+once per field. closed and rt sum every mode past their cut-off through
+the same plumbing: :func:`_free_terms` against the sine rows of the blocks
+they form anyway (g past the cut-off, and the mirror's f for a live mode
+whose mirror is past it), and :func:`_far_sum` over g after the first
+block and after the block of the last live mode (:func:`_direct_modes`):
+with sin^2 = (1 - cos 2*theta)/2 and the angle addition, the coefficients
+of every line take a few small matrix products, with no per-mode sine.
+That rounds like eps*sum(g) over the contracted entries, not like
 eps*sum(g*sin^2), so the first block stays direct: at large r/s, f falls
 like 1/i^2, and with a node next to a hub (y = 1 or M) the slow modes
 carry most of sum(f) while their sin^2 is small. With F = (2r/(M+1)) *
 sum of g over the contracted entries, closed's R and rt's are each within
 eps*(4*R + 8*F) of the same sum taken exactly over the same rates
 (tested against a long-double sum at 4*_BLOCK + 1, 4*_BLOCK + 2 and 10^6
-rows, r/s 0.5 to 2**1021, y = 1, M and (M+1)/2). Live terms that cancel
-are not counted by that bound: a pair one column apart at the middle
-height reads 8.8 eps off at 4*_BLOCK + 2 rows and r/s 0.5. Functions are
-pure; node pairs can be evaluated in parallel by callers.
+rows, r/s 0.5 to 2**1021, y = 1, M and (M+1)/2), plus the fit's term:
+(2r/(M+1)) * sum of (g_fit - g)*(sin_in^2 + sin_out^2) over the fitted
+entries a pair reads. Each fitted entry is within 4*eps*(1 + 2h)*g of g,
+the rounding of f from its rate, and each line's sum within eps of its
+own, so that term is at most 8*eps*(1 + 2h) times 2r/(M+1) times the sum
+of g over those entries (F, when the cut-off is in the first block). The
+entry errors are the rates' rounding smoothed away and take either sign:
+in every case tested the fit stays inside eps*(4*R + 8*F). Live terms
+that cancel are not counted by that bound: a pair one column apart at the
+middle height reads 8.8 eps off at 4*_BLOCK + 2 rows and r/s 0.5.
+Functions are pure; node pairs can be evaluated in parallel by callers.
 """
 
 from __future__ import annotations
@@ -108,10 +117,54 @@ class _ModeTable(NamedTuple):
 
     rows: int
     ratio: float
-    folded: np.ndarray  # g_j = f_j + f_{M-1-j} for j < ceil(M/2); f_j alone at a middle j = M-1-j
+    # g_j = f_j + f_{M-1-j} for j < min(_BLOCK, ceil(M/2)); f_j alone at a middle j = M-1-j
+    folded: np.ndarray
     head: np.ndarray  # h_j for j < min(_BLOCK, M)
     first: np.ndarray  # f_j for j < min(_BLOCK, M)
     top: np.ndarray  # f_{M-1-j} for j < min(_BLOCK, M): the last entries, mirrored
+    lines: np.ndarray  # Chebyshev coefficients of g, one row per _WIDTH entries from _BLOCK on
+    rest: np.ndarray  # g_j past the last line to ceil(M/2), raw; f_j alone at a middle j
+
+
+# Degree of the Chebyshev fit of one line of g: past the first block a line of
+# _WIDTH entries is at least 2*_BLOCK/_WIDTH half-widths from the pole of f at
+# mode 1 (entry -1), so the truncation error is far below rounding.
+_DEGREE = 7
+# [basis, projection]: T_q at the _WIDTH entries of a line mapped onto [-1, 1],
+# shape (_WIDTH, _DEGREE + 1), and its least-squares projection; the same for
+# every table, built by the first one that fits a line
+_CHEBYSHEV: list[np.ndarray] = []
+
+
+def _chebyshev() -> tuple[np.ndarray, np.ndarray]:
+    """The line basis and projection of ``_CHEBYSHEV``, built on first use."""
+    if not _CHEBYSHEV:
+        x = np.linspace(-1.0, 1.0, _WIDTH)
+        basis = np.empty((_WIDTH, _DEGREE + 1))
+        basis[:, 0], basis[:, 1] = 1.0, x
+        for q in range(2, _DEGREE + 1):  # T_q = 2x*T_{q-1} - T_{q-2}
+            basis[:, q] = 2.0 * x * basis[:, q - 1] - basis[:, q - 2]
+        projection = np.linalg.solve(basis.T @ basis, basis.T)
+        for array in (basis, projection):
+            array.flags.writeable = False
+        _CHEBYSHEV.extend((basis, projection))
+    return _CHEBYSHEV[0], _CHEBYSHEV[1]
+
+
+def _fit_lines(weights: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients, (lines, _DEGREE + 1), of the rows of ``weights``,
+    one line of ``_WIDTH`` entries each.
+
+    Each line is fitted about its mean: the mean, plus the least-squares
+    projection of what is left. That residual is a few percent of the line
+    and rounds that much less: a plain projection of the line reads its
+    sum up to 5.5 eps off at 10^6 rows.
+    """
+    _, projection = _chebyshev()
+    mean = weights.mean(axis=1)
+    coeffs = (weights - mean[:, None]) @ projection.T
+    coeffs[:, 0] += mean
+    return coeffs
 
 
 @lru_cache(maxsize=64)
@@ -121,32 +174,64 @@ def _decay_table(rows: int, ratio: float) -> _ModeTable:
 
     Mode i and its mirror M + 3 - i have the same sin^2 at every height, so
     past the live cut-off a pair sums the folded weights g_j = f_j +
-    f_{M-1-j} over ceil(M/2) entries instead of f over M. The table keeps
-    the rates h of the first ``_BLOCK`` modes for :func:`_live_rates`, and
-    the raw f of those modes and of the last ``_BLOCK``: f descends with the
-    mode, and :func:`_live_modes` bisects the two ends for the cut-off, and
-    :func:`_free_terms` reads the mirror terms of first-block live modes
-    from the top. Every f has the bits of :func:`_free`; the build takes a
-    low block and its mirror block at a time, so it holds O(_BLOCK)
-    temporaries.
+    f_{M-1-j} over ceil(M/2) entries instead of f over M. The first
+    ``_BLOCK`` of them are kept raw. Past the first block g is analytic in
+    j, its nearest singularity at j = -1, so each line of ``_WIDTH`` entries
+    is kept as ``_DEGREE`` + 1 Chebyshev coefficients (:func:`_fit_lines`):
+    a fitted entry is within 4*eps*(1 + 2h)*g of g, the rounding of f from
+    its rate, and each line's sum within eps of its own (the module
+    docstring adds that term to the bound of closed and rt). The entries
+    past the last full line, at most ``_WIDTH`` with the middle entry of an
+    odd M, stay raw. At 10^6 rows the table holds 0.77 MB where raw g took
+    4.2.
+
+    The table keeps the rates h of the first ``_BLOCK`` modes for
+    :func:`_live_rates`, and the raw f of those modes and of the last
+    ``_BLOCK``: f descends with the mode, and :func:`_live_modes` bisects
+    the two ends for the cut-off, and :func:`_free_terms` reads the mirror
+    terms of first-block live modes from the top. Every raw f has the bits
+    of :func:`_free`; the build takes a low block and its mirror block at a
+    time, so it holds O(_BLOCK) temporaries.
     """
-    edge = min(_BLOCK, rows)
+    edge, half = min(_BLOCK, rows), (rows + 1) // 2
     head = _rates(rows, ratio, 0, edge)
     first = 0.5 / np.sinh(2.0 * head)
     top = first[::-1] if edge == rows else _free(rows, ratio, rows - edge, rows)[::-1]
-    folded = np.empty((rows + 1) // 2)
-    for block, _ in _mode_blocks(folded.size, 0):
-        if block.start == 0:
-            low, high = first[block], top[block]
+    folded = first[:half] + top[:half]
+    lines = np.empty((max(rows // 2 - _BLOCK, 0) // _WIDTH, _DEGREE + 1))
+    fitted = _BLOCK + lines.shape[0] * _WIDTH  # where the raw rest begins
+    rest = np.empty(max(half - fitted, 0))
+    for block, _ in _mode_blocks(half, 0):
+        start, stop = block.start, block.stop
+        if start == 0:
+            low, weights = first[block], folded
         else:
-            low = _free(rows, ratio, block.start, block.stop)
-            high = _free(rows, ratio, rows - block.stop, rows - block.start)[::-1]
-        np.add(low, high, out=folded[block])
-    if rows % 2:  # the middle mode is its own mirror
-        folded[-1] = low[-1]
-    for table in (folded, head, first, top):
+            low = _free(rows, ratio, start, stop)
+            weights = low + _free(rows, ratio, rows - stop, rows - start)[::-1]
+        if rows % 2 and stop == half:  # the middle mode is its own mirror
+            weights[-1] = low[-1]
+        count = max(min(stop, fitted) - start, 0)  # entries of the block in full lines
+        if start and count:
+            line = (start - _BLOCK) // _WIDTH
+            lines[line:line + count // _WIDTH] = _fit_lines(weights[:count].reshape(-1, _WIDTH))
+        if stop > fitted:  # the rest lies in the last block
+            rest[:] = weights[count:]
+    for table in (folded, head, first, top, lines, rest):
         table.flags.writeable = False
-    return _ModeTable(rows, ratio, folded, head, first, top)
+    return _ModeTable(rows, ratio, folded, head, first, top, lines, rest)
+
+
+def _folded(table: _ModeTable, start: int, stop: int) -> np.ndarray:
+    """g_j over start <= j < stop: raw in the first block and the rest, else
+    evaluated from the coefficients of its lines."""
+    if stop <= table.folded.size:
+        return table.folded[start:stop]
+    line = min((start - _BLOCK) // _WIDTH, table.lines.shape[0])
+    last = -(-(stop - _BLOCK) // _WIDTH)
+    basis, _ = _chebyshev()
+    values = np.concatenate(((table.lines[line:last] @ basis.T).ravel(), table.rest))
+    first = _BLOCK + line * _WIDTH
+    return values[start - first:stop - first]
 
 
 def _live_rates(spec: HammockSpec, head: np.ndarray, block: slice, cut: int) -> np.ndarray:
@@ -182,23 +267,6 @@ def _sin_turns(turns: np.ndarray, period: int) -> np.ndarray:
     return np.sin((quarter - folded) * (np.pi / (2 * quarter)))
 
 
-def _angle_tables(anchors: range, width: int, denom: int, heights):
-    """Anchor and offset tables of the angles pi*(i-1)*h/denom, reduced exactly.
-
-    Mode i's angle is 2*pi*t/(4*denom) with the integer t = 2*(i-1)*h, split
-    as 2*(i-1) = a + b over the ``anchors`` a and the offsets b = 0, 2, ...,
-    2*width - 2. Returns [sin a, cos a] per anchor, shape (heights,
-    anchors, 2), and [cos b, sin b] per offset, shape (heights, 2, width):
-    a quarter period (denom turns) on, a sine is a cosine.
-    """
-    period = 4 * denom
-    height = np.array(heights, dtype=np.int64)[:, None, None]
-    starts = np.arange(anchors.start, anchors.stop, anchors.step, dtype=np.int64)[:, None]
-    offsets = np.arange(0, 2 * width, 2, dtype=np.int64)
-    return (_sin_turns(height * starts + [0, denom], period),
-            _sin_turns(height * offsets + [[denom], [0]], period))
-
-
 def _sines(block: slice, denom: int, *heights: int) -> np.ndarray:
     """sin(pi*(i-1)*h/denom) over the modes of ``block``: one row per height h.
 
@@ -207,10 +275,10 @@ def _sines(block: slice, denom: int, *heights: int) -> np.ndarray:
     lattice whose decay table fits in memory), so every entry is within a
     few eps; a rounded product near pi*(i-1)*h/denom is off by up to
     8e-10 at 10^6 rows. A block longer than ``_SPLIT`` modes splits each
-    angle into an anchor a and an offset b (:func:`_angle_tables`) and
-    takes sin(a + b) = [sin a, cos a] . [cos b, sin b] as one batched
-    matrix product of (heights, anchors, 2) by (heights, 2, offsets):
-    about 4*sqrt(n) sines per height instead of n.
+    2*(i-1) into an anchor a, every 2*width, and an offset b = 0, 2, ...,
+    2*width - 2, and takes sin(a + b) = [sin a, cos a] . [cos b, sin b] as
+    one batched matrix product of (heights, anchors, 2) by (heights, 2,
+    offsets): about 4*sqrt(n) sines per height instead of n.
     """
     first, stop = 2 * block.start + 2, 2 * block.stop + 2  # 2*(i-1) of the block
     count = block.stop - block.start
@@ -218,7 +286,12 @@ def _sines(block: slice, denom: int, *heights: int) -> np.ndarray:
         modes = np.arange(first, stop, 2, dtype=np.int64)
         return _sin_turns(np.multiply.outer(heights, modes), 4 * denom)
     width = math.isqrt(count - 1) + 1
-    left, right = _angle_tables(range(first, stop, 2 * width), width, denom, heights)
+    height = np.array(heights, dtype=np.int64)[:, None, None]
+    anchors = np.arange(first, stop, 2 * width, dtype=np.int64)[:, None]
+    offsets = np.arange(0, 2 * width, 2, dtype=np.int64)
+    # a quarter period (denom turns) on, a sine is a cosine
+    left = _sin_turns(height * anchors + [0, denom], 4 * denom)
+    right = _sin_turns(height * offsets + [[denom], [0]], 4 * denom)
     return np.matmul(left, right).reshape(len(heights), -1)[:, :count]
 
 
@@ -316,7 +389,7 @@ def _free_terms(table: _ModeTable, block: slice, live: int,
     total = 0.0
     if cut < size:
         s_in, s_out = sin_in[cut:], sin_out[cut:]
-        weights = table.folded[start + cut:block.stop]
+        weights = _folded(table, start + cut, block.stop)
         total += float((weights * (s_in * s_in + s_out * s_out)).sum())
     if mirrored:
         stop = start + mirrored
@@ -329,49 +402,58 @@ def _free_terms(table: _ModeTable, block: slice, live: int,
     return total
 
 
-def _far_sum(weights: np.ndarray, start: int, denom: int, *heights: int) -> float:
-    """Sum of w_i * sin^2(pi*(i-1)*y/denom) over the heights y and the
-    entries of ``weights`` from ``start`` on, with no per-mode sine: with
-    :func:`_free_terms`, the plumbing with which closed and rt both sum the
-    modes past their cut-off, over the folded weights g of
-    :func:`_decay_table` from :func:`_direct_modes` to ceil(M/2).
+def _far_sum(table: _ModeTable, start: int, denom: int, *heights: int) -> float:
+    """Sum of g_j * sin^2(pi*(j+1)*y/denom) over the heights y and the
+    folded entries j of ``table`` from ``start`` on, with no per-mode sine:
+    with :func:`_free_terms`, the plumbing with which closed and rt both sum
+    the modes past their cut-off, from :func:`_direct_modes` (a multiple of
+    ``_BLOCK``, or past the table) to ceil(M/2).
 
-    As sin^2 = (1 - cos 2*theta)/2, only the sums of w*cos(2*theta) are
-    needed. Each 2*theta splits as c + a + b: the base c of its block, the
-    anchor a of its line of ``_WIDTH`` modes, and the offset b within the
-    line, each reduced exactly by :func:`_angle_tables`. A block of w,
-    viewed as (lines x ``_WIDTH``), takes one matrix product by the offset
-    table ([cos b, sin b] per height and a column of ones) and one by the
-    anchor table ([cos a, sin a] per height and a row of ones); the block
-    bases are applied once at the end.
+    As sin^2 = (1 - cos 2*theta)/2, only the sums of g*cos(2*theta) are
+    needed, and those of g itself: the angle 2*theta of a height 0. Past the
+    first block g is a polynomial in each line of ``_WIDTH`` entries, so a
+    line's sum is its coefficients times the moments of the basis against
+    e^{i*b} over the line's offsets b, one (_DEGREE + 1) x heights table per
+    call. Each line's own angle splits as c + a, the base c of its block and
+    its anchor a within the block, so every angle is reduced exactly by
+    :func:`_sin_turns` from about 2*_WIDTH + M/_BLOCK turns per height. The
+    raw rest, shorter than one line, takes a sine per entry, and alone
+    (M below 2*_BLOCK + 2*_WIDTH) no line or base table.
     """
-    if start >= weights.size:
-        return 0.0
-    count = len(heights)
-    doubled = [2 * y for y in heights]  # the angle 2*theta of height y
-    lines, offsets = _angle_tables(range(0, 2 * _BLOCK, 2 * _WIDTH), _WIDTH, denom, doubled)
-    bases, _ = _angle_tables(range(2 * start + 2, 2 * weights.size + 2, 2 * _BLOCK), 0,
-                             denom, doubled)
-    by_offset = np.vstack((offsets.reshape(-1, _WIDTH), np.ones(_WIDTH))).T
-    by_line = np.vstack((lines[:, :, ::-1].transpose(0, 2, 1).reshape(-1, _WIDTH),
-                         np.ones(_WIDTH)))
-    # parts[k, 2h + p, 2h + q] = sum over block k of w * [cos a, sin a][p]
-    # * [cos b, sin b][q] for height h; parts[k, -1, -1] = sum of w over it
-    parts = np.empty((bases.shape[1], 2 * count + 1, 2 * count + 1))
-    for part, first in zip(parts, range(start, weights.size, _BLOCK)):
-        block = weights[first:first + _BLOCK]
-        if block.size % _WIDTH:  # the last block, padded with weight 0
-            block = np.concatenate((block, np.zeros(-block.size % _WIDTH)))
-        size = block.size // _WIDTH
-        np.matmul(by_line[:, :size], np.matmul(block.reshape(size, _WIDTH), by_offset),
-                  out=part)
-    cosines = 0.0
-    for height, (sin_c, cos_c) in enumerate(bases.transpose(0, 2, 1)):
-        cc, cs, sc, ss = (parts[:, 2 * height + p, 2 * height + q]
-                          for p in (0, 1) for q in (0, 1))
-        # cos(c + a + b) = cos c * cos(a + b) - sin c * sin(a + b)
-        cosines += float((cos_c * (cc - ss) - sin_c * (sc + cs)).sum())
-    return 0.5 * (count * float(parts[:, -1, -1].sum()) - cosines)
+    lines = table.lines[(start - _BLOCK) // _WIDTH:]
+    fitted = _BLOCK + table.lines.shape[0] * _WIDTH  # where the raw rest begins
+    rest = table.rest[max(start - fitted, 0):]
+    total = 0.0
+    if rest.size:
+        first = 2 * max(start, fitted) + 2  # 2*(i-1) of the first entry
+        modes = np.arange(first, first + 2 * rest.size, 2)
+        sines = _sin_turns(np.multiply.outer(heights, modes), 4 * denom)
+        total += float((sines * sines @ rest).sum())
+    if not lines.size:
+        return total
+    full, tail = divmod(lines.shape[0], _WIDTH)  # _BLOCK = _WIDTH lines of _WIDTH entries
+    blocks = full + (tail > 0)
+    # turns 2*(j+1)*2y for the block bases j + 1 = start + 1 + k*_BLOCK, the
+    # line anchors l*_WIDTH and the offsets m; e^{i*angle} per height, and
+    # e^0 = 1 for the sums of g
+    steps = np.concatenate((start + 1 + _BLOCK * np.arange(blocks),
+                            _WIDTH * np.arange(_WIDTH), np.arange(_WIDTH)))
+    turns = np.multiply.outer(np.array(heights) * 4, steps)
+    phases = np.ones((len(heights) + 1, steps.size), complex)
+    phases[1:].real, phases[1:].imag = _sin_turns(np.add.outer((denom, 0), turns), 4 * denom)
+    bases, offsets = phases[:, :blocks], phases[:, blocks + _WIDTH:]
+    # per block and coefficient, the sum over its lines of c*e^{i*a}, as [re, im] per height
+    anchors = np.ascontiguousarray(phases[:, blocks:blocks + _WIDTH].T).view(float)
+    per_block = np.empty((blocks, _DEGREE + 1, anchors.shape[1]))
+    np.matmul(lines[:full * _WIDTH].reshape(full, _WIDTH, _DEGREE + 1).transpose(0, 2, 1),
+              anchors, out=per_block[:full])
+    if tail:
+        np.matmul(lines[full * _WIDTH:].T, anchors[:tail], out=per_block[full])
+    # times the moments of the basis against e^{i*b} over a line's offsets, and the bases
+    basis, _ = _chebyshev()
+    sums = (per_block.view(complex) * (basis.T @ offsets.T)).sum(axis=1)
+    cosines = (bases * sums.T).real.sum(axis=1)
+    return total + 0.5 * (len(heights) * float(cosines[0]) - float(cosines[1:].sum()))
 
 
 def _mode_sum(spec: HammockSpec, coords: SpanCoords) -> float:
@@ -396,7 +478,7 @@ def _mode_sum(spec: HammockSpec, coords: SpanCoords) -> float:
                             - 2.0 * s_in * s_out * beta
                             + s_out * s_out * gamma).sum())
         total += _free_terms(table, block, live, sin_in, sin_out)
-    return total + _far_sum(table.folded, direct, denom, coords.y_in, coords.y_out)
+    return total + _far_sum(table, direct, denom, coords.y_in, coords.y_out)
 
 
 def _uniform_term(spec: HammockSpec, y1: int, y2: int) -> float:

@@ -365,7 +365,7 @@ def resistance_rt(spec: HammockSpec, a: NodeLike, b: NodeLike) -> ResistanceResu
                                        zeta_in, zeta_out, spec.ratio)
             total += float((x_out * w_out).sum()) - float((x_in * w_in).sum())
         free += _free_terms(table, block, live, lift_in, lift_out)
-    free += _far_sum(table.folded, direct, n, y_in, y_out)
+    free += _far_sum(table, direct, n, y_in, y_out)
     # past the cut-off, x*w = (r/s)*f*zeta*w per node, zeta*w = (2/n)*sin^2(2*y*chi)
     value = float(spec.s) * (total + spec.ratio * (2.0 / n) * free)
     return ResistanceResult(value, "rt", {"swapped": coords.swapped})

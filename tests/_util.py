@@ -229,6 +229,26 @@ def span_ratios_reference(coords: SpanCoords, half: np.ndarray):
             near_out * far_out)
 
 
+def long_double_folded(rows: int, ratio: float, start: int, stop: int) -> np.ndarray:
+    """The folded weights g_j = f_j + f_{M-1-j} of entries start..stop-1 in
+    ``np.longdouble``, f alone at the middle entry j = M-1-j of an odd M.
+
+    f = 1/(2*sinh(2h)) as ``closed_form._free`` forms it, from the same
+    double rates of ``_rates``, so it measures how the table keeps g, not
+    how the rates round. On x86 the long double is the 80-bit format (eps
+    1.1e-19); where it is binary64 (MSVC, arm64 macOS) this is only a
+    second double-precision evaluation.
+    """
+
+    def free(lo, hi):
+        return 0.5 / np.sinh(2 * _rates(rows, ratio, lo, hi).astype(np.longdouble))
+
+    folded = free(start, stop) + free(rows - stop, rows - start)[::-1]
+    if rows % 2 and start <= rows // 2 < stop:
+        folded[rows // 2 - start] /= 2
+    return folded
+
+
 _LONG_PI = 4 * np.arctan(np.longdouble(1))
 
 

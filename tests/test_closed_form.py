@@ -31,10 +31,14 @@ from hammocknet import closed_form, recurrence
 from hammocknet.closed_form import (
     _BLOCK,
     _CLAMP,
+    _DEGREE,
     _SPLIT,
+    _WIDTH,
     _decay_table,
     _direct_modes,
     _far_sum,
+    _folded,
+    _free,
     _live_modes,
     _rates,
     _sines,
@@ -45,6 +49,7 @@ from _util import (
     interior_pairs,
     live_ratio,
     long_double_closed,
+    long_double_folded,
     rel_dev,
     span_ratios_reference,
 )
@@ -674,12 +679,13 @@ class TestFold:
 
     @pytest.mark.parametrize("rows", [4 * _BLOCK + 1, 10 ** 6])
     def test_far_sum_reads_the_folded_half(self, monkeypatch, rows):
+        # past the first block the folded half is kept as lines of coefficients
         spec = HammockSpec(rows, rows, r=3.0)
         read = []
 
-        def counted(weights, start, *args):
-            read.append(weights.size - start)
-            return _far_sum(weights, start, *args)
+        def counted(table, start, *args):
+            read.append(len(table.lines[(start - _BLOCK) // _WIDTH:]))
+            return _far_sum(table, start, *args)
 
         monkeypatch.setattr(closed_form, "_far_sum", counted)
         monkeypatch.setattr(recurrence, "_far_sum", counted)
@@ -689,7 +695,7 @@ class TestFold:
         assert direct == _BLOCK
         resistance_general(spec, a, b)
         resistance_rt(spec, a, b)
-        assert read == [(rows + 1) // 2 - _BLOCK] * 2
+        assert read == [(rows // 2 - _BLOCK) // _WIDTH] * 2
 
 
 def _reference_cases():
@@ -756,24 +762,58 @@ class TestFreeTable:
     @pytest.mark.parametrize("rows", [1, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
     @pytest.mark.parametrize("ratio", [1e-12, 3.0, 2.0 ** 1021])
     def test_bitwise_the_decay_table(self, rows, ratio):
+        # the raw entries: the first block of g and the rest past the last line
         table = _decay_table(rows, ratio)
         half = _rates(rows, ratio, 0, rows)
         free = 0.5 / np.sinh(2.0 * half)
         pairs = rows // 2  # entries j < M-1-j; an odd M leaves one middle entry
-        assert table.folded.size == (rows + 1) // 2
-        assert np.array_equal(table.folded[:pairs], free[:pairs] + free[::-1][:pairs])
-        if rows % 2:
-            assert table.folded[-1] == free[pairs]
+        folded = np.append(free[:pairs] + free[::-1][:pairs], free[pairs:-pairs or None])
+        lines = max(pairs - _BLOCK, 0) // _WIDTH
+        assert table.folded.size == min(_BLOCK, (rows + 1) // 2)
+        assert table.lines.shape == (lines, _DEGREE + 1)
+        assert np.array_equal(table.folded, folded[:_BLOCK])
+        assert np.array_equal(table.rest, folded[_BLOCK + lines * _WIDTH:])
         assert np.array_equal(table.head, half[:_BLOCK])
         assert np.array_equal(table.first, free[:_BLOCK])
         assert np.array_equal(table.top, free[::-1][:_BLOCK])
         assert not any(array.flags.writeable for array in table[2:])
 
     @pytest.mark.parametrize("rows", [4 * _BLOCK + 1, 4 * _BLOCK + 2, 10 ** 6])
+    @pytest.mark.parametrize("ratio", [1e-12, 3.0, 2.0 ** 1021])
+    def test_fitted_lines_against_long_double(self, rows, ratio):
+        # each fitted entry within the rounding of f from its rate, 4*eps*(1 + 2h)
+        # of g, and each line's sum within eps of it: a plain projection of the
+        # uncentred lines reads 5.5 eps off at 10^6 rows. Below the normal
+        # numbers (g near 2**-1022 at r/s 2**1021) the fit's products round to
+        # multiples of 2**-1074: an entry may be off by _WIDTH of them, and a
+        # line's sum by _WIDTH**2.
+        table = _decay_table(rows, ratio)
+        half = (rows + 1) // 2
+        got = _folded(table, _BLOCK, half)
+        want = long_double_folded(rows, ratio, _BLOCK, half)
+        fitted = table.lines.shape[0] * _WIDTH
+        assert got.size == want.size and 0 < half - _BLOCK - fitted <= _WIDTH
+        # the raw rest, with the middle entry of an odd M, has the bits of _free
+        free, pairs = _free(rows, ratio, 0, rows), rows // 2
+        folded = np.append(free[:pairs] + free[::-1][:pairs], free[pairs:-pairs])
+        assert np.array_equal(got[fitted:], folded[_BLOCK + fitted:])
+        unit = 2.0 ** -1074
+        error = got[:fitted] - want[:fitted]
+        top = float(_rates(rows, ratio, rows - 1, rows)[0])
+        assert np.all(np.abs(error) <= 4 * _EPS * (1 + 2 * top) * want[:fitted] + _WIDTH * unit)
+        lines = error.reshape(-1, _WIDTH).sum(axis=1)
+        sums = want[:fitted].reshape(-1, _WIDTH).sum(axis=1)
+        assert np.all(np.abs(lines) <= _EPS * sums + _WIDTH ** 2 * unit)
+        # unbiased over every line
+        assert abs(lines.sum()) <= 0.5 * _EPS * sums.sum()
+
+    @pytest.mark.parametrize("rows", [4 * _BLOCK + 1, 4 * _BLOCK + 2, 10 ** 6])
     def test_retains_half_a_table(self, rows):
+        # four raw blocks, _DEGREE + 1 coefficients per line and a raw rest
         table = _decay_table(rows, 3.0)
         held = sum(array.nbytes for array in table[2:])
-        assert held <= 8 * ((rows + 1) // 2 + 3 * _BLOCK)
+        lines = -(-((rows + 1) // 2 - _BLOCK) // _WIDTH)
+        assert held <= 8 * (4 * _BLOCK + lines * (_DEGREE + 1) + _WIDTH + 1)
 
     def test_pair_routes_form_rates_one_block_at_a_time(self, monkeypatch):
         spec = HammockSpec(4 * _BLOCK + 3, 900, r=1.2345)  # a shape no other test asks
@@ -816,12 +856,14 @@ class TestContractedTail:
 
     The bound in ``closed_form``'s docstring: within eps*(4*R + 8*F), F being
     2r/(M+1) times the sum of the folded weights g over the contracted
-    entries. Nodes next to a hub and heights whose angles return to 0 are
-    where it is tightest. Past their cut-off the two routes share the fold
-    and the contraction, so each is checked against the reference here, not
-    only against the other. A pair one column apart keeps every mode live,
-    and its large live terms cancel; at y = 1, M and, for odd M, the middle
-    height (M+1)/2 it stays within the same bound.
+    entries, summed here from f. The fit of the table's lines adds a term of
+    its own to that bound, which these cases leave inside it. Nodes next to
+    a hub and heights whose angles return to 0 are where it is tightest.
+    Past their cut-off the two routes share the fold and the contraction,
+    so each is checked against the reference here, not only against the
+    other. A pair one column apart keeps every mode live, and its large
+    live terms cancel; at y = 1, M and, for odd M, the middle height
+    (M+1)/2 it stays within the same bound.
     """
 
     @pytest.mark.parametrize("ratio", [0.5, 3.0, 1e12, 2.0 ** 1021])
@@ -837,7 +879,9 @@ class TestContractedTail:
             live = _live_modes(span_coords(spec, a, b), table)
             if (a, b) in pairs:  # every folded entry after the first block is contracted
                 assert live <= _BLOCK
-            contracted = table.folded[_direct_modes(live, rows):]
+            # the folded entries from direct to ceil(M/2) are f from direct to M - direct
+            direct = _direct_modes(live, rows)
+            contracted = _free(rows, ratio, direct, rows - direct)
             bound = 4.0 * reference + 8.0 * (2.0 * ratio / (rows + 1) * float(contracted.sum()))
             for route in (resistance_general, resistance_rt):
                 with warnings.catch_warnings():

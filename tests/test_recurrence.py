@@ -27,7 +27,14 @@ from hammocknet import (
     transformed_columns,
 )
 from hammocknet import recurrence
-from hammocknet.closed_form import _BLOCK, _decay_table, _direct_modes, _live_modes, _rates
+from hammocknet.closed_form import (
+    _BLOCK,
+    _decay_table,
+    _direct_modes,
+    _free,
+    _live_modes,
+    _rates,
+)
 
 from _util import (
     coupling_matrix,
@@ -320,9 +327,11 @@ class TestResistanceRT:
                                 - math.fsum(x_in * mode_weights(spec.rows, coords.y_in)))
         value = resistance_rt(spec, a, b).ohms
         assert abs(value - twin) <= 1e-15 * value
-        # the contraction's bound in closed_form, F over the contracted folded entries
+        # the contraction's bound in closed_form, F over the contracted folded
+        # entries: f from direct to M - direct
+        direct = _direct_modes(live, spec.rows)
         far = 2.0 * float(spec.r) / (spec.rows + 1) \
-            * float(table.folded[_direct_modes(live, spec.rows):].sum())
+            * float(_free(spec.rows, spec.ratio, direct, spec.rows - direct).sum())
         assert abs(value - twin) <= _EPS * (4.0 * value + 8.0 * far)
 
     def test_exchange_is_bitwise(self):
