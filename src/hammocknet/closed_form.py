@@ -23,18 +23,17 @@ integer residue of (i-1)*height, so they are within a few eps, and a
 long block of them is one batched matrix product, sin(a + b) =
 [sin a, cos a] . [cos b, sin b], over about 2*sqrt(n) anchor and offset
 angles per height. And since the rates ascend, every decay factor falls
-below rounding from some mode on (see :func:`_live_modes`); past it,
-alpha = gamma = f = 1/(2*sinh(2h)) and beta = 0, and the span-frame
-kernel is skipped.
+below rounding from some mode on, read off the rate formula (:func:`_live_modes`);
+past it, alpha = gamma = f = 1/(2*sinh(2h)) and beta = 0: no span-frame kernel.
 
 Modes i and M + 3 - i share sin^2 at every height, so past the cut-off
 their isolated-node terms fold: closed, rt and the same-column and
 same-row forms read one cached table per instance, :func:`_decay_table`,
 which holds the folded weights g_j = f_j + f_{M-1-j} over ceil(M/2)
 entries (raw over the first ``_BLOCK``, past it as ``_DEGREE`` + 1
-Chebyshev coefficients per line of ``_WIDTH`` entries), the rates h and
-the raw f of the first ``_BLOCK`` modes, and the raw f of the last
-``_BLOCK``. The rates past the head are formed one block at a time
+Chebyshev coefficients per line of ``_WIDTH`` entries), the rates h of
+the first ``_BLOCK`` modes and the raw f of the last ``_BLOCK``. The
+rates past the head are formed one block at a time
 (:func:`_live_rates`), so a pair query holds O(_BLOCK) temporaries on top
 of the table; the current fields, which need every rate, form them all
 once per field. closed and rt sum every mode past their cut-off through
@@ -66,9 +65,7 @@ Functions are pure; node pairs can be evaluated in parallel by callers.
 
 from __future__ import annotations
 
-import bisect
 import math
-import operator
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -84,20 +81,19 @@ from .lattice import (
 )
 
 
-def _rates(rows: int, ratio: float, start: int, stop: int, step: int = 1) -> np.ndarray:
+def _rates(rows: int, ratio: float, start: int, stop: int) -> np.ndarray:
     """Decay rates asinh(sqrt(r/s) * sin(theta_i/2)) of table entries start..stop-1.
 
     Entry j belongs to mode i = j + 2. Every entry is formed on its own, so
-    any range of entries, or every ``step``-th one, has the bits of the same
-    entries of all ``rows``.
+    any range of entries has the bits of the same entries of all ``rows``.
     """
-    idx = np.arange(start + 1, stop + 1, step, dtype=float)
+    idx = np.arange(start + 1, stop + 1, dtype=float)
     return np.arcsinh(np.sqrt(ratio) * np.sin(idx * np.pi / (2 * rows + 2)))
 
 
-def _free(rows: int, ratio: float, start: int, stop: int, step: int = 1) -> np.ndarray:
+def _free(rows: int, ratio: float, start: int, stop: int) -> np.ndarray:
     """f = 1/(2*sinh(2h)) over the rates of :func:`_rates`, with their bits."""
-    return 0.5 / np.sinh(2.0 * _rates(rows, ratio, start, stop, step))
+    return 0.5 / np.sinh(2.0 * _rates(rows, ratio, start, stop))
 
 
 # Modes per block of a mode sum: the temporaries of one query stay within
@@ -120,7 +116,6 @@ class _ModeTable(NamedTuple):
     # g_j = f_j + f_{M-1-j} for j < min(_BLOCK, ceil(M/2)); f_j alone at a middle j = M-1-j
     folded: np.ndarray
     head: np.ndarray  # h_j for j < min(_BLOCK, M)
-    first: np.ndarray  # f_j for j < min(_BLOCK, M)
     top: np.ndarray  # f_{M-1-j} for j < min(_BLOCK, M): the last entries, mirrored
     lines: np.ndarray  # Chebyshev coefficients of g, one row per _WIDTH entries from _BLOCK on
     rest: np.ndarray  # g_j past the last line to ceil(M/2), raw; f_j alone at a middle j
@@ -186,12 +181,10 @@ def _decay_table(rows: int, ratio: float) -> _ModeTable:
     4.2.
 
     The table keeps the rates h of the first ``_BLOCK`` modes for
-    :func:`_live_rates`, and the raw f of those modes and of the last
-    ``_BLOCK``: f descends with the mode, and :func:`_live_modes` bisects
-    the two ends for the cut-off, and :func:`_free_terms` reads the mirror
-    terms of first-block live modes from the top. Every raw f has the bits
-    of :func:`_free`; the build takes a low block and its mirror block at a
-    time, so it holds O(_BLOCK) temporaries.
+    :func:`_live_rates`, and the raw f of the last ``_BLOCK`` (``top``), the
+    mirror terms of first-block live modes for :func:`_free_terms`. Every raw
+    f has the bits of :func:`_free`; the build takes a low block and its
+    mirror block at a time, so it holds O(_BLOCK) temporaries.
     """
     edge, half = min(_BLOCK, rows), (rows + 1) // 2
     head = _rates(rows, ratio, 0, edge)
@@ -216,9 +209,9 @@ def _decay_table(rows: int, ratio: float) -> _ModeTable:
             lines[line:line + count // _WIDTH] = _fit_lines(weights[:count].reshape(-1, _WIDTH))
         if stop > fitted:  # the rest lies in the last block
             rest[:] = weights[count:]
-    for table in (folded, head, first, top, lines, rest):
+    for table in (folded, head, top, lines, rest):
         table.flags.writeable = False
-    return _ModeTable(rows, ratio, folded, head, first, top, lines, rest)
+    return _ModeTable(rows, ratio, folded, head, top, lines, rest)
 
 
 def _folded(table: _ModeTable, start: int, stop: int) -> np.ndarray:
@@ -308,36 +301,21 @@ def _live_modes(coords: SpanCoords, table: _ModeTable) -> int:
     From there on, a suffix because the rates ascend, e^{-2*length*h} < e^{-708}
     for each of the five lengths of :func:`_span_ratios`, and so is e^{-4Nh}:
     far below rounding, so alpha = gamma = f = 1/(2*sinh(2h)) and beta = 0.
-    With ``shortest`` the least length, that is 2h >= 708/shortest, read off
-    the descending f as f <= 1/(2*sinh(708/shortest)): by bisection of the
-    table's raw first or last ``_BLOCK`` entries, and between them of f
-    formed on coarse to fine grids of :func:`_free`. A zero length (nodes
-    in one column) keeps every mode live.
+    With L the least length, table entry j is live while h_j < 354/L, which
+    by the rate formula is sin((j+1)*pi/(2M+2)) < reach = sinh(354/L)/sqrt(r/s):
+    j + 1 < asin(reach)*(2M+2)/pi, and every j from reach 1 on or at L = 0
+    (nodes in one column). A rounding tie may move the count by one mode,
+    whose decays are about e^{-708}: either side gives the sum to an ulp.
     """
     # x_in <= x_out: near_in = 2*x_in - 1 and far_out = 2*(N - x_out) + 1
     # are the shorter near and far lengths
     shortest = min(2 * coords.x_in - 1, 2 * (coords.cols - coords.x_out) + 1,
                    coords.separation)
-    rows, top = table.rows, table.top
-    if shortest == 0:
-        return rows
-    floor = 0.5 / math.sinh(_UNDERFLOW / shortest)
-    if top[0] > floor:
-        return rows
-    if table.first[-1] <= floor:
-        return bisect.bisect_left(table.first, -floor, key=operator.neg)
-    if top[-1] > floor:  # top ascends: its entries <= floor are the last modes
-        return rows - bisect.bisect_right(top, floor)
-    # f_{lo-1} > floor >= f_hi: the cut-off is in lo..hi
-    lo, hi = top.size, rows - top.size
-    while lo < hi:
-        step = -(-(hi - lo) // 64)
-        # of the entries lo, lo + step, ... before hi, the first ``above`` are above the floor
-        above = int(np.count_nonzero(_free(rows, table.ratio, lo, hi, step) > floor))
-        if not above:
-            return lo
-        lo, hi = lo + (above - 1) * step + 1, min(lo + above * step, hi)
-    return lo
+    reach = math.sinh(_UNDERFLOW / 2 / shortest) / math.sqrt(table.ratio) if shortest else 1.0
+    if reach >= 1.0:
+        return table.rows
+    # below rows as asin(reach) < pi/2; max: a reach that underflows (L near 1e300)
+    return max(math.ceil(math.asin(reach) * (2 * table.rows + 2) / math.pi) - 1, 0)
 
 
 def _span_ratios(coords: SpanCoords, half: np.ndarray):

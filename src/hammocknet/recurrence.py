@@ -31,6 +31,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -120,6 +122,20 @@ def _live_values(spec: HammockSpec, coords: SpanCoords, head: np.ndarray, block:
             -scale * (ratio_in * zeta_in - ratio_cross * zeta_out))
 
 
+def _require_current(injected) -> None:
+    """Refuse a current J that is a bool, not a real number, or not finite."""
+    if isinstance(injected, bool) or not isinstance(injected, numbers.Real) \
+            or not abs(injected) <= sys.float_info.max:  # NaN too
+        raise LatticeError(f"injected current must be a finite real number, got {injected!r}")
+
+
+def _past_the_float_range(injected) -> LatticeError:
+    """The refusal of a J too large for the float range; its wording holds for either sign."""
+    return LatticeError(f"the currents for J={abs(injected)!r} pass the float range, or the "
+                        "mode values that form them do, and so do those for -J; they are "
+                        "linear in J, so solve for a smaller |J|")
+
+
 def mode_weights(rows: int, height: int) -> np.ndarray:
     """Per-mode weights of the link-current sum above ``height``.
 
@@ -147,27 +163,26 @@ def solve_modes(spec: HammockSpec, coords: SpanCoords,
     and columns, and they are the values rt sums in its live modes. Past
     the live cut-off the cross ratio is exactly 0: the values are
     (r/s)*J*f*zeta_out and -(r/s)*J*f*zeta_in, with f = 1/(2*sinh(2h))
-    formed one block at a time by :func:`_free`.
+    formed one block at a time by :func:`_free`. J must be a finite real
+    number.
     """
     require_frame(spec, coords)
-    uniform = [-injected * (coords.y_out - coords.y_in) / spec.cols]
+    _require_current(injected)
     table = _decay_table(spec.rows, spec.ratio)
     live = _live_modes(coords, table)
     scale, n = spec.ratio * injected, spec.rows + 1
-    outs, ins = [uniform], [uniform]
+    x_out, x_in = np.empty(n), np.empty(n)
+    x_out[0] = x_in[0] = -injected * (coords.y_out - coords.y_in) / spec.cols
     for block, cut in _mode_blocks(spec.rows, live):
         zeta_in, zeta_out, _, _ = _profiles(n, *_sines(block, 2 * n, 1, 2 * coords.y_in,
                                                        2 * coords.y_out))
+        out, in_ = x_out[1 + block.start:1 + block.stop], x_in[1 + block.start:1 + block.stop]
         if cut:
-            x_out, x_in = _live_values(spec, coords, table.head, block, cut,
-                                       zeta_in[:cut], zeta_out[:cut], scale)
-            outs.append(x_out)
-            ins.append(x_in)
-        if cut < block.stop - block.start:
-            weight = scale * _free(spec.rows, spec.ratio, block.start + cut, block.stop)
-            outs.append(weight * zeta_out[cut:])
-            ins.append(-weight * zeta_in[cut:])
-    return np.concatenate(outs), np.concatenate(ins)
+            out[:cut], in_[:cut] = _live_values(spec, coords, table.head, block, cut,
+                                                zeta_in[:cut], zeta_out[:cut], scale)
+        weight = scale * _free(spec.rows, spec.ratio, block.start + cut, block.stop)
+        out[cut:], in_[cut:] = weight * zeta_out[cut:], -weight * zeta_in[cut:]
+    return x_out, x_in
 
 
 # Largest transformed term that truncation drops, per unit of |J|. Two
@@ -231,14 +246,19 @@ def _region_terms(spec: HammockSpec, coords: SpanCoords, injected: float,
     p, q = coords.p_offset, coords.q_offset
     gap = 2.0 * np.sinh(two_log)
     zeta_in, zeta_out = _all_profiles(spec.rows, coords.y_in, coords.y_out)[:2]
-    c_in = spec.ratio * injected * zeta_in / gap
-    c_out = spec.ratio * injected * zeta_out / gap
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused in term
+        c_in = spec.ratio * injected * zeta_in / gap
+        c_out = spec.ratio * injected * zeta_out / gap
     shrink = -np.expm1(-2.0 * cols * two_log)  # 1 - root**(-2N)
 
     def term(first, numerators, *exponents):
         top = max(base for _, base in numerators)
-        weight = sum(coeff * np.exp((base - top) * two_log)
-                     for coeff, base in numerators) / shrink
+        with np.errstate(over="ignore", invalid="ignore"):
+            weight = sum(coeff * np.exp((base - top) * two_log)
+                         for coeff, base in numerators) / shrink
+            # a column sums two terms, each at most |weight|: no value overflows
+            if not np.isfinite(2.0 * weight).all():
+                raise _past_the_float_range(injected)
         return first, weight, [e + (top - 2 * cols) for e in exponents]
 
     ks = np.arange(q + 1, right_s + 1, dtype=float)
@@ -296,9 +316,11 @@ def transformed_columns(spec: HammockSpec, coords: SpanCoords,
     each column. A kept entry is at least (|w_i|/env_i)*eps*|J|/4, so no
     value is subnormal for |J| above about 1e-280; below that the currents
     themselves near the subnormal range. Coincident nodes, like a zero
-    current, give an all-zero field.
+    current, give an all-zero field. J must be a finite real number; a J
+    whose column terms could pass the float range raises a ``LatticeError``.
     """
     require_frame(spec, coords)
+    _require_current(injected)
     rows, cols = spec.rows, spec.cols
     values = np.zeros((rows + 1, cols))
     values[0, :] = -injected * (coords.y_out - coords.y_in) / cols
@@ -432,13 +454,11 @@ def reconstruct_currents(spec: HammockSpec, a: NodeLike, b: NodeLike,
     modes its columns keep, and orients the result so ``injected`` amperes
     enter at ``a`` and leave at ``b``. Each column is summed in one call,
     so the columns around a node match the all-modes sum to rounding.
-    ``injected`` must be finite and may be zero (zero field). Every
-    intermediate is bounded, so any size that fits in memory reconstructs
-    without overflow; a ``LatticeError`` names a J whose currents themselves
-    pass the float range.
+    ``injected`` must be a finite real number and may be zero (zero
+    field). Any size that fits in memory reconstructs; a J whose currents
+    or mode values pass the float range raises a ``LatticeError``.
     """
-    if not np.isfinite(injected):
-        raise LatticeError(f"injected current must be finite, got {injected!r}")
+    _require_current(injected)  # before it is negated
     coords = span_coords(spec, a, b)
     a, b = coords.node_in, coords.node_out
     if coords.swapped:
@@ -454,8 +474,7 @@ def reconstruct_currents(spec: HammockSpec, a: NodeLike, b: NodeLike,
                   out=currents[:, first:stop])
     # BLAS overflows with no numpy flag; min and max need no field-sized temporary
     if not np.isfinite((currents.min(), currents.max())).all():
-        raise LatticeError(f"the currents for J={injected!r} pass the float range; "
-                           "they scale linearly in J, so solve for a smaller J")
+        raise _past_the_float_range(injected)
     currents.flags.writeable = False
     return CurrentField(spec=spec, source=a, sink=b, injected=injected,
                         coords=coords, currents=currents,

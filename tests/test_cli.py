@@ -311,6 +311,24 @@ class TestCurrents:
         assert out == ""
         assert err.startswith("error: the currents for J=1e+308 pass the float range")
 
+    def test_mode_values_past_the_float_range_print_no_warning(self):
+        # at J = 1e308 the currents would be about 3.2e307, but the mode values
+        # that form them overflow: one error line, no RuntimeWarning
+        source_root = str(Path(hammocknet.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
+        argv = ["currents", "--M", "4", "--N", "6", "--from", "2,1", "--to", "5,3",
+                "--J", "1e308"]
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from hammocknet.cli import main; sys.exit(main(sys.argv[1:]))",
+             *argv], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == EXIT_USAGE == 2
+        assert done.stdout == ""
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: the currents for J=1e+308 "), \
+            done.stderr
+
     def test_terminal_rejected(self, capsys):
         code, _, err = run(capsys, "currents", "--M", "2", "--N", "2",
                            "--from", "O", "--to", "1,1")

@@ -33,6 +33,7 @@ from hammocknet.closed_form import (
     _CLAMP,
     _DEGREE,
     _SPLIT,
+    _UNDERFLOW,
     _WIDTH,
     _decay_table,
     _direct_modes,
@@ -659,23 +660,80 @@ class TestFold:
             assert _live_modes(span_coords(spec, a, b), _decay_table(rows, spec.ratio)) == rows
             TestDecayFreeTail._check(spec, a, b)
 
-    def test_live_cut_counts_every_f_above_the_floor(self):
-        # the raw ends of the table, or coarse-to-fine grids between them
-        rows, ratio = 4 * _BLOCK + 2, 3.0
-        spec = HammockSpec(rows, 10 ** 6, r=ratio)
+    @pytest.mark.parametrize("rows", [1, 2, 3, _BLOCK + 1, 4 * _BLOCK + 2, 10 ** 6])
+    @pytest.mark.parametrize("ratio", [sys.float_info.min, 1e-12, 3.0, 2.0 ** 1021])
+    def test_live_cut_counts_every_f_above_the_floor(self, rows, ratio):
+        # the closed-form cut-off against a count over every f. Around the
+        # length 708/(2h_j) of each target entry j (both ends of the table and
+        # of the first and last blocks, the middle) the cut-off steps past j:
+        # at the length rounded up mode j underflows, rounded down it is live.
         table = _decay_table(rows, ratio)
-        free = 0.5 / np.sinh(2.0 * _rates(rows, ratio, 0, rows))
-        cuts = []
-        # the cut-off moves fastest near the top, where the rates level off
-        lengths = np.geomspace(1, 10 ** 5, 60).astype(int).tolist() + list(range(236, 290, 2))
-        for length in sorted(set(lengths)):
-            coords = span_coords(spec, (400000, 5), (400000 + length, rows - 9))
-            floor = 0.5 / math.sinh(708.0 / length)
-            cuts.append(_live_modes(coords, table))
-            assert cuts[-1] == np.count_nonzero(free > floor), length
-        assert rows in cuts
-        assert any(cut < _BLOCK for cut in cuts) and any(rows - _BLOCK < cut < rows for cut in cuts)
-        assert sum(_BLOCK <= cut <= rows - _BLOCK for cut in cuts) >= 5
+        rates = _rates(rows, ratio, 0, rows)
+        free = 0.5 / np.sinh(2.0 * rates)
+        targets = sorted({j for j in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, rows // 2,
+                                      rows - _BLOCK, rows - 2, rows - 1) if 0 <= j < rows})
+        reaches = [_UNDERFLOW / (2.0 * float(rates[j])) for j in targets]
+        lengths = {int(length) for length in np.geomspace(1.0, max(reaches[0], 1.0), 60)}
+        lengths |= {bound(reach) for reach in reaches for bound in (math.floor, math.ceil)}
+        # from 2**52 on such a length is the float 708/(2h_j) itself: a rounding
+        # tie, where the floor is within 4 eps of f_j (r/s 2**-1022 only)
+        ties = {reach for reach in reaches if reach >= 2.0 ** 52}
+        assert not ties or ratio == sys.float_info.min
+
+        def cut(length, a=None, b=None):
+            spec = HammockSpec(rows, 3 * length if a is None else 10 ** 6, r=ratio)
+            a, b = (a, b) if a else ((length, 1), (2 * length, rows))
+            got = _live_modes(span_coords(spec, a, b), table)
+            floor = 0.5 / math.sinh(_UNDERFLOW / length)
+            count = np.count_nonzero(free > floor)
+            if length not in ties:
+                assert got == count, length
+            else:
+                # the mode at the cut-off decays by about e^{-708}: closed reads
+                # within an ulp with either count
+                assert np.count_nonzero(free > (1 + 4 * _EPS) * floor) <= got \
+                    <= np.count_nonzero(free > (1 - 4 * _EPS) * floor), length
+                value = resistance_general(spec, a, b).ohms
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(closed_form, "_live_modes", lambda *_: count)
+                    assert resistance_general(spec, a, b).ohms == \
+                        pytest.approx(value, rel=2 * _EPS, abs=0.0), length
+            return got
+
+        cuts = {length: cut(length) for length in sorted(lengths - {0})}
+        for j, reach in zip(targets, reaches):
+            if reach < 2.0 ** 52:
+                assert cuts[math.ceil(reach)] <= j, (j, reach)
+            if 1.0 <= reach < 2.0 ** 52:
+                assert cuts[math.floor(reach)] > j, (j, reach)
+        if (rows, ratio) == (4 * _BLOCK + 2, 3.0):
+            # one pair far from the sides: the raw ends of the table and between
+            # them, and densely near the top, where the rates level off and the
+            # cut-off moves fastest
+            far = np.geomspace(1, 10 ** 5, 60).astype(int).tolist() + list(range(236, 290, 2))
+            far = [cut(length, (400000, 5), (400000 + length, rows - 9))
+                   for length in sorted(set(far))]
+            assert rows in far
+            assert any(c < _BLOCK for c in far) and any(rows - _BLOCK < c < rows for c in far)
+            assert sum(_BLOCK <= c <= rows - _BLOCK for c in far) >= 5
+
+    @pytest.mark.parametrize("live", [0, 1, _BLOCK // 2, 2 * _BLOCK, 4 * _BLOCK - 5,
+                                      4 * _BLOCK + 2])
+    def test_live_cut_forms_no_rate(self, monkeypatch, live):
+        # none live, in the first block, the middle, the last block and all
+        # live: the cut-off is read off the rate formula, with no table search
+        rows, length = 4 * _BLOCK + 2, 401
+        spec = HammockSpec(rows, 3 * length, r=live_ratio(rows, length, live), s=1.0)
+        table = _decay_table(rows, spec.ratio)
+
+        def refused(*args):
+            raise AssertionError("a rate was formed")
+
+        monkeypatch.setattr(closed_form, "_rates", refused)
+        monkeypatch.setattr(closed_form, "_free", refused)
+        for y_in, y_out in [(1, rows), (rows // 2, 1)]:
+            coords = span_coords(spec, (length, y_in), (2 * length, y_out))
+            assert _live_modes(coords, table) == live
 
     @pytest.mark.parametrize("rows", [4 * _BLOCK + 1, 10 ** 6])
     def test_far_sum_reads_the_folded_half(self, monkeypatch, rows):
@@ -774,7 +832,6 @@ class TestFreeTable:
         assert np.array_equal(table.folded, folded[:_BLOCK])
         assert np.array_equal(table.rest, folded[_BLOCK + lines * _WIDTH:])
         assert np.array_equal(table.head, half[:_BLOCK])
-        assert np.array_equal(table.first, free[:_BLOCK])
         assert np.array_equal(table.top, free[::-1][:_BLOCK])
         assert not any(array.flags.writeable for array in table[2:])
 
@@ -809,11 +866,11 @@ class TestFreeTable:
 
     @pytest.mark.parametrize("rows", [4 * _BLOCK + 1, 4 * _BLOCK + 2, 10 ** 6])
     def test_retains_half_a_table(self, rows):
-        # four raw blocks, _DEGREE + 1 coefficients per line and a raw rest
+        # three raw blocks, _DEGREE + 1 coefficients per line and a raw rest
         table = _decay_table(rows, 3.0)
         held = sum(array.nbytes for array in table[2:])
         lines = -(-((rows + 1) // 2 - _BLOCK) // _WIDTH)
-        assert held <= 8 * (4 * _BLOCK + lines * (_DEGREE + 1) + _WIDTH + 1)
+        assert held <= 8 * (3 * _BLOCK + lines * (_DEGREE + 1) + _WIDTH + 1)
 
     def test_pair_routes_form_rates_one_block_at_a_time(self, monkeypatch):
         spec = HammockSpec(4 * _BLOCK + 3, 900, r=1.2345)  # a shape no other test asks

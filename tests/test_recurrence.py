@@ -349,17 +349,30 @@ class TestReconstructCurrents:
         assert rail == pytest.approx(0.5, abs=1e-12)
         assert lattice == pytest.approx(0.5, abs=1e-12)
 
-    @pytest.mark.parametrize("injected", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("injected", [math.nan, math.inf, -math.inf, "2", True,
+                                          np.bool_(True), pytest.param(10 ** 400, id="10**400"),
+                                          1j])
     def test_refuses_non_finite_injection(self, injected):
-        with pytest.raises(LatticeError, match="finite"):
-            reconstruct_currents(HammockSpec(3, 4), (1, 1), (4, 3), injected)
+        # a bool, a string or a complex J is no current, and 10**400 passes the
+        # float range; each route checks J before it is used
+        spec = HammockSpec(3, 4)
+        coords = span_coords(spec, (1, 1), (4, 3))
+        for solve in (solve_modes, transformed_columns):
+            with pytest.raises(LatticeError, match="finite real number"):
+                solve(spec, coords, injected)
+        with pytest.raises(LatticeError, match="finite real number"):
+            reconstruct_currents(spec, (1, 1), (4, 3), injected)
 
     @pytest.mark.parametrize("shape, a, b, injected", [
         ((3, 4), (1, 1), (4, 3), 1e308),
         ((30, 40), (1, 1), (40, 30), 1e307),
+        # the currents are about 3.2e307, but ratio*J*zeta overflows
+        ((4, 6), (2, 1), (5, 3), 1e308),
+        ((4, 6), (5, 3), (2, 1), 1e308),
     ])
     def test_refuses_currents_past_the_float_range(self, shape, a, b, injected):
-        # the inverse product overflows inside BLAS, which sets no numpy flag
+        # the inverse product overflows inside BLAS, which sets no numpy flag,
+        # or the mode values overflow before it
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(LatticeError, match=re.escape(f"J={injected!r} ")):
