@@ -7,7 +7,11 @@ Ohm reduce to a three-term matrix recurrence in k, closed at the side
 boundaries by one-sided relations. Transforming by the eigenvector matrix
 of the link-coupling pattern decouples the rows into M + 1 scalar
 recurrences, each solved in closed form region by region (left of the
-input column, between the two nodes, right of the output column).
+input column, between the two nodes, right of the output column). The
+way back folds at the mirror row: link rows j and M - j are the sum and
+the difference of an even-mode and an odd-mode half-product (the first
+butterfly of a fast cosine transform), so the inverse product multiplies
+half the rows and the cached transform holds half a table.
 
 Every mode table (injection profiles, path weights, boundary values and
 the inverse transform) is built from the closed form's exact-residue
@@ -68,25 +72,35 @@ from .lattice import (
 
 @lru_cache(maxsize=64, typed=True)  # typed: True or 2.0 must not hit 1 or 2
 def mode_transform(rows: int) -> np.ndarray:
-    """Read-only inverse mode transform for M + 1 link rows, cached.
+    """Read-only lower half of the inverse mode transform for M + 1 link rows, cached.
 
     The forward transform has the coupling pattern's eigenvectors as rows,
     entry [i, j] = cos((2j+1) * chi_i) with chi_i = i*pi/(2M+2), 0-based.
-    Its inverse, returned here, has entry [j, i] = 1/(M+1) for i = 0 and
+    Its inverse has entry [j, i] = 1/(M+1) for i = 0 and
     (2/(M+1)) * cos((2j+1) * chi_i) otherwise, gathered from one period of
     an exact-residue table of cos(pi*t/(2M+2)): within a few eps of 2/(M+1).
+
+    Link rows j and M - j mirror each other, inverse[M-j, i] =
+    (-1)**i * inverse[j, i], so only the first h = ceil((M+1)/2) link rows
+    are kept, mode-major. This is a change of shape and layout: the
+    returned array is (M+1, h), not the full (M+1, M+1) inverse, with
+    entry half[i, j] = inverse[j, i]. To unfold it, link rows 0..h-1 are
+    ``half.T`` and link row M - j (j < M + 1 - h) is column j of ``half``
+    with its odd modes negated. Negated as 0 - x, so that a zero stays
+    +0.0, the unfolded entries equal the full table's bitwise, since
+    mirrored residues reduce to +- the same angle.
     """
     if not _is_integer(rows) or rows < 1:
         raise LatticeError(f"need at least one row, as an integer, got {rows!r}")
     n = rows + 1
     # cos(pi*t/(2n)) = sin(2*pi*(t + n)/(4n)) for t = 0..4n-1
     wave = (2.0 / n) * _sin_turns(np.arange(n, 5 * n), 4 * n)
-    turns = np.multiply.outer(2 * np.arange(n) + 1, np.arange(n))
+    turns = np.multiply.outer(np.arange(n), 2 * np.arange((n + 1) // 2) + 1)
     turns %= 4 * n
-    inverse = wave[turns]
-    inverse[:, 0] = 1.0 / n
-    inverse.flags.writeable = False
-    return inverse
+    half = wave[turns]
+    half[0] = 1.0 / n
+    half.flags.writeable = False
+    return half
 
 
 def _profiles(n: int, sin_chi: np.ndarray, lift_in: np.ndarray,
@@ -105,12 +119,15 @@ def _profiles(n: int, sin_chi: np.ndarray, lift_in: np.ndarray,
             lift_in / weight_scale, lift_out / weight_scale)
 
 
-def _all_profiles(rows: int, y_in: int, y_out: int) -> list[np.ndarray]:
-    """:func:`_profiles` over every non-uniform mode, in the blocks rt reads."""
+def _injection_profiles(rows: int, y_in: int, y_out: int) -> np.ndarray:
+    """Rows ``(zeta_in, zeta_out)`` of :func:`_profiles` over every non-uniform
+    mode, filled a block of :func:`_mode_blocks` at a time."""
     n = rows + 1
-    return [np.concatenate(tables) for tables in zip(*(
-        _profiles(n, *_sines(block, 2 * n, 1, 2 * y_in, 2 * y_out))
-        for block, _ in _mode_blocks(rows, rows)))]
+    zeta = np.empty((2, rows))
+    for block, _ in _mode_blocks(rows, rows):
+        sines = _sines(block, 2 * n, 1, 2 * y_in, 2 * y_out)
+        np.multiply(sines[1:], -2.0 * sines[0], out=zeta[:, block])
+    return zeta
 
 
 def _live_values(spec: HammockSpec, coords: SpanCoords, head: np.ndarray, block: slice,
@@ -148,8 +165,13 @@ def mode_weights(rows: int, height: int) -> np.ndarray:
             and 0 <= height <= rows + 1):
         raise LatticeError(f"need integers rows >= 1 and 0 <= height <= rows + 1, "
                            f"got rows={rows!r}, height={height!r}")
-    uniform = [(rows + 1 - height) / (rows + 1)]
-    return np.concatenate((uniform, _all_profiles(rows, height, height)[3]))
+    n = rows + 1
+    weights = np.empty(n)
+    weights[0] = (n - height) / n
+    for block, _ in _mode_blocks(rows, rows):
+        sin_chi, lift = _sines(block, 2 * n, 1, 2 * height)
+        np.divide(lift, -n * sin_chi, out=weights[1 + block.start:1 + block.stop])
+    return weights
 
 
 def solve_modes(spec: HammockSpec, coords: SpanCoords,
@@ -245,7 +267,7 @@ def _region_terms(spec: HammockSpec, coords: SpanCoords, injected: float,
     left_s, right_s = coords.span_left, coords.span_right
     p, q = coords.p_offset, coords.q_offset
     gap = 2.0 * np.sinh(two_log)
-    zeta_in, zeta_out = _all_profiles(spec.rows, coords.y_in, coords.y_out)[:2]
+    zeta_in, zeta_out = _injection_profiles(spec.rows, coords.y_in, coords.y_out)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused in term
         c_in = spec.ratio * injected * zeta_in / gap
         c_out = spec.ratio * injected * zeta_out / gap
@@ -401,8 +423,10 @@ class CurrentField:
     (i = 1..M+1, counted from the bottom hub) of column x. A current of
     ``injected`` amperes enters at ``source`` and leaves at ``sink``; rail
     currents inside the hubs are implied, not stored. ``truncation_bound``
-    (eps*|J|) bounds the dropped modes' share of each current, not the
-    rounding of the kept ones (see :func:`transformed_columns`). Immutable.
+    (eps*|J|) bounds the dropped modes' share of each current (see
+    :func:`transformed_columns`); the rounding of the kept ones is within
+    gamma_k * sum(|half| * |values|), k = ceil(d/2) + 1 for a column that
+    keeps d modes (see :func:`reconstruct_currents`). Immutable.
     """
 
     spec: HammockSpec
@@ -449,11 +473,18 @@ def reconstruct_currents(spec: HammockSpec, a: NodeLike, b: NodeLike,
                          injected: float = 1.0) -> CurrentField:
     """Reconstruct every vertical link current for injection a -> b.
 
-    Inverse-transforms the region solution with the dense (M+1) x (M+1)
-    inverse, one call per column range of :func:`_product_calls` over the
-    modes its columns keep, and orients the result so ``injected`` amperes
-    enter at ``a`` and leave at ``b``. Each column is summed in one call,
-    so the columns around a node match the all-modes sum to rounding.
+    Inverse-transforms the region solution, one call per column range of
+    :func:`_product_calls` over the modes its columns keep, and orients
+    the result so ``injected`` amperes enter at ``a`` and leave at ``b``.
+    Each call forms two half-products with the folded table of
+    :func:`mode_transform`, ``even`` over the even modes and ``odd`` over
+    the odd ones, for link rows j < h = ceil((M+1)/2); row j is even + odd
+    and its mirror row M - j is even - odd. Each column is summed in one
+    call, so the columns around a node match the all-modes sum to
+    rounding, and each current is within gamma_k * sum(|half| * |values|)
+    over both half-products of the exact product of the table and the
+    transformed values, gamma_k = k*u/(1 - k*u), u = eps/2, k = ceil(d/2)
+    + 1 with d the modes its column keeps, the uniform one included.
     ``injected`` must be a finite real number and may be zero (zero
     field). Any size that fits in memory reconstructs; a J whose currents
     or mode values pass the float range raises a ``LatticeError``.
@@ -466,12 +497,23 @@ def reconstruct_currents(spec: HammockSpec, a: NodeLike, b: NodeLike,
     # the solution is odd in the current, so solving for -J negates exactly
     transformed, kept = transformed_columns(spec, coords,
                                             injected if coords.swapped else -injected)
-    inverse = mode_transform(spec.rows)
+    half = mode_transform(spec.rows)
     currents = np.empty((spec.rows + 1, spec.cols))
-    for first, stop in _product_calls(kept):
-        depth = _depth(kept, first, stop)
-        np.matmul(inverse[:, :depth], transformed[:depth, first:stop],
-                  out=currents[:, first:stop])
+    # link rows 0..h-1, and rows M..h downwards: row M - j mirrors row j
+    upper, mirrored = currents[:half.shape[1]], currents[half.shape[1]:][::-1]
+    calls = list(_product_calls(kept))
+    # the odd-mode half-products, each call's contiguous, in one reused buffer
+    spare = np.empty(half.shape[1] * max(stop - first for first, stop in calls))
+    # an overflow is refused below, with no warning from the products or sums
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first, stop in calls:
+            depth = _depth(kept, first, stop)
+            even = upper[:, first:stop]
+            odd = spare[:even.size].reshape(even.shape)
+            np.matmul(half[0:depth:2].T, transformed[0:depth:2, first:stop], out=even)
+            np.matmul(half[1:depth:2].T, transformed[1:depth:2, first:stop], out=odd)
+            np.subtract(even[:len(mirrored)], odd[:len(mirrored)], out=mirrored[:, first:stop])
+            even += odd
     # BLAS overflows with no numpy flag; min and max need no field-sized temporary
     if not np.isfinite((currents.min(), currents.max())).all():
         raise _past_the_float_range(injected)

@@ -9,8 +9,9 @@ import numpy as np
 from mpmath import mp
 
 from hammocknet import CurrentField, GridNode, HammockSpec, LatticeError, SpanCoords
-from hammocknet.closed_form import _CLAMP, _UNDERFLOW, _rates
+from hammocknet.closed_form import _CLAMP, _UNDERFLOW, _rates, _sin_turns
 from hammocknet.lattice import span_coords
+from hammocknet.recurrence import mode_transform
 from hammocknet.spectral import _BLOCK, eigen_system
 
 
@@ -402,6 +403,36 @@ def coupling_matrix(rows: int) -> np.ndarray:
     matrix[0, 0] = 1.0
     matrix[-1, -1] = 1.0
     return matrix
+
+
+def unfolded_inverse(rows: int) -> np.ndarray:
+    """The full (M+1) x (M+1) inverse mode transform, unfolded from the
+    mode-major half table of ``mode_transform``.
+
+    Link row j < ceil((M+1)/2) is column j of the table; link row M - j is
+    the same column with its odd modes negated, as 0 - x so that a zero
+    entry stays +0.0 like the full table's.
+    """
+    half = mode_transform(rows)
+    n, h = half.shape
+    mirror = half.copy()
+    mirror[1::2] = 0.0 - half[1::2]
+    return np.vstack((half.T, mirror.T[:n - h][::-1]))
+
+
+def full_inverse(rows: int) -> np.ndarray:
+    """The full inverse mode transform gathered entry by entry, with no fold.
+
+    Entry [j, i] = (2/n)*cos(pi*(2j+1)*i/(2n)), n = M + 1, taken from one
+    period of an exact-residue wave cos(pi*t/(2n)) = sin(2*pi*(t + n)/(4n))
+    at t = (2j+1)*i mod 4n, and 1/n for i = 0.
+    """
+    n = rows + 1
+    wave = (2.0 / n) * _sin_turns(np.arange(n, 5 * n), 4 * n)
+    turns = np.multiply.outer(2 * np.arange(n) + 1, np.arange(n)) % (4 * n)
+    inverse = wave[turns]
+    inverse[:, 0] = 1.0 / n
+    return inverse
 
 
 def recurrence_residual(field: CurrentField) -> float:

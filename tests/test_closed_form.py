@@ -53,6 +53,7 @@ from _util import (
     long_double_folded,
     rel_dev,
     span_ratios_reference,
+    unfolded_inverse,
 )
 
 
@@ -529,7 +530,7 @@ class TestExactSines:
         rows = 10 ** 5
         n = rows + 1
         weights = recurrence.mode_weights(rows, height)[1:]
-        zeta = recurrence._all_profiles(rows, height, height)[0]
+        zeta = recurrence._injection_profiles(rows, height, height)[0]
         modes = [*range(1, 50), *range(50, rows - 50, 251), *range(rows - 50, rows + 1)]
         with mpmath.workdps(40):
             for mode in modes:  # i - 1
@@ -544,7 +545,7 @@ class TestExactSines:
         # entries (2/n)*cos(pi*(2j+1)*i/(2n)), against their scale 2/n
         rows = 2000
         n = rows + 1
-        inverse = recurrence.mode_transform(rows)
+        inverse = unfolded_inverse(rows)
         rng = np.random.default_rng(3)
         samples = zip(rng.integers(0, n, 2000).tolist(), rng.integers(1, n, 2000).tolist())
         with mpmath.workdps(40):

@@ -33,12 +33,15 @@ from hammocknet.closed_form import (
     _direct_modes,
     _free,
     _live_modes,
+    _mode_blocks,
     _rates,
+    _sines,
 )
 
 from _util import (
     coupling_matrix,
     cumsum_kirchhoff_residual,
+    full_inverse,
     full_kirchhoff_residual,
     interior_pairs,
     live_ratio,
@@ -46,6 +49,7 @@ from _util import (
     region_amplitudes,
     rel_dev,
     specs_upto,
+    unfolded_inverse,
 )
 
 _EPS = np.finfo(float).eps
@@ -80,10 +84,24 @@ def _forward(rows):
 
 class TestModeTransform:
     def test_two_row_entries(self):
-        inverse = mode_transform(1)
-        assert not inverse.flags.writeable
+        half = mode_transform(1)
+        assert not half.flags.writeable
+        assert half.shape == (2, 1)
+        inverse = unfolded_inverse(1)
         assert np.allclose(inverse, [[0.5, math.cos(math.pi / 4)],
                                      [0.5, math.cos(3 * math.pi / 4)]])
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 299, 300, 2000])
+    def test_unfolds_to_the_full_table_bitwise(self, rows):
+        # odd and even M + 1: mirrored residues reduce to +- the same angle
+        half = mode_transform(rows)
+        assert half.shape == (rows + 1, (rows + 2) // 2)
+        unfolded, full = unfolded_inverse(rows), full_inverse(rows)
+        assert unfolded.shape == full.shape == (rows + 1, rows + 1)
+        assert unfolded.tobytes() == full.tobytes()
+
+    def test_cached_table_holds_half_the_rows(self):
+        assert mode_transform(2000).nbytes == 2001 * 1001 * 8
 
     def test_refuses_zero_rows(self):
         with pytest.raises(LatticeError, match="at least one row"):
@@ -99,13 +117,13 @@ class TestModeTransform:
 
     def test_inverse(self):
         for rows in range(1, 9):
-            assert np.allclose(_forward(rows) @ mode_transform(rows),
+            assert np.allclose(_forward(rows) @ unfolded_inverse(rows),
                                np.eye(rows + 1), atol=1e-12)
 
     def test_diagonalises_coupling(self):
         for rows in range(1, 9):
             chis = np.arange(rows + 1) * math.pi / (2 * rows + 2)
-            product = _forward(rows) @ coupling_matrix(rows) @ mode_transform(rows)
+            product = _forward(rows) @ coupling_matrix(rows) @ unfolded_inverse(rows)
             assert np.allclose(product, np.diag(2.0 * np.cos(2.0 * chis)), atol=1e-12)
 
     def test_recurrence_coeff_consistency(self):
@@ -136,7 +154,7 @@ class TestModeWeights:
 
     def test_matches_inverse_transform_sum(self):
         for rows in (1, 3, 6):
-            inverse = mode_transform(rows)
+            inverse = unfolded_inverse(rows)
             for y in range(0, rows + 2):
                 direct = inverse[y:, :].sum(axis=0)
                 assert np.allclose(mode_weights(rows, y), direct, atol=1e-12)
@@ -154,6 +172,31 @@ class TestModeWeights:
     def test_accepts_numpy_integers(self):
         assert np.array_equal(mode_weights(np.int64(5), np.int32(2)), mode_weights(5, 2))
         assert np.array_equal(mode_transform(np.int64(3)), mode_transform(3))
+
+    @pytest.mark.parametrize("rows, y_in, y_out", [(5, 2, 4), (_BLOCK + 7, 3, 9001),
+                                                    (2 * _BLOCK + 5, 32000, 1)])
+    def test_tables_match_the_block_profiles_bitwise(self, rows, y_in, y_out):
+        # the weights and injection profiles are _profiles' rows, block by block
+        n = rows + 1
+        blocks = [recurrence._profiles(n, *_sines(block, 2 * n, 1, 2 * y_in, 2 * y_out))
+                  for block, _ in _mode_blocks(rows, rows)]
+        zeta_in, zeta_out, w_in, w_out = (np.concatenate(tables) for tables in zip(*blocks))
+        assert mode_weights(rows, y_in)[1:].tobytes() == w_in.tobytes()
+        assert mode_weights(rows, y_out)[1:].tobytes() == w_out.tobytes()
+        zeta = recurrence._injection_profiles(rows, y_in, y_out)
+        assert zeta[0].tobytes() == zeta_in.tobytes()
+        assert zeta[1].tobytes() == zeta_out.tobytes()
+
+    def test_forms_one_table(self):
+        # the weights, a block of sines at a time, and no other M-length table
+        rows = 10 ** 6
+        tracemalloc.start()
+        try:
+            weights = mode_weights(rows, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * weights.nbytes
 
 
 class TestSolveModes:
@@ -460,6 +503,32 @@ class TestReconstructCurrents:
             tracemalloc.stop()
         assert peak < 2.25 * (spec.rows + 1) * spec.cols * np.dtype(float).itemsize
 
+    @pytest.mark.parametrize("spec, a, b, injected", [
+        (HammockSpec(300, 300, r=0.5), (80, 120), (210, 40), 1.0),
+        (HammockSpec(2000, 500, r=0.5), (303, 88), (155, 1598), -1.7),
+    ])
+    def test_within_the_stated_rounding_bound(self, spec, a, b, injected):
+        # each current within gamma_k * sum(|half| * |values|) over both
+        # half-products, k = ceil(depth/2) + 1, of the same product in long
+        # double; plus that sum's own long-double rounding
+        coords = span_coords(spec, a, b)
+        values, kept = transformed_columns(spec, coords, injected if coords.swapped else -injected)
+        field = reconstruct_currents(spec, a, b, injected)
+        inverse = unfolded_inverse(spec.rows).astype(np.longdouble)
+        x_in, x_out = coords.node_in.x, coords.node_out.x
+        # the node columns, where every mode is kept, and shallower ones
+        # between the nodes and at both sides
+        for column in (x_in - 1, x_out - 1, (x_in + x_out) // 2, 0, spec.cols - 1):
+            depth = int(kept[column]) + 1
+            column_values = values[:, column].astype(np.longdouble)
+            exact = inverse @ column_values
+            scale = np.abs(inverse) @ np.abs(column_values)
+            k = -(-depth // 2) + 1
+            gamma = k * (_EPS / 2) / (1 - k * (_EPS / 2))
+            slack = spec.rows * float(np.finfo(np.longdouble).eps)
+            error = np.abs(field.currents[:, column] - exact)
+            assert np.all(error <= (gamma + slack) * scale), (column, depth)
+
     def test_no_kept_entry_is_subnormal(self):
         # a kept entry is at least (|w_i|/env_i)*eps*|J|/4 and a dropped one
         # exactly zero, so nothing lands between zero and the smallest normal
@@ -503,12 +572,16 @@ class TestModeTruncation:
         monkeypatch.setattr(recurrence, "_DROP_TOLERANCE", 0.0)
         every_values, every = transformed_columns(spec, coords, signed)
         assert np.all(every == spec.rows)
-        # every mode in the same column calls, so that only the dropped
-        # modes, and not the order of the BLAS sums, tell the two apart
-        inverse = recurrence.mode_transform(spec.rows)
+        # the folded product over every mode in the same column calls, so
+        # that only the dropped modes, and not the order of the BLAS sums,
+        # tell the two apart
+        half = recurrence.mode_transform(spec.rows)
         full = np.empty_like(field.currents)
         for first, stop in recurrence._product_calls(kept):
-            full[:, first:stop] = inverse @ every_values[:, first:stop]
+            even = half[0::2].T @ every_values[0::2, first:stop]
+            odd = half[1::2].T @ every_values[1::2, first:stop]
+            full[:half.shape[1], first:stop] = even + odd
+            full[half.shape[1]:, first:stop][::-1] = (even - odd)[:spec.rows + 1 - half.shape[1]]
         assert np.abs(field.currents - full).max() <= field.truncation_bound
 
     @pytest.mark.parametrize("spec, a, b, injected", [
