@@ -26,47 +26,25 @@ angles per height. And since the rates ascend, every decay factor falls
 below rounding from some mode on, read off the rate formula (:func:`_live_modes`);
 past it, alpha = gamma = f = 1/(2*sinh(2h)) and beta = 0: no span-frame kernel.
 
-Modes i and M + 3 - i share sin^2 at every height, so past the cut-off
-their isolated-node terms fold: closed, rt and the same-column and
-same-row forms read one cached table per instance, :func:`_decay_table`,
-which holds the folded weights g_j = f_j + f_{M-1-j} over ceil(M/2)
-entries (raw over the first ``_BLOCK``, past it as ``_DEGREE`` + 1
-Chebyshev coefficients per line of ``_WIDTH`` entries), the rates h of
-the first ``_BLOCK`` modes and the raw f of the last ``_BLOCK``. The
-rates past the head are formed one block at a time
+Every pair route splits its mode sum the same way, and one function,
+:func:`_mode_sum`, holds that split: a route passes only its kernel over
+the live modes of a block. Past the cut-off modes i and M + 3 - i share
+sin^2 at every height, so their isolated-node terms fold into one cached
+table per instance, :func:`_decay_table`: the folded weights g_j = f_j +
+f_{M-1-j} over ceil(M/2) entries (raw over the first ``_BLOCK``, past it
+as ``_DEGREE`` + 1 Chebyshev coefficients per line of ``_WIDTH``
+entries), the rates h of the first ``_BLOCK`` modes and the raw f of the
+last ``_BLOCK``. The rates past the head are formed one block at a time
 (:func:`_live_rates`), so a pair query holds O(_BLOCK) temporaries on top
 of the table; the current fields, which need every rate, form them all
-once per field. closed and rt sum every mode past their cut-off through
-the same plumbing: :func:`_free_terms` against the sine rows of the blocks
-they form anyway (g past the cut-off, and the mirror's f for a live mode
-whose mirror is past it), and :func:`_far_sum` over g after the first
-block and after the block of the last live mode (:func:`_direct_modes`):
-with sin^2 = (1 - cos 2*theta)/2 and the angle addition, the coefficients
-of every line take a few small matrix products, with no per-mode sine.
-That rounds like eps*sum(g) over the contracted entries, not like
-eps*sum(g*sin^2), so the first block stays direct: at large r/s, f falls
-like 1/i^2, and with a node next to a hub (y = 1 or M) the slow modes
-carry most of sum(f) while their sin^2 is small. With F = (2r/(M+1)) *
-sum of g over the contracted entries, closed's R and rt's are each within
-eps*(4*R + 8*F) of the same sum taken exactly over the same rates
-(tested against a long-double sum at 4*_BLOCK + 1, 4*_BLOCK + 2 and 10^6
-rows, r/s 0.5 to 2**1021, y = 1, M and (M+1)/2), plus the fit's term:
-(2r/(M+1)) * sum of (g_fit - g)*(sin_in^2 + sin_out^2) over the fitted
-entries a pair reads. Each fitted entry is within 4*eps*(1 + 2h)*g of g,
-the rounding of f from its rate, and each line's sum within eps of its
-own, so that term is at most 8*eps*(1 + 2h) times 2r/(M+1) times the sum
-of g over those entries (F, when the cut-off is in the first block). The
-entry errors are the rates' rounding smoothed away and take either sign:
-in every case tested the fit stays inside eps*(4*R + 8*F). Live terms
-that cancel are not counted by that bound: a pair one column apart at the
-middle height reads 8.8 eps off at 4*_BLOCK + 2 rows and r/s 0.5.
+once per field. :func:`_mode_sum` states the rounding bound of the sum.
 Functions are pure; node pairs can be evaluated in parallel by callers.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -125,25 +103,22 @@ class _ModeTable(NamedTuple):
 # _WIDTH entries is at least 2*_BLOCK/_WIDTH half-widths from the pole of f at
 # mode 1 (entry -1), so the truncation error is far below rounding.
 _DEGREE = 7
-# [basis, projection]: T_q at the _WIDTH entries of a line mapped onto [-1, 1],
-# shape (_WIDTH, _DEGREE + 1), and its least-squares projection; the same for
-# every table, built by the first one that fits a line
-_CHEBYSHEV: list[np.ndarray] = []
 
 
+@cache
 def _chebyshev() -> tuple[np.ndarray, np.ndarray]:
-    """The line basis and projection of ``_CHEBYSHEV``, built on first use."""
-    if not _CHEBYSHEV:
-        x = np.linspace(-1.0, 1.0, _WIDTH)
-        basis = np.empty((_WIDTH, _DEGREE + 1))
-        basis[:, 0], basis[:, 1] = 1.0, x
-        for q in range(2, _DEGREE + 1):  # T_q = 2x*T_{q-1} - T_{q-2}
-            basis[:, q] = 2.0 * x * basis[:, q - 1] - basis[:, q - 2]
-        projection = np.linalg.solve(basis.T @ basis, basis.T)
-        for array in (basis, projection):
-            array.flags.writeable = False
-        _CHEBYSHEV.extend((basis, projection))
-    return _CHEBYSHEV[0], _CHEBYSHEV[1]
+    """T_q at the ``_WIDTH`` entries of a line mapped onto [-1, 1], shape
+    (_WIDTH, _DEGREE + 1), and its least-squares projection: the same for
+    every table, built by the first one that fits a line."""
+    x = np.linspace(-1.0, 1.0, _WIDTH)
+    basis = np.empty((_WIDTH, _DEGREE + 1))
+    basis[:, 0], basis[:, 1] = 1.0, x
+    for q in range(2, _DEGREE + 1):  # T_q = 2x*T_{q-1} - T_{q-2}
+        basis[:, q] = 2.0 * x * basis[:, q - 1] - basis[:, q - 2]
+    projection = np.linalg.solve(basis.T @ basis, basis.T)
+    for array in (basis, projection):
+        array.flags.writeable = False
+    return basis, projection
 
 
 def _fit_lines(weights: np.ndarray) -> np.ndarray:
@@ -174,11 +149,10 @@ def _decay_table(rows: int, ratio: float) -> _ModeTable:
     j, its nearest singularity at j = -1, so each line of ``_WIDTH`` entries
     is kept as ``_DEGREE`` + 1 Chebyshev coefficients (:func:`_fit_lines`):
     a fitted entry is within 4*eps*(1 + 2h)*g of g, the rounding of f from
-    its rate, and each line's sum within eps of its own (the module
-    docstring adds that term to the bound of closed and rt). The entries
-    past the last full line, at most ``_WIDTH`` with the middle entry of an
-    odd M, stay raw. At 10^6 rows the table holds 0.77 MB where raw g took
-    4.2.
+    its rate, and each line's sum within eps of its own (:func:`_mode_sum`
+    adds that term to its bound). The entries past the last full line, at
+    most ``_WIDTH`` with the middle entry of an odd M, stay raw. At 10^6
+    rows the table holds 0.77 MB where raw g took 4.2.
 
     The table keeps the rates h of the first ``_BLOCK`` modes for
     :func:`_live_rates`, and the raw f of the last ``_BLOCK`` (``top``), the
@@ -352,11 +326,10 @@ def _direct_modes(live: int, rows: int) -> int:
 def _free_terms(table: _ModeTable, block: slice, live: int,
                 sin_in: np.ndarray, sin_out: np.ndarray) -> float:
     """Sum of the isolated-node terms f*(sin_in^2 + sin_out^2) that fold into
-    the modes of ``block``: plumbing, like :func:`_far_sum`, with which closed
-    and rt both sum every mode past their live cut-off.
+    the modes of ``block``, against the block's sine rows of the two nodes
+    (see :func:`_mode_sum`).
 
-    ``sin_in`` and ``sin_out`` are the sine rows the route formed for the
-    block. Its entries from the cut-off on take the folded weight g, and
+    The block's entries from the cut-off on take the folded weight g, and
     each live entry j < min(live, M - live), whose mirror M-1-j is past the
     cut-off, takes f_{M-1-j}: from the table's top for the first block,
     else formed here.
@@ -383,9 +356,8 @@ def _free_terms(table: _ModeTable, block: slice, live: int,
 def _far_sum(table: _ModeTable, start: int, denom: int, *heights: int) -> float:
     """Sum of g_j * sin^2(pi*(j+1)*y/denom) over the heights y and the
     folded entries j of ``table`` from ``start`` on, with no per-mode sine:
-    with :func:`_free_terms`, the plumbing with which closed and rt both sum
-    the modes past their cut-off, from :func:`_direct_modes` (a multiple of
-    ``_BLOCK``, or past the table) to ceil(M/2).
+    the entries of :func:`_mode_sum` from :func:`_direct_modes` (a multiple
+    of ``_BLOCK``, or past the table) to ceil(M/2).
 
     As sin^2 = (1 - cos 2*theta)/2, only the sums of g*cos(2*theta) are
     needed, and those of g itself: the angle 2*theta of a height 0. Past the
@@ -434,38 +406,90 @@ def _far_sum(table: _ModeTable, start: int, denom: int, *heights: int) -> float:
     return total + 0.5 * (len(heights) * float(cosines[0]) - float(cosines[1:].sum()))
 
 
-def _mode_sum(spec: HammockSpec, coords: SpanCoords) -> float:
-    """Hyperbolic mode sum of the general form, one block of modes at a time.
+def _mode_sum(spec: HammockSpec, coords: SpanCoords, kernel, denom: int,
+              *heights: int) -> tuple[float, float]:
+    """``(live, free)``: a pair's sum over the live modes and past them.
 
-    The blocks of :func:`_direct_modes` sum the span-frame kernel over the
-    live modes against the sine rows, and :func:`_free_terms` the folded
-    terms past the cut-off against the same rows; the folded entries after
-    them are contracted (see the module docstring for the rounding bound).
+    The one split of every pair route's mode sum, a block of modes at a
+    time. ``kernel(spec, coords, rates, rows)`` returns the route's terms
+    over the live modes of a block (its last axis; each row, if there are
+    several, is summed on its own), from their rates and their sine rows,
+    those of :func:`_sines` at ``heights`` over ``denom``; the last two rows
+    are the nodes'. ``free`` sums f*(sin_in^2 + sin_out^2) past
+    the cut-off, where no pair algebra is left: :func:`_free_terms` against
+    the rows of the blocks up to :func:`_direct_modes` (g past the cut-off,
+    and the mirror's f for a live mode whose mirror is past it), and
+    :func:`_far_sum` over g after them. With sin^2 = (1 - cos 2*theta)/2
+    and the angle addition, the coefficients of every line take a few small
+    matrix products, with no per-mode sine.
+
+    That rounds like eps*sum(g) over the contracted entries, not like
+    eps*sum(g*sin^2), so the first block stays direct: at large r/s, f falls
+    like 1/i^2, and with a node next to a hub (y = 1 or M) the slow modes
+    carry most of sum(f) while their sin^2 is small. With F = (2r/(M+1)) *
+    sum of g over the contracted entries, closed's R and rt's are each within
+    eps*(4*R + 8*F) of the same sum taken exactly over the same rates
+    (tested against a long-double sum at 4*_BLOCK + 1, 4*_BLOCK + 2 and 10^6
+    rows, r/s 0.5 to 2**1021, y = 1, M and (M+1)/2), plus the fit's term:
+    (2r/(M+1)) * sum of (g_fit - g)*(sin_in^2 + sin_out^2) over the fitted
+    entries a pair reads. Each fitted entry is within 4*eps*(1 + 2h)*g of g,
+    the rounding of f from its rate, and each line's sum within eps of its
+    own, so that term is at most 8*eps*(1 + 2h) times 2r/(M+1) times the sum
+    of g over those entries (F, when the cut-off is in the first block). The
+    entry errors are the rates' rounding smoothed away and take either sign:
+    in every case tested the fit stays inside eps*(4*R + 8*F). Live terms
+    that cancel are not counted by that bound: a pair one column apart at the
+    middle height reads 8.8 eps off at 4*_BLOCK + 2 rows and r/s 0.5.
     """
-    denom = spec.rows + 1
     table = _decay_table(spec.rows, spec.ratio)
     live = _live_modes(coords, table)
     direct = _direct_modes(live, spec.rows)
-    total = 0.0
+    total = free = 0.0
     for block, cut in _mode_blocks(direct, live):
-        sin_in, sin_out = _sines(block, denom, coords.y_in, coords.y_out)
+        rows = _sines(block, denom, *heights)
         if cut:
-            alpha, beta, gamma = _span_ratios(coords, _live_rates(spec, table.head, block, cut))
-            s_in, s_out = sin_in[:cut], sin_out[:cut]
-            total += float((s_in * s_in * alpha
-                            - 2.0 * s_in * s_out * beta
-                            + s_out * s_out * gamma).sum())
-        total += _free_terms(table, block, live, sin_in, sin_out)
-    return total + _far_sum(table, direct, denom, coords.y_in, coords.y_out)
+            # kept into the next block: freed with the kernel's temporaries they let glibc
+            # trim the heap and fault it back in (2000 page faults per rt pair at 10^5 rows)
+            terms = kernel(spec, coords, _live_rates(spec, table.head, block, cut), rows[:, :cut])
+            total += float(terms.sum(axis=-1).sum())
+        free += _free_terms(table, block, live, rows[-2], rows[-1])
+    return total, free + _far_sum(table, direct, denom, *heights[-2:])
 
 
-def _uniform_term(spec: HammockSpec, y1: int, y2: int) -> float:
+def _general_kernel(spec: HammockSpec, coords: SpanCoords, rates: np.ndarray,
+                    rows: np.ndarray) -> np.ndarray:
+    """alpha*s_in^2 - 2*beta*s_in*s_out + gamma*s_out^2 over live modes."""
+    alpha, beta, gamma = _span_ratios(coords, rates)
+    s_in, s_out = rows
+    return s_in * s_in * alpha - 2.0 * s_in * s_out * beta + s_out * s_out * gamma
+
+
+def _column_kernel(spec: HammockSpec, coords: SpanCoords, rates: np.ndarray,
+                   rows: np.ndarray) -> np.ndarray:
+    """(s_2 - s_1)^2 * alpha over live modes: at equal columns alpha = beta = gamma."""
+    sine_diff = rows[1] - rows[0]
+    return sine_diff * sine_diff * _span_ratios(coords, rates)[0]
+
+
+def _row_kernel(spec: HammockSpec, coords: SpanCoords, rates: np.ndarray,
+                rows: np.ndarray) -> np.ndarray:
+    """sin^2 times twice sinh(dh)*cosh((N-d)h)/(sinh(2h)*cosh(Nh)), e^{Nh} cancelled: past
+    the cut-off the coefficient is f, so doubled it is both nodes' isolated-node terms, 2f."""
+    distance, step = coords.separation, -2.0 * rates
+    coef = -np.expm1(distance * step) * (1.0 + np.exp((spec.cols - distance) * step)) \
+        / (np.sinh(-step) * (1.0 + np.exp(spec.cols * step)))
+    return rows[0] * rows[0] * coef
+
+
+def _closed_value(spec: HammockSpec, coords: SpanCoords, kernel, y1: int, y2: int) -> float:
+    """2r/(M+1) times the mode sum of ``kernel``, plus the uniform term s*(y2-y1)^2/(N*(M+1))."""
+    live, free = _mode_sum(spec, coords, kernel, spec.rows + 1, y1, y2)
     # s*(y2 - y1)^2 is often exact (s = 3, say), and then only the quotient
     # rounds; only where the product overflows is the integer ratio taken first
     lift, cells = float(spec.s) * (y2 - y1) ** 2, spec.cols * (spec.rows + 1)
-    if lift == math.inf:
-        return float(spec.s) * ((y2 - y1) ** 2 / cells)
-    return lift / cells
+    uniform = lift / cells if lift != math.inf else float(spec.s) * ((y2 - y1) ** 2 / cells)
+    # r/(M + 1) before its factor 2: the same bits, and no large r overflows
+    return float(spec.r) / (spec.rows + 1) * (2.0 * (live + free)) + uniform
 
 
 def resistance_general(spec: HammockSpec, a: NodeLike, b: NodeLike) -> ResistanceResult:
@@ -478,10 +502,7 @@ def resistance_general(spec: HammockSpec, a: NodeLike, b: NodeLike) -> Resistanc
     coords = span_coords(spec, a, b)
     if coords.node_in == coords.node_out:  # the mode sum misses 0 past r/s ~ 1e305
         return ResistanceResult(0.0, "closed", {"swapped": coords.swapped})
-    total = _mode_sum(spec, coords)
-    # r/(M + 1) before its factor 2: the same bits, and no large r overflows
-    value = float(spec.r) / (spec.rows + 1) * (2.0 * total) \
-        + _uniform_term(spec, coords.y_in, coords.y_out)
+    value = _closed_value(spec, coords, _general_kernel, coords.y_in, coords.y_out)
     return ResistanceResult(value, "closed", {"swapped": coords.swapped})
 
 
@@ -490,19 +511,12 @@ def resistance_same_column(spec: HammockSpec, x: int, y1: int, y2: int) -> Resis
 
     Equivalent to :func:`resistance_general` at equal columns, where
     alpha == beta == gamma and the cross terms fold into one squared sine
-    difference per mode.
+    difference per mode; every mode is live.
     """
     coords = span_coords(spec, (x, y1), (x, y2))
     if y1 == y2:
         return ResistanceResult(0.0, "closed", {"specialization": "same_column"})
-    head = _decay_table(spec.rows, spec.ratio).head
-    total = 0.0
-    for block, cut in _mode_blocks(spec.rows, spec.rows):
-        alpha = _span_ratios(coords, _live_rates(spec, head, block, cut))[0]
-        sin_1, sin_2 = _sines(block, spec.rows + 1, y1, y2)
-        sine_diff = sin_2 - sin_1
-        total += float((sine_diff * sine_diff * alpha).sum())
-    value = float(spec.r) / (spec.rows + 1) * (2.0 * total) + _uniform_term(spec, y1, y2)
+    value = _closed_value(spec, coords, _column_kernel, y1, y2)
     return ResistanceResult(value, "closed", {"specialization": "same_column"})
 
 
@@ -520,18 +534,7 @@ def resistance_same_row(spec: HammockSpec, y: int, x1: int, x2: int) -> Resistan
             f"columns x1={x1}, x2={x2} are not centred (need x1 + x2 = "
             f"{spec.cols + 1}); use resistance_general for off-centre pairs"
         )
-    distance = coords.separation
-    if distance == 0:
+    if coords.separation == 0:
         return ResistanceResult(0.0, "closed", {"specialization": "same_row"})
-    # sinh(dh) * cosh((N-d)h) / (sinh(2h) * cosh(Nh)) with e^{Nh} cancelled
-    head = _decay_table(spec.rows, spec.ratio).head
-    total = 0.0
-    for block, cut in _mode_blocks(spec.rows, spec.rows):
-        step = -2.0 * _live_rates(spec, head, block, cut)
-        coef = -np.expm1(distance * step) \
-            * (1.0 + np.exp((spec.cols - distance) * step)) \
-            / (2.0 * np.sinh(-step) * (1.0 + np.exp(spec.cols * step)))
-        (sines,) = _sines(block, spec.rows + 1, y)
-        total += float((sines * sines * coef).sum())
-    value = float(spec.r) / (spec.rows + 1) * (4.0 * total)
+    value = _closed_value(spec, coords, _row_kernel, y, y)
     return ResistanceResult(value, "closed", {"specialization": "same_row"})

@@ -291,7 +291,9 @@ def span_coords(spec: HammockSpec, a: NodeLike, b: NodeLike) -> SpanCoords:
 
 
 def require_frame(spec: HammockSpec, coords: SpanCoords) -> None:
-    """Refuse a span frame that was made for another instance's columns or rows."""
+    """Refuse anything but a span frame, and one made for another instance's columns or rows."""
+    if not isinstance(coords, SpanCoords):
+        raise LatticeError(f"need a span frame from span_coords, got {coords!r}")
     if coords.cols != spec.cols:
         raise LatticeError(f"span frame covers {coords.cols} columns, spec has {spec.cols}")
     top = max(coords.y_in, coords.y_out)

@@ -16,9 +16,9 @@ half the rows and the cached transform holds half a table.
 Every mode table (injection profiles, path weights, boundary values and
 the inverse transform) is built from the closed form's exact-residue
 sines, the first three through :func:`_profiles`, so rt and the fields
-read one table per quantity and every entry is within a few eps. Past
-its live cut-off rt has no pair algebra left: it sums f*sin^2 over the
-folded table through closed's plumbing, as closed does.
+read one table per quantity and every entry is within a few eps. rt's
+pair sum passes only its live-mode kernel to closed's ``_mode_sum``,
+which sums f*sin^2 over the folded table past the cut-off, as for closed.
 
 Sign conventions: upward currents are positive, and the transformed
 values returned by :func:`solve_modes` correspond to a unit current
@@ -44,13 +44,11 @@ import numpy as np
 
 from .closed_form import (
     _decay_table,
-    _direct_modes,
-    _far_sum,
     _free,
-    _free_terms,
     _live_modes,
     _live_rates,
     _mode_blocks,
+    _mode_sum,
     _rates,
     _sin_turns,
     _sines,
@@ -130,11 +128,11 @@ def _injection_profiles(rows: int, y_in: int, y_out: int) -> np.ndarray:
     return zeta
 
 
-def _live_values(spec: HammockSpec, coords: SpanCoords, head: np.ndarray, block: slice,
-                 cut: int, zeta_in: np.ndarray, zeta_out: np.ndarray, scale: float):
-    """``(x_out, x_in)`` of :func:`solve_modes` over the first ``cut`` modes of
-    ``block``, all before the live cut-off, with ``scale`` = (r/s)*J for the current J."""
-    ratio_in, ratio_cross, ratio_out = _span_ratios(coords, _live_rates(spec, head, block, cut))
+def _live_values(coords: SpanCoords, rates: np.ndarray, zeta_in: np.ndarray,
+                 zeta_out: np.ndarray, scale: float):
+    """``(x_out, x_in)`` of :func:`solve_modes` over live modes of decay ``rates``,
+    with ``scale`` = (r/s)*J for the current J."""
+    ratio_in, ratio_cross, ratio_out = _span_ratios(coords, rates)
     return (scale * (ratio_out * zeta_out - ratio_cross * zeta_in),
             -scale * (ratio_in * zeta_in - ratio_cross * zeta_out))
 
@@ -200,8 +198,9 @@ def solve_modes(spec: HammockSpec, coords: SpanCoords,
                                                        2 * coords.y_out))
         out, in_ = x_out[1 + block.start:1 + block.stop], x_in[1 + block.start:1 + block.stop]
         if cut:
-            out[:cut], in_[:cut] = _live_values(spec, coords, table.head, block, cut,
-                                                zeta_in[:cut], zeta_out[:cut], scale)
+            rates = _live_rates(spec, table.head, block, cut)
+            out[:cut], in_[:cut] = _live_values(coords, rates, zeta_in[:cut], zeta_out[:cut],
+                                                scale)
         weight = scale * _free(spec.rows, spec.ratio, block.start + cut, block.stop)
         out[cut:], in_[cut:] = weight * zeta_out[cut:], -weight * zeta_in[cut:]
     return x_out, x_in
@@ -378,6 +377,15 @@ def transformed_columns(spec: HammockSpec, coords: SpanCoords,
     return values, kept
 
 
+def _rt_kernel(spec: HammockSpec, coords: SpanCoords, rates: np.ndarray,
+               rows: np.ndarray) -> np.ndarray:
+    """X_out*w_out and -X_in*w_in over live modes, two rows summed apart, for
+    J = 1, from the sine rows sin(chi), sin(2*y_in*chi) and sin(2*y_out*chi)."""
+    zeta_in, zeta_out, w_in, w_out = _profiles(spec.rows + 1, *rows)
+    x_out, x_in = _live_values(coords, rates, zeta_in, zeta_out, spec.ratio)
+    return np.stack((x_out * w_out, -(x_in * w_in)))
+
+
 def resistance_rt(spec: HammockSpec, a: NodeLike, b: NodeLike) -> ResistanceResult:
     """Resistance from the recurrence-transform mode solution.
 
@@ -385,31 +393,17 @@ def resistance_rt(spec: HammockSpec, a: NodeLike, b: NodeLike) -> ResistanceResu
     top hub: R = (s/J) * (sum_i X_out(i) * w_i(y_out) -
     sum_i X_in(i) * w_i(y_in)), with the boundary values of
     :func:`solve_modes` and the weights of :func:`mode_weights`. rt forms
-    them, and sums X*w, over its live modes only, a block at a time. Past
-    the cut-off X*w = (r/s)*J*f*(2/(M+1))*sin^2(2*y*chi) per node, with no
-    pair algebra left: rt sums f*sin^2 through the plumbing closed uses,
-    :func:`_free_terms` against the sine rows of its blocks up to
-    :func:`_direct_modes` and :func:`_far_sum` over the folded table past
-    them, and a warm query costs O(live modes) sines at any size.
+    them, and sums X*w, over its live modes only, in the kernel it passes
+    to closed's ``_mode_sum``. Past the cut-off X*w = (r/s)*J*f*(2/(M+1))*
+    sin^2(2*y*chi) per node, with no pair algebra left: ``_mode_sum`` sums
+    f*sin^2 over the folded table, as for closed, and a warm query costs
+    O(live modes) sines at any size.
     """
     coords = span_coords(spec, a, b)
     y_in, y_out, n = coords.y_in, coords.y_out, spec.rows + 1
-    table = _decay_table(spec.rows, spec.ratio)
-    live = _live_modes(coords, table)
-    direct = _direct_modes(live, spec.rows)
+    live, free = _mode_sum(spec, coords, _rt_kernel, 2 * n, 1, 2 * y_in, 2 * y_out)
     # uniform mode: value -(y_out - y_in)/N, weight (M + 1 - y)/(M + 1)
-    total = -(y_out - y_in) / spec.cols * (y_in - y_out) / n
-    free = 0.0
-    for block, cut in _mode_blocks(direct, live):
-        sin_chi, lift_in, lift_out = _sines(block, 2 * n, 1, 2 * y_in, 2 * y_out)
-        if cut:
-            zeta_in, zeta_out, w_in, w_out = _profiles(n, sin_chi[:cut], lift_in[:cut],
-                                                       lift_out[:cut])
-            x_out, x_in = _live_values(spec, coords, table.head, block, cut,
-                                       zeta_in, zeta_out, spec.ratio)
-            total += float((x_out * w_out).sum()) - float((x_in * w_in).sum())
-        free += _free_terms(table, block, live, lift_in, lift_out)
-    free += _far_sum(table, direct, n, y_in, y_out)
+    total = -(y_out - y_in) / spec.cols * (y_in - y_out) / n + live
     # past the cut-off, x*w = (r/s)*f*zeta*w per node, zeta*w = (2/n)*sin^2(2*y*chi)
     value = float(spec.s) * (total + spec.ratio * (2.0 / n) * free)
     return ResistanceResult(value, "rt", {"swapped": coords.swapped})

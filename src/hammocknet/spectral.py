@@ -31,6 +31,7 @@ from .lattice import (
     NodeLike,
     ResistanceResult,
     SizeCapError,
+    SpanCoords,
     env_cap,
     require_interior,
     span_coords,
@@ -144,60 +145,60 @@ def eigen_system(spec: HammockSpec) -> MinorEigenSystem:
                             omegas=_frozen(omegas), scale=_frozen(scale))
 
 
-def _reduced_elements(spec: HammockSpec, nodes: list, pairs) -> list[float]:
-    """Reduced-form K(nodes[i], nodes[j]), nodes[i] <= nodes[j], for each (i, j) in pairs.
+def _reduced_elements(spec: HammockSpec, coords: SpanCoords) -> tuple[float, float, float]:
+    """Reduced-form (K_aa, K_bb, K_ab) of the frame's nodes a = node_in, b = node_out.
 
     r times the sum over row modes of row_i * row_j * cosh(n*omega) * cosh(f*omega)
     / (sinh(2*omega) * sinh(2*N*omega)), n = 2*x_i - 1 and f = 2*N - 2*x_j + 1 the
-    near and far lengths; as n + f = 2*N - 2*d, d = x_j - x_i, each ratio is
-    (1 + e^{-2*n*omega}) * (1 + e^{-2*f*omega}) * e^{-2*d*omega} * S, every exponent
-    <= 0. Per block of modes, one exponential (clamped at e^{-700}) takes every length.
+    near and far lengths of x_i <= x_j; as n + f = 2*N - 2*d, d = x_j - x_i, each
+    ratio is (1 + e^{-2*n*omega}) * (1 + e^{-2*f*omega}) * e^{-2*d*omega} * S, every
+    exponent <= 0. The three elements read the frame's five span lengths; per
+    block of modes, one exponential (clamped at e^{-700}) takes them all.
     """
-    system = eigen_system(spec)
-    spans = [(2 * nodes[i].x - 1, 2 * spec.cols - 2 * nodes[j].x + 1, nodes[j].x - nodes[i].x)
-             for i, j in pairs]
-    near, far, gaps = (sorted(set(kind)) for kind in zip(*spans))
-    # each pair's near, far and gap rows of the exponential table
-    takes = [(near.index(n), len(near) + far.index(f), len(near) + len(far) + gaps.index(d))
-             for n, f, d in spans]
-    totals = [0.0] * len(pairs)
+    system, x_in, x_out, cols = eigen_system(spec), coords.x_in, coords.x_out, spec.cols
+    lengths = (2 * x_in - 1, 2 * cols - 2 * x_in + 1, 2 * x_out - 1, 2 * cols - 2 * x_out + 1,
+               coords.separation)
+    heights = np.array([coords.y_in, coords.y_out])[:, None]
+    k_aa = k_bb = k_ab = 0.0
     for start in range(0, spec.rows, _BLOCK):
         block = slice(start, start + _BLOCK)
-        rows = system.row_mode(np.array([node.y for node in nodes])[:, None], block)
-        exponents = np.multiply.outer(-2.0 * np.array(near + far + gaps), system.omegas[block])
+        row_a, row_b = system.row_mode(heights, block)
+        exponents = np.multiply.outer([-2.0 * length for length in lengths],
+                                      system.omegas[block])
         decays = np.exp(np.maximum(exponents, -_CLAMP, out=exponents), out=exponents)
-        decays[:len(near) + len(far)] += 1.0  # near and far: 1 + e^{-2*length*omega}
-        decays[:len(near)] *= system.scale[block]
-        for p, ((i, j), (n, f, d)) in enumerate(zip(pairs, takes)):
-            totals[p] += float((rows[i] * rows[j]) @ (decays[n] * decays[f] * decays[d]))
-    return [float(spec.r) * total for total in totals]
+        decays[:4] += 1.0  # near and far: 1 + e^{-2*length*omega}
+        decays[:4:2] *= system.scale[block]  # the two near lengths
+        near_in, far_in, near_out, far_out, apart = decays
+        k_aa += float((row_a * row_a) @ (near_in * far_in))
+        k_bb += float((row_b * row_b) @ (near_out * far_out))
+        k_ab += float((row_a * row_b) @ (near_in * far_out * apart))
+    return float(spec.r) * k_aa, float(spec.r) * k_bb, float(spec.r) * k_ab
 
 
-def _double_sum_elements(spec: HammockSpec, nodes: list, pairs) -> list[float]:
-    """Double-sum K(nodes[i], nodes[j]) for each (i, j) in pairs, size-capped.
+def _double_sum_elements(spec: HammockSpec, coords: SpanCoords) -> tuple[float, float, float]:
+    """Double-sum (K_aa, K_bb, K_ab) of the frame's nodes, size-capped.
 
     The sum over every eigenpair (m, n) of row_modes[m, y_i-1] * row_modes[m, y_j-1]
     * col_modes[n, x_i-1] * col_modes[n, x_j-1] / eigenvalues[m, n].
     """
     _require_dense(spec, "double-sum")
     system = eigen_system(spec)
-    rows = system.row_modes[:, [node.y - 1 for node in nodes]]
-    cols = system.col_modes[:, [node.x - 1 for node in nodes]]
-    return [float((np.outer(rows[:, i] * rows[:, j], cols[:, i] * cols[:, j])
-                   / system.eigenvalues).sum()) for i, j in pairs]
+    rows = system.row_modes[:, [coords.y_in - 1, coords.y_out - 1]]
+    cols = system.col_modes[:, [coords.x_in - 1, coords.x_out - 1]]
+    return tuple(float((np.outer(rows[:, i] * rows[:, j], cols[:, i] * cols[:, j])
+                        / system.eigenvalues).sum()) for i, j in ((0, 0), (1, 1), (0, 1)))
 
 
 _FORMS = {"reduced": _reduced_elements, "double_sum": _double_sum_elements}
 
 
-def _prepare(spec: HammockSpec, a: NodeLike, b: NodeLike, form: str):
-    """The element function of ``form`` and both nodes, checked and ordered
-    (lesser (x, y) first) by :func:`hammocknet.lattice.span_coords`."""
-    elements = _FORMS.get(form)
+def _elements(spec: HammockSpec, a: NodeLike, b: NodeLike, form: str):
+    """(K_aa, K_bb, K_ab) of ``form``, and the pair frame of ``span_coords`` (a its lesser)."""
+    elements = _FORMS.get(form) if isinstance(form, str) else None
     if elements is None:
         raise LatticeError(f"unknown form {form!r}; expected one of {tuple(_FORMS)}")
     coords = span_coords(spec, a, b)
-    return elements, [coords.node_in, coords.node_out]
+    return elements(spec, coords), coords
 
 
 def inverse_minor_element(spec: HammockSpec, a: NodeLike, b: NodeLike,
@@ -209,8 +210,7 @@ def inverse_minor_element(spec: HammockSpec, a: NodeLike, b: NodeLike,
     interior nodes; ``form="reduced"`` is the single sum over row modes.
     Symmetric in (a, b).
     """
-    elements, nodes = _prepare(spec, a, b, form)
-    return elements(spec, nodes, ((0, 1),))[0]
+    return _elements(spec, a, b, form)[0][2]
 
 
 def boundary_sums(spec: HammockSpec, a: NodeLike, b: NodeLike) -> tuple[float, float]:
@@ -238,7 +238,6 @@ def resistance_spectral(spec: HammockSpec, a: NodeLike, b: NodeLike,
     It is exactly s*(y_b - y_a)^2 / (N*(M+1)), which is evaluated as s times
     one correctly rounded integer ratio: no cancelling difference, no square.
     """
-    elements, (a, b) = _prepare(spec, a, b, form)
-    k_aa, k_bb, k_ab = elements(spec, [a, b], ((0, 0), (1, 1), (0, 1)))
-    hub = float(spec.s) * ((b.y - a.y) ** 2 / (spec.cols * (spec.rows + 1)))
+    (k_aa, k_bb, k_ab), coords = _elements(spec, a, b, form)
+    hub = float(spec.s) * ((coords.y_out - coords.y_in) ** 2 / (spec.cols * (spec.rows + 1)))
     return ResistanceResult(hub + (k_aa + k_bb - 2.0 * k_ab), "spectral", {"form": form})

@@ -1,4 +1,5 @@
-"""The package's per-instance caches are exactly the five listed here.
+"""The package's caches are exactly the six listed here: five per
+instance, and the Chebyshev line basis, one constant built on first use.
 
 A stdlib ``ast`` scan of every module for functions decorated with
 ``functools.lru_cache`` or ``functools.cache``, in any spelling. Each
@@ -12,6 +13,7 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hammocknet"
 EXPECTED = {
+    "closed_form._chebyshev",
     "closed_form._decay_table",
     "recurrence.mode_transform",
     "spectral.eigen_system",

@@ -746,15 +746,17 @@ class TestFold:
             read.append(len(table.lines[(start - _BLOCK) // _WIDTH:]))
             return _far_sum(table, start, *args)
 
+        # every pair route reaches the tail through closed_form._mode_sum
         monkeypatch.setattr(closed_form, "_far_sum", counted)
-        monkeypatch.setattr(recurrence, "_far_sum", counted)
         a, b = (rows // 10 + 1, rows // 3 + 1), (9 * rows // 10, 2 * rows // 3)
-        direct = _direct_modes(_live_modes(span_coords(spec, a, b),
-                                           _decay_table(rows, spec.ratio)), rows)
-        assert direct == _BLOCK
+        y, x1 = rows // 3 + 1, rows // 10 + 1  # a centred same-row pair
+        table = _decay_table(rows, spec.ratio)
+        for pair in [(a, b), ((x1, y), (rows + 1 - x1, y))]:
+            assert _direct_modes(_live_modes(span_coords(spec, *pair), table), rows) == _BLOCK
         resistance_general(spec, a, b)
         resistance_rt(spec, a, b)
-        assert read == [(rows // 2 - _BLOCK) // _WIDTH] * 2
+        resistance_same_row(spec, y, x1, rows + 1 - x1)
+        assert read == [(rows // 2 - _BLOCK) // _WIDTH] * 3
 
 
 def _reference_cases():
@@ -947,6 +949,26 @@ class TestContractedTail:
                     value = route(spec, a, b).ohms
                 error = abs(np.longdouble(value) - reference)
                 assert error <= _EPS * bound, (route.__name__, a, b)
+
+
+    @pytest.mark.parametrize("live", [600, _BLOCK + 100], ids=["first block", "second block"])
+    def test_same_row_within_bound_of_long_double(self, live):
+        # the same-row form sums its own coefficient over the live modes and
+        # reaches the folded and contracted terms through the same mode sum
+        rows, cols, x1 = 4 * _BLOCK + 1, 1200, 401
+        x2 = cols + 1 - x1
+        ratio = live_ratio(rows, x2 - x1, live)
+        spec = HammockSpec(rows, cols, r=ratio, s=1.0)
+        heights = (1, (rows + 1) // 2, rows)
+        pairs = [((x1, y), (x2, y)) for y in heights]
+        table = _decay_table(rows, ratio)
+        for y, (a, b), reference in zip(heights, pairs, long_double_closed(spec, pairs)):
+            assert _live_modes(span_coords(spec, a, b), table) == live
+            direct = _direct_modes(live, rows)
+            contracted = _free(rows, ratio, direct, rows - direct)
+            bound = 4.0 * reference + 8.0 * (2.0 * ratio / (rows + 1) * float(contracted.sum()))
+            error = abs(np.longdouble(resistance_same_row(spec, y, x1, x2).ohms) - reference)
+            assert error <= _EPS * bound, y
 
 
 def test_far_blocks_take_no_sine_table(monkeypatch):

@@ -1,8 +1,9 @@
-"""Every name a package module imports is used in that module, and no
-route imports the log-domain helpers.
+"""Every name a package module imports is used in that module, every
+private module-level name is read somewhere in the package, and no route
+imports the log-domain helpers.
 
-A stdlib stand-in for a linter's unused-import rule: ``__init__.py``
-imports to re-export, so it is left out. ``hyperbolic`` stays only for
+Stdlib stand-ins for a linter's unused-import and dead-code rules:
+``__init__.py`` imports to re-export, so the first leaves it out. ``hyperbolic`` stays only for
 the benchmark tracer, which looks its names up; the package re-exports
 it, but no route may import it.
 """
@@ -37,6 +38,50 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def dead_names(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each private function, class or constant defined at
+    module level in ``sources`` (module name to text) and read nowhere in them.
+
+    A read is a name loaded, an attribute, or a name another module imports
+    (the unused-import check holds that one to a read of its own).
+    """
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [target.id for target in targets if isinstance(target, ast.Name)]
+            else:
+                continue
+            defined += [(module, name) for name in names
+                        if name.startswith("_") and not name.endswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+    return sorted(f"{module}.{name}" for module, name in defined if name not in read)
+
+
+def test_finds_a_dead_name():
+    sources = {
+        "a": "_LIMIT = 3\n_dead: int = 4\n__all__ = []\ndef _helper(): return _LIMIT\n"
+             "class _Gone: pass\ndef public(): pass\n",
+        "b": "from .a import _helper\nimport a\nprint(a._Gone)\n",
+    }
+    assert dead_names(sources) == ["a._dead"]
+
+
+def test_no_dead_private_names():
+    sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert dead_names(sources) == []
 
 
 def imports_hyperbolic(source: str) -> bool:

@@ -223,6 +223,13 @@ class TestSolveModes:
         with pytest.raises(LatticeError, match=match):
             route(HammockSpec(4, 6), span_coords(frame_spec, a, b), 1.0)
 
+    @pytest.mark.parametrize("route", [solve_modes, transformed_columns])
+    @pytest.mark.parametrize("frame", [None, ((2, 1), (4, 3))], ids=["none", "node pair"])
+    def test_refuses_what_is_no_frame(self, route, frame):
+        # these once failed reading the frame's columns, with AttributeError
+        with pytest.raises(LatticeError, match="need a span frame"):
+            route(HammockSpec(4, 6), frame, 1.0)
+
     def test_mirror_antisymmetry(self):
         # p == q, equal heights, equal spans: output modes negate input modes
         spec = HammockSpec(3, 5)

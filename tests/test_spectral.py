@@ -267,6 +267,11 @@ class TestInverseMinorElement:
         with pytest.raises(LatticeError):
             inverse_minor_element(HammockSpec(2, 2), (1, 1), (1, 1), "fast")
 
+    def test_unhashable_form(self):
+        # a list once escaped as TypeError from the form lookup
+        with pytest.raises(LatticeError, match="unknown form"):
+            inverse_minor_element(HammockSpec(2, 2), (1, 1), (2, 2), ["reduced"])
+
     def test_unknown_form_in_resistance(self):
         with pytest.raises(LatticeError, match="unknown form 'fast'"):
             resistance_spectral(HammockSpec(2, 2), (1, 1), (2, 2), "fast")
@@ -339,7 +344,7 @@ class TestResistanceSpectral:
         # with every element zeroed the resistance is the hub term alone,
         # exactly s*rise^2/(N*(M+1)) in rationals
         monkeypatch.setitem(spectral._FORMS, "reduced",
-                            lambda spec, nodes, pairs: [0.0] * len(pairs))
+                            lambda spec, coords: (0.0, 0.0, 0.0))
         spec = HammockSpec(rows, cols, r=1.0, s=s)
         exact = Fraction(s) * rise * rise / (cols * (rows + 1))
         for a, b in (((1, 1), (cols, 1 + rise)), ((cols, rows), (1, rows - rise))):
