@@ -11,7 +11,11 @@ input column, between the two nodes, right of the output column). The
 way back folds at the mirror row: link rows j and M - j are the sum and
 the difference of an even-mode and an odd-mode half-product (the first
 butterfly of a fast cosine transform), so the inverse product multiplies
-half the rows and the cached transform holds half a table.
+half the rows and the cached transform holds half a table. A field holds
+one field-sized array, its currents: the transformed values are formed a
+chunk of columns at a time, so beside the currents it takes
+O((M+1) * ``_CHUNK``) of buffers, O(M + N) of per-column plan and the
+cached half table.
 
 Every mode table (injection profiles, path weights, boundary values and
 the inverse transform) is built from the closed form's exact-residue
@@ -67,6 +71,9 @@ from .lattice import (
     span_coords,
 )
 
+# Entries per row block of the inverse transform's build.
+_TABLE_BLOCK = 1 << 16
+
 
 @lru_cache(maxsize=64, typed=True)  # typed: True or 2.0 must not hit 1 or 2
 def mode_transform(rows: int) -> np.ndarray:
@@ -86,16 +93,22 @@ def mode_transform(rows: int) -> np.ndarray:
     ``half.T`` and link row M - j (j < M + 1 - h) is column j of ``half``
     with its odd modes negated. Negated as 0 - x, so that a zero stays
     +0.0, the unfolded entries equal the full table's bitwise, since
-    mirrored residues reduce to +- the same angle.
+    mirrored residues reduce to +- the same angle. The table is gathered
+    in row blocks of about ``_TABLE_BLOCK`` entries, so building it takes
+    little more memory than it holds.
     """
     if not _is_integer(rows) or rows < 1:
         raise LatticeError(f"need at least one row, as an integer, got {rows!r}")
     n = rows + 1
+    odd = 2 * np.arange((n + 1) // 2) + 1
+    half = np.empty((n, len(odd)))
     # cos(pi*t/(2n)) = sin(2*pi*(t + n)/(4n)) for t = 0..4n-1
     wave = (2.0 / n) * _sin_turns(np.arange(n, 5 * n), 4 * n)
-    turns = np.multiply.outer(np.arange(n), 2 * np.arange((n + 1) // 2) + 1)
-    turns %= 4 * n
-    half = wave[turns]
+    step = max(1, _TABLE_BLOCK // len(odd))
+    for start in range(0, n, step):
+        turns = np.multiply.outer(np.arange(start, min(start + step, n)), odd)
+        turns %= 4 * n
+        np.take(wave, turns, out=half[start:start + step])
     half[0] = 1.0 / n
     half.flags.writeable = False
     return half
@@ -238,19 +251,20 @@ def _depth(kept: np.ndarray, first: int, stop: int) -> int:
 
 
 def _product_calls(kept: np.ndarray):
-    """Column ranges of the inverse-product calls.
+    """Chunks of ``_CHUNK`` columns, as (start, stop, calls), each call a
+    column range of the inverse product.
 
-    Chunks of ``_CHUNK`` columns, each multiplied over the modes its
-    columns keep. A chunk is split into calls of ``_NARROW`` columns where
-    that skips at least a third of its multiply-adds.
+    A chunk is one call, multiplied over the modes its columns keep, or
+    calls of ``_NARROW`` columns where that skips at least a third of its
+    multiply-adds.
     """
     for start, stop in _spans(0, len(kept), _CHUNK):
         narrow = list(_spans(start, stop, _NARROW))
         if 3 * sum(_depth(kept, *call) * (call[1] - call[0]) for call in narrow) \
                 <= 2 * _depth(kept, start, stop) * (stop - start):
-            yield from narrow
+            yield start, stop, narrow
         else:
-            yield start, stop
+            yield start, stop, [(start, stop)]
 
 
 def _region_terms(spec: HammockSpec, coords: SpanCoords, injected: float,
@@ -313,6 +327,78 @@ def _thresholds(weight: np.ndarray, two_log: np.ndarray,
     return thresholds
 
 
+def _plan_columns(spec: HammockSpec, coords: SpanCoords, injected: float):
+    """Everything of :func:`transformed_columns` but its entries, in O(M + N).
+
+    Returns ``(uniform, two_log, terms, kept)``: the uniform mode's value,
+    the exponents 2h_i, one ``(start, backwards, weight, exponents,
+    depth)`` per column term, and each column's kept modes. A term covers
+    the columns from ``start`` on, walked backwards if ``backwards`` so
+    that its ``exponents`` ascend, and keeps ``depth`` modes in each of
+    them.
+    """
+    require_frame(spec, coords)
+    _require_current(injected)
+    uniform = -injected * (coords.y_out - coords.y_in) / spec.cols
+    kept = np.zeros(spec.cols, dtype=np.intp)
+    terms = []
+    if injected == 0.0 or (coords.separation == 0 and coords.y_in == coords.y_out):
+        return uniform, None, terms, kept
+    tolerance = _DROP_TOLERANCE * abs(injected)
+    two_log = 2.0 * _rates(spec.rows, spec.ratio, 0, spec.rows)
+    for first, weight, exponent_arrays in _region_terms(spec, coords, injected, two_log):
+        thresholds = _thresholds(weight, two_log, tolerance)
+        for exponents in exponent_arrays:
+            start = first + coords.span_left
+            backwards = len(exponents) > 1 and exponents[0] > exponents[-1]
+            if backwards:
+                exponents = exponents[::-1]
+            depth = np.searchsorted(thresholds, exponents, side="right")
+            kept_here = kept[start:start + len(exponents)]
+            np.maximum(kept_here, depth[::-1] if backwards else depth, out=kept_here)
+            terms.append((start, backwards, weight, exponents, depth))
+    return uniform, two_log, terms, kept
+
+
+def _fill_columns(plan, out: np.ndarray, first: int) -> None:
+    """Write the transformed values of columns first .. first + width - 1
+    into ``out``, of shape (rows, width), from a :func:`_plan_columns` plan.
+
+    ``rows`` must reach every mode the window keeps, the uniform one
+    included; the entries of :func:`transformed_columns` past them are
+    zero. Each term is filled in bands of ``_FILL_BAND`` modes over the
+    window's columns that keep some of the band, and each entry is formed
+    as over all columns, so the values are the same bits.
+    """
+    uniform, two_log, terms, _ = plan
+    out[0] = uniform
+    out[1:] = 0.0
+    stop = first + out.shape[1]
+    for start, backwards, weight, exponents, depth in terms:
+        # the window's share of the term: columns left..right-1
+        left, right = max(first, start), min(stop, start + len(exponents))
+        if left >= right:
+            continue
+        target = out[1:, left - first:right - first]
+        if backwards:
+            target, offset = target[:, ::-1], start + len(exponents) - right
+        else:
+            offset = left - start
+        shared = slice(offset, offset + right - left)
+        exponents, depth = exponents[shared], depth[shared]
+        for b0, b1 in _spans(0, int(depth[-1]), _FILL_BAND):
+            # the columns from lo on keep some of the band, those from full
+            # on all of it
+            lo, full = np.searchsorted(depth, (b0 + 1, b1)).tolist()
+            block = np.multiply.outer(two_log[b0:b1], exponents[lo:])
+            if full > lo:
+                np.copyto(block[:, :full - lo], -np.inf,
+                          where=np.arange(b0, b1)[:, None] >= depth[lo:full])
+            np.exp(block, out=block)
+            block *= weight[b0:b1, None]
+            target[b0:b1, lo:] -= block
+
+
 def transformed_columns(spec: HammockSpec, coords: SpanCoords,
                         injected: float) -> tuple[np.ndarray, np.ndarray]:
     """Transformed column values for every column, and each column's modes.
@@ -339,41 +425,15 @@ def transformed_columns(spec: HammockSpec, coords: SpanCoords,
     themselves near the subnormal range. Coincident nodes, like a zero
     current, give an all-zero field. J must be a finite real number; a J
     whose column terms could pass the float range raises a ``LatticeError``.
-    """
-    require_frame(spec, coords)
-    _require_current(injected)
-    rows, cols = spec.rows, spec.cols
-    values = np.zeros((rows + 1, cols))
-    values[0, :] = -injected * (coords.y_out - coords.y_in) / cols
-    kept = np.zeros(cols, dtype=np.intp)
-    if injected == 0.0 or (coords.separation == 0 and coords.y_in == coords.y_out):
-        return values, kept
-    tolerance = _DROP_TOLERANCE * abs(injected)
-    two_log = 2.0 * _rates(rows, spec.ratio, 0, rows)
 
-    for first, weight, exponent_arrays in _region_terms(spec, coords, injected, two_log):
-        thresholds = _thresholds(weight, two_log, tolerance)
-        for exponents in exponent_arrays:
-            columns = slice(first + coords.span_left,
-                            first + coords.span_left + len(exponents))
-            target, kept_here = values[1:, columns], kept[columns]
-            if len(exponents) > 1 and exponents[0] > exponents[-1]:
-                # walk the columns backwards, so the exponents ascend
-                exponents, target, kept_here = \
-                    exponents[::-1], target[:, ::-1], kept_here[::-1]
-            depth = np.searchsorted(thresholds, exponents, side="right")
-            np.maximum(kept_here, depth, out=kept_here)
-            for b0, b1 in _spans(0, int(depth.max(initial=0)), _FILL_BAND):
-                # the columns from lo on keep some of the band, those from
-                # full on all of it
-                lo, full = np.searchsorted(depth, (b0 + 1, b1)).tolist()
-                block = np.multiply.outer(two_log[b0:b1], exponents[lo:])
-                if full > lo:
-                    np.copyto(block[:, :full - lo], -np.inf,
-                              where=np.arange(b0, b1)[:, None] >= depth[lo:full])
-                np.exp(block, out=block)
-                block *= weight[b0:b1, None]
-                target[b0:b1, lo:] -= block
+    The values take one (M+1) x N array. The per-column work beside it
+    (:func:`_plan_columns`) is O(M + N); :func:`reconstruct_currents`
+    fills the same values a chunk of columns at a time instead.
+    """
+    plan = _plan_columns(spec, coords, injected)
+    values = np.empty((spec.rows + 1, spec.cols))
+    _fill_columns(plan, values, 0)
+    *_, kept = plan
     return values, kept
 
 
@@ -420,7 +480,10 @@ class CurrentField:
     (eps*|J|) bounds the dropped modes' share of each current (see
     :func:`transformed_columns`); the rounding of the kept ones is within
     gamma_k * sum(|half| * |values|), k = ceil(d/2) + 1 for a column that
-    keeps d modes (see :func:`reconstruct_currents`). Immutable.
+    keeps d modes (see :func:`reconstruct_currents`). Immutable. Its
+    currents are the one field-sized array a reconstruction allocates;
+    the rest is O((M+1) * ``_CHUNK``) of buffers, freed on return, and
+    the cached half table of :func:`mode_transform`.
     """
 
     spec: HammockSpec
@@ -470,44 +533,67 @@ def reconstruct_currents(spec: HammockSpec, a: NodeLike, b: NodeLike,
     Inverse-transforms the region solution, one call per column range of
     :func:`_product_calls` over the modes its columns keep, and orients
     the result so ``injected`` amperes enter at ``a`` and leave at ``b``.
-    Each call forms two half-products with the folded table of
-    :func:`mode_transform`, ``even`` over the even modes and ``odd`` over
-    the odd ones, for link rows j < h = ceil((M+1)/2); row j is even + odd
-    and its mirror row M - j is even - odd. Each column is summed in one
-    call, so the columns around a node match the all-modes sum to
-    rounding, and each current is within gamma_k * sum(|half| * |values|)
-    over both half-products of the exact product of the table and the
-    transformed values, gamma_k = k*u/(1 - k*u), u = eps/2, k = ceil(d/2)
-    + 1 with d the modes its column keeps, the uniform one included.
-    ``injected`` must be a finite real number and may be zero (zero
-    field). Any size that fits in memory reconstructs; a J whose currents
-    or mode values pass the float range raises a ``LatticeError``.
+    The values of :func:`transformed_columns` are never held whole: each
+    chunk of ``_CHUNK`` columns is filled, as the same bits, into one
+    reused buffer and multiplied from it. Each call forms two
+    half-products with the folded table of :func:`mode_transform`, ``even``
+    over the even modes and ``odd`` over the odd ones, for link rows j < h
+    = ceil((M+1)/2), into two reused buffers; row j is even + odd and its
+    mirror row M - j is even - odd. Each column is summed in one call, so
+    the columns around a node match the all-modes sum to rounding, and
+    each current is within gamma_k * sum(|half| * |values|) over both
+    half-products of the exact product of the table and the transformed
+    values, gamma_k = k*u/(1 - k*u), u = eps/2, k = ceil(d/2) + 1 with d
+    the modes its column keeps, the uniform one included.
+
+    Memory: the (M+1) x N currents, O((M+1) * ``_CHUNK``) of buffers,
+    O(M + N) of per-column plan and the cached half table. ``injected``
+    must be a finite real number and may be zero (zero field). A J whose
+    currents or mode values pass the float range raises a
+    ``LatticeError``, and so does a field whose currents or half table
+    cannot be allocated; the currents are reserved first, before any
+    per-mode work.
     """
     _require_current(injected)  # before it is negated
     coords = span_coords(spec, a, b)
     a, b = coords.node_in, coords.node_out
     if coords.swapped:
         a, b = b, a
+    rows, cols = spec.rows, spec.cols
+    try:
+        currents = np.empty((rows + 1, cols))
+        half = mode_transform(rows)
+    except MemoryError:
+        raise LatticeError(
+            f"a {rows} x {cols} field needs {8 * (rows + 1) * cols:,} bytes for its "
+            f"currents and {8 * (rows + 1) * ((rows + 2) // 2):,} for the half table of "
+            "the inverse transform, more than can be allocated") from None
     # the solution is odd in the current, so solving for -J negates exactly
-    transformed, kept = transformed_columns(spec, coords,
-                                            injected if coords.swapped else -injected)
-    half = mode_transform(spec.rows)
-    currents = np.empty((spec.rows + 1, spec.cols))
+    plan = _plan_columns(spec, coords, injected if coords.swapped else -injected)
+    *_, kept = plan
+    chunks = list(_product_calls(kept))
+    # each chunk's values to its deepest column, in one reused buffer
+    values = np.empty(max(_depth(kept, start, stop) * (stop - start)
+                          for start, stop, _ in chunks))
     # link rows 0..h-1, and rows M..h downwards: row M - j mirrors row j
-    upper, mirrored = currents[:half.shape[1]], currents[half.shape[1]:][::-1]
-    calls = list(_product_calls(kept))
-    # the odd-mode half-products, each call's contiguous, in one reused buffer
-    spare = np.empty(half.shape[1] * max(stop - first for first, stop in calls))
-    # an overflow is refused below, with no warning from the products or sums
-    with np.errstate(over="ignore", invalid="ignore"):
-        for first, stop in calls:
-            depth = _depth(kept, first, stop)
-            even = upper[:, first:stop]
-            odd = spare[:even.size].reshape(even.shape)
-            np.matmul(half[0:depth:2].T, transformed[0:depth:2, first:stop], out=even)
-            np.matmul(half[1:depth:2].T, transformed[1:depth:2, first:stop], out=odd)
-            np.subtract(even[:len(mirrored)], odd[:len(mirrored)], out=mirrored[:, first:stop])
-            even += odd
+    h = half.shape[1]
+    upper, mirrored = currents[:h], currents[h:][::-1]
+    # each call's half-products, contiguous, in two reused buffers
+    widest = max(end - first for _, _, calls in chunks for first, end in calls)
+    evens, odds = np.empty(h * widest), np.empty(h * widest)
+    for start, stop, calls in chunks:
+        chunk = values[:_depth(kept, start, stop) * (stop - start)].reshape(-1, stop - start)
+        _fill_columns(plan, chunk, start)
+        # an overflow is refused below, with no warning from the products or sums
+        with np.errstate(over="ignore", invalid="ignore"):
+            for first, end in calls:
+                depth, window = _depth(kept, first, end), slice(first - start, end - start)
+                even = evens[:h * (end - first)].reshape(h, -1)
+                odd = odds[:even.size].reshape(even.shape)
+                np.matmul(half[0:depth:2].T, chunk[0:depth:2, window], out=even)
+                np.matmul(half[1:depth:2].T, chunk[1:depth:2, window], out=odd)
+                np.add(even, odd, out=upper[:, first:end])
+                np.subtract(even[:len(mirrored)], odd[:len(mirrored)], out=mirrored[:, first:end])
     # BLAS overflows with no numpy flag; min and max need no field-sized temporary
     if not np.isfinite((currents.min(), currents.max())).all():
         raise _past_the_float_range(injected)

@@ -11,7 +11,7 @@ from mpmath import mp
 from hammocknet import CurrentField, GridNode, HammockSpec, LatticeError, SpanCoords
 from hammocknet.closed_form import _CLAMP, _UNDERFLOW, _rates, _sin_turns
 from hammocknet.lattice import span_coords
-from hammocknet.recurrence import mode_transform
+from hammocknet.recurrence import _product_calls, mode_transform, transformed_columns
 from hammocknet.spectral import _BLOCK, eigen_system
 
 
@@ -433,6 +433,23 @@ def full_inverse(rows: int) -> np.ndarray:
     inverse = wave[turns]
     inverse[:, 0] = 1.0 / n
     return inverse
+
+
+def whole_array_currents(spec: HammockSpec, a, b, injected: float = 1.0) -> np.ndarray:
+    """The currents of ``reconstruct_currents`` from the whole array of
+    ``transformed_columns``, in the same product calls and folded sums."""
+    coords = span_coords(spec, a, b)
+    values, kept = transformed_columns(spec, coords, injected if coords.swapped else -injected)
+    half = mode_transform(spec.rows)
+    h = half.shape[1]
+    currents = np.empty((spec.rows + 1, spec.cols))
+    for first, stop in (call for *_, calls in _product_calls(kept) for call in calls):
+        depth = 1 + int(kept[first:stop].max())
+        even = half[0:depth:2].T @ values[0:depth:2, first:stop]
+        odd = half[1:depth:2].T @ values[1:depth:2, first:stop]
+        currents[:h, first:stop] = even + odd
+        currents[h:, first:stop][::-1] = (even - odd)[:spec.rows + 1 - h]
+    return currents
 
 
 def recurrence_residual(field: CurrentField) -> float:

@@ -311,6 +311,15 @@ class TestCurrents:
         assert out == ""
         assert err.startswith("error: the currents for J=1e+308 pass the float range")
 
+    def test_field_past_memory_usage_error(self, capsys):
+        code, out, err = run(capsys, "currents", "--M", "10000000", "--N", "10000000",
+                             "--from", "1,1", "--to", "5,5")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: a 10000000 x 10000000 field needs 800,000,080,000,000 "
+                              "bytes for its currents")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_mode_values_past_the_float_range_print_no_warning(self):
         # at J = 1e308 the currents would be about 3.2e307, but the mode values
         # that form them overflow: one error line, no RuntimeWarning

@@ -50,6 +50,7 @@ from _util import (
     rel_dev,
     specs_upto,
     unfolded_inverse,
+    whole_array_currents,
 )
 
 _EPS = np.finfo(float).eps
@@ -102,6 +103,16 @@ class TestModeTransform:
 
     def test_cached_table_holds_half_the_rows(self):
         assert mode_transform(2000).nbytes == 2001 * 1001 * 8
+
+    def test_builds_in_row_blocks(self):
+        # the table and one row block of turns, no second table-sized array
+        tracemalloc.start()
+        try:
+            half = mode_transform.__wrapped__(4000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.05 * half.nbytes
 
     def test_refuses_zero_rows(self):
         with pytest.raises(LatticeError, match="at least one row"):
@@ -498,17 +509,61 @@ class TestReconstructCurrents:
             assert abs(drop - reference) <= 2e-13 * reference
         assert kirchhoff_residual(field) <= 4e-15
 
-    def test_peak_allocation(self):
-        # the transformed values and the currents, nothing else field-sized
-        spec = HammockSpec(1000, 1000)
-        reconstruct_currents(spec, (200, 300), (800, 700), 1.0)  # warm caches
+    @staticmethod
+    def _traced_peak(spec, a, b):
+        reconstruct_currents(spec, a, b, 1.0)  # warm caches
         tracemalloc.start()
         try:
-            reconstruct_currents(spec, (200, 300), (800, 700), 1.0)
+            reconstruct_currents(spec, a, b, 1.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.25 * (spec.rows + 1) * spec.cols * np.dtype(float).itemsize
+        return peak
+
+    def test_peak_allocation(self):
+        # the currents and chunk-sized buffers, nothing else field-sized
+        spec = HammockSpec(1000, 1000)
+        peak = self._traced_peak(spec, (200, 300), (800, 700))
+        assert peak < 1.75 * (spec.rows + 1) * spec.cols * np.dtype(float).itemsize
+
+    def test_wide_field_peak_allocation(self):
+        # 23 chunks wide: a second field-sized array would double the peak.
+        # The buffers hold a chunk's values and two half-products; the
+        # widest chunk takes the folded tail, 368 columns here
+        spec = HammockSpec(300, 6000)
+        widest = max(stop - start for start, stop in recurrence._spans(0, spec.cols,
+                                                                       recurrence._CHUNK))
+        peak = self._traced_peak(spec, (1000, 100), (4000, 250))
+        field = (spec.rows + 1) * spec.cols * np.dtype(float).itemsize
+        assert peak < field + 3 * (spec.rows + 1) * widest * np.dtype(float).itemsize
+
+    @pytest.mark.parametrize("spec, a, b, injected", [
+        # fewer columns than a chunk
+        (HammockSpec(40, 200), (20, 5), (150, 30), 1.0),
+        # no multiple of the chunk: the last one takes the narrow tail
+        (HammockSpec(300, 1000, r=3.0), (990, 10), (960, 280), 2.0),
+        (HammockSpec(60, 777, r=0.5), (5, 7), (700, 50), 1.0),
+        # the chunks holding the nodes run in narrow calls (as
+        # test_node_chunks_run_in_narrow_calls checks)
+        (HammockSpec(700, 900), (300, 350), (330, 600), 1.0),
+        (HammockSpec(1, 600), (5, 1), (590, 1), 1.0),
+        (HammockSpec(40, 1), (1, 3), (1, 30), 1.0),
+        (HammockSpec(40, 600), (3, 5), (300, 30), 0.0),
+        (HammockSpec(50, 300), (100, 20), (100, 20), 1.0),
+        # swapped: solved for -J
+        (HammockSpec(200, 700, r=1e-6), (650, 150), (40, 20), -1.7),
+    ])
+    def test_streamed_currents_match_the_whole_array_product(self, spec, a, b, injected):
+        field = reconstruct_currents(spec, a, b, injected)
+        assert field.currents.tobytes() == whole_array_currents(spec, a, b, injected).tobytes()
+
+    def test_refuses_a_field_past_memory(self):
+        # 8e14 bytes of currents pass the 47-bit address space, so the
+        # allocation fails at once under any overcommit policy
+        spec = HammockSpec(10 ** 7, 10 ** 7)
+        with pytest.raises(LatticeError, match=r"needs 800,000,080,000,000 bytes for its "
+                                               r"currents and 400,000,120,000,008 for the half"):
+            reconstruct_currents(spec, (3, 3), (10 ** 7 - 2, 10 ** 7 - 5))
 
     @pytest.mark.parametrize("spec, a, b, injected", [
         (HammockSpec(300, 300, r=0.5), (80, 120), (210, 40), 1.0),
@@ -584,7 +639,8 @@ class TestModeTruncation:
         # tell the two apart
         half = recurrence.mode_transform(spec.rows)
         full = np.empty_like(field.currents)
-        for first, stop in recurrence._product_calls(kept):
+        for first, stop in (call for *_, calls in recurrence._product_calls(kept)
+                            for call in calls):
             even = half[0::2].T @ every_values[0::2, first:stop]
             odd = half[1::2].T @ every_values[1::2, first:stop]
             full[:half.shape[1], first:stop] = even + odd
@@ -622,8 +678,11 @@ class TestModeTruncation:
     def test_node_chunks_run_in_narrow_calls(self):
         spec = HammockSpec(700, 900)
         _, kept = transformed_columns(spec, span_coords(spec, (300, 350), (330, 600)), 1.0)
-        calls = list(recurrence._product_calls(kept))
-        # the calls tile the columns in order
+        chunks = list(recurrence._product_calls(kept))
+        # each chunk's calls tile the chunk, and the calls the columns, in order
+        for start, stop, chunk_calls in chunks:
+            assert (chunk_calls[0][0], chunk_calls[-1][1]) == (start, stop)
+        calls = [call for *_, chunk_calls in chunks for call in chunk_calls]
         assert [first for first, _ in calls] == [0] + [stop for _, stop in calls[:-1]]
         assert calls[-1][1] == spec.cols
         narrow = [(first, stop) for first, stop in calls
