@@ -27,14 +27,17 @@ below rounding from some mode on, read off the rate formula (:func:`_live_modes`
 past it, alpha = gamma = f = 1/(2*sinh(2h)) and beta = 0: no span-frame kernel.
 
 Every pair route splits its mode sum the same way, and one function,
-:func:`_mode_sum`, holds that split: a route passes only its kernel over
-the live modes of a block. Past the cut-off modes i and M + 3 - i share
-sin^2 at every height, so their isolated-node terms fold into one cached
-table per instance, :func:`_decay_table`: the folded weights g_j = f_j +
-f_{M-1-j} over ceil(M/2) entries (raw over the first ``_BLOCK``, past it
-as ``_DEGREE`` + 1 Chebyshev coefficients per line of ``_WIDTH``
-entries), the rates h of the first ``_BLOCK`` modes and the raw f of the
-last ``_BLOCK``. The rates past the head are formed one block at a time
+:func:`_mode_sum`, holds that split: a route passes only its kernel, and
+forms sines over its live modes only. Past the cut-off no pair algebra is
+left, so the isolated-node sum there, :func:`_tail`, is computed once per
+(instance, cut-off, node heights) and shared by every route: a pair that
+closed and rt cross-check pays for it once. Past the cut-off modes i and
+M + 3 - i share sin^2 at every height, so their isolated-node terms fold
+into one cached table per instance, :func:`_decay_table`: the folded
+weights g_j = f_j + f_{M-1-j} over ceil(M/2) entries (raw over the first
+``_BLOCK``, past it as ``_DEGREE`` + 1 Chebyshev coefficients per line of
+``_WIDTH`` entries), the rates h of the first ``_BLOCK`` modes and the
+raw f of the last ``_BLOCK``. The rates past the head are formed one block at a time
 (:func:`_live_rates`), so a pair query holds O(_BLOCK) temporaries on top
 of the table; the current fields, which need every rate, form them all
 once per field. :func:`_mode_sum` states the rounding bound of the sum.
@@ -327,7 +330,7 @@ def _free_terms(table: _ModeTable, block: slice, live: int,
                 sin_in: np.ndarray, sin_out: np.ndarray) -> float:
     """Sum of the isolated-node terms f*(sin_in^2 + sin_out^2) that fold into
     the modes of ``block``, against the block's sine rows of the two nodes
-    (see :func:`_mode_sum`).
+    (see :func:`_tail`).
 
     The block's entries from the cut-off on take the folded weight g, and
     each live entry j < min(live, M - live), whose mirror M-1-j is past the
@@ -356,7 +359,7 @@ def _free_terms(table: _ModeTable, block: slice, live: int,
 def _far_sum(table: _ModeTable, start: int, denom: int, *heights: int) -> float:
     """Sum of g_j * sin^2(pi*(j+1)*y/denom) over the heights y and the
     folded entries j of ``table`` from ``start`` on, with no per-mode sine:
-    the entries of :func:`_mode_sum` from :func:`_direct_modes` (a multiple
+    the entries of :func:`_tail` from :func:`_direct_modes` (a multiple
     of ``_BLOCK``, or past the table) to ceil(M/2).
 
     As sin^2 = (1 - cos 2*theta)/2, only the sums of g*cos(2*theta) are
@@ -406,22 +409,48 @@ def _far_sum(table: _ModeTable, start: int, denom: int, *heights: int) -> float:
     return total + 0.5 * (len(heights) * float(cosines[0]) - float(cosines[1:].sum()))
 
 
+@lru_cache(maxsize=64)
+def _tail(rows: int, ratio: float, live: int, low: int, high: int) -> float:
+    """The isolated-node sum f*(sin_low^2 + sin_high^2) past a pair's first
+    ``live`` modes, at node heights ``low`` <= ``high``; cached per instance,
+    cut-off and heights, and shared by every pair route (see :func:`_mode_sum`).
+
+    :func:`_free_terms` reads the mirrored live entries [0, min(live, M -
+    live)) and the folded entries from the cut-off to :func:`_direct_modes`,
+    against sine rows over ``M + 1`` formed a block of :func:`_mode_blocks`
+    at a time; :func:`_far_sum` takes the folded entries after them. Call it
+    only when some mode is past the cut-off: a pure function of its
+    arguments, it gives every route the same bits, cached or not.
+    """
+    table = _decay_table(rows, ratio)
+    direct = _direct_modes(live, rows)
+    free = 0.0
+    for block, _ in _mode_blocks(direct, live):
+        if block.start >= rows - live:  # a cut-off past the middle: no mirror left to add
+            break
+        sin_low, sin_high = _sines(block, rows + 1, low, high)
+        free += _free_terms(table, block, live, sin_low, sin_high)
+    return free + _far_sum(table, direct, rows + 1, low, high)
+
+
 def _mode_sum(spec: HammockSpec, coords: SpanCoords, kernel, denom: int,
               *heights: int) -> tuple[float, float]:
     """``(live, free)``: a pair's sum over the live modes and past them.
 
-    The one split of every pair route's mode sum, a block of modes at a
-    time. ``kernel(spec, coords, rates, rows)`` returns the route's terms
-    over the live modes of a block (its last axis; each row, if there are
-    several, is summed on its own), from their rates and their sine rows,
-    those of :func:`_sines` at ``heights`` over ``denom``; the last two rows
-    are the nodes'. ``free`` sums f*(sin_in^2 + sin_out^2) past
-    the cut-off, where no pair algebra is left: :func:`_free_terms` against
-    the rows of the blocks up to :func:`_direct_modes` (g past the cut-off,
-    and the mirror's f for a live mode whose mirror is past it), and
-    :func:`_far_sum` over g after them. With sin^2 = (1 - cos 2*theta)/2
-    and the angle addition, the coefficients of every line take a few small
-    matrix products, with no per-mode sine.
+    The one split of every pair route's mode sum. ``kernel(spec, coords,
+    rates, rows)`` returns the route's terms over a block of live modes (its
+    last axis; each row, if there are several, is summed on its own), from
+    their rates and their sine rows, those of :func:`_sines` at ``heights``
+    over ``denom``: each route forms sines over its live modes only. ``free``
+    sums f*(sin_in^2 + sin_out^2) past the cut-off, where no pair algebra is
+    left, so it is the same for every route: :func:`_tail` computes it once
+    per instance, cut-off and node heights, and a cross-checked pair (closed,
+    then rt) reads it from the cache. :func:`_free_terms` takes the sine rows
+    of the entries up to :func:`_direct_modes` (g past the cut-off, and the
+    mirror's f for a live mode whose mirror is past it), and :func:`_far_sum`
+    g after them. With sin^2 = (1 - cos 2*theta)/2 and the angle addition,
+    the coefficients of every line take a few small matrix products, with no
+    per-mode sine.
 
     That rounds like eps*sum(g) over the contracted entries, not like
     eps*sum(g*sin^2), so the first block stays direct: at large r/s, f falls
@@ -443,17 +472,17 @@ def _mode_sum(spec: HammockSpec, coords: SpanCoords, kernel, denom: int,
     """
     table = _decay_table(spec.rows, spec.ratio)
     live = _live_modes(coords, table)
-    direct = _direct_modes(live, spec.rows)
-    total = free = 0.0
-    for block, cut in _mode_blocks(direct, live):
+    total = 0.0
+    for block, cut in _mode_blocks(live, live):
+        # kept into the next block: freed with the kernel's temporaries they let glibc
+        # trim the heap and fault it back in (2000 page faults per rt pair at 10^5 rows)
         rows = _sines(block, denom, *heights)
-        if cut:
-            # kept into the next block: freed with the kernel's temporaries they let glibc
-            # trim the heap and fault it back in (2000 page faults per rt pair at 10^5 rows)
-            terms = kernel(spec, coords, _live_rates(spec, table.head, block, cut), rows[:, :cut])
-            total += float(terms.sum(axis=-1).sum())
-        free += _free_terms(table, block, live, rows[-2], rows[-1])
-    return total, free + _far_sum(table, direct, denom, *heights[-2:])
+        terms = kernel(spec, coords, _live_rates(spec, table.head, block, cut), rows)
+        total += float(terms.sum(axis=-1).sum())
+    if live == spec.rows:  # no mode past the cut-off: no tail, and no cache entry
+        return total, 0.0
+    low, high = sorted((coords.y_in, coords.y_out))
+    return total, _tail(spec.rows, spec.ratio, live, low, high)
 
 
 def _general_kernel(spec: HammockSpec, coords: SpanCoords, rates: np.ndarray,

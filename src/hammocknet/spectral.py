@@ -145,19 +145,28 @@ def eigen_system(spec: HammockSpec) -> MinorEigenSystem:
                             omegas=_frozen(omegas), scale=_frozen(scale))
 
 
-def _reduced_elements(spec: HammockSpec, coords: SpanCoords) -> tuple[float, float, float]:
-    """Reduced-form (K_aa, K_bb, K_ab) of the frame's nodes a = node_in, b = node_out.
+def _reduced_elements(spec: HammockSpec, coords: SpanCoords,
+                      cross_only: bool = False) -> tuple[float, ...]:
+    """Reduced-form (K_aa, K_bb, K_ab) of the frame's nodes a = node_in, b = node_out,
+    or (K_ab,) alone if ``cross_only``.
 
     r times the sum over row modes of row_i * row_j * cosh(n*omega) * cosh(f*omega)
     / (sinh(2*omega) * sinh(2*N*omega)), n = 2*x_i - 1 and f = 2*N - 2*x_j + 1 the
     near and far lengths of x_i <= x_j; as n + f = 2*N - 2*d, d = x_j - x_i, each
     ratio is (1 + e^{-2*n*omega}) * (1 + e^{-2*f*omega}) * e^{-2*d*omega} * S, every
-    exponent <= 0. The three elements read the frame's five span lengths; per
-    block of modes, one exponential (clamped at e^{-700}) takes them all.
+    exponent <= 0. The three elements read the frame's five span lengths, K_ab
+    three of them, and only those are formed: per block of modes, one exponential
+    (clamped at e^{-700}) takes them all.
     """
     system, x_in, x_out, cols = eigen_system(spec), coords.x_in, coords.x_out, spec.cols
-    lengths = (2 * x_in - 1, 2 * cols - 2 * x_in + 1, 2 * x_out - 1, 2 * cols - 2 * x_out + 1,
-               coords.separation)
+    # near lengths, then far lengths, then the separation: near_in first and
+    # far_out, separation last either way
+    if cross_only:
+        lengths = (2 * x_in - 1, 2 * cols - 2 * x_out + 1, coords.separation)
+    else:
+        lengths = (2 * x_in - 1, 2 * x_out - 1, 2 * cols - 2 * x_in + 1,
+                   2 * cols - 2 * x_out + 1, coords.separation)
+    nears = len(lengths) // 2
     heights = np.array([coords.y_in, coords.y_out])[:, None]
     k_aa = k_bb = k_ab = 0.0
     for start in range(0, spec.rows, _BLOCK):
@@ -166,17 +175,23 @@ def _reduced_elements(spec: HammockSpec, coords: SpanCoords) -> tuple[float, flo
         exponents = np.multiply.outer([-2.0 * length for length in lengths],
                                       system.omegas[block])
         decays = np.exp(np.maximum(exponents, -_CLAMP, out=exponents), out=exponents)
-        decays[:4] += 1.0  # near and far: 1 + e^{-2*length*omega}
-        decays[:4:2] *= system.scale[block]  # the two near lengths
-        near_in, far_in, near_out, far_out, apart = decays
-        k_aa += float((row_a * row_a) @ (near_in * far_in))
-        k_bb += float((row_b * row_b) @ (near_out * far_out))
+        decays[:-1] += 1.0  # near and far: 1 + e^{-2*length*omega}
+        decays[:nears] *= system.scale[block]
+        near_in, far_out, apart = decays[0], decays[-2], decays[-1]
         k_ab += float((row_a * row_b) @ (near_in * far_out * apart))
+        if not cross_only:
+            near_out, far_in = decays[1], decays[2]
+            k_aa += float((row_a * row_a) @ (near_in * far_in))
+            k_bb += float((row_b * row_b) @ (near_out * far_out))
+    if cross_only:
+        return (float(spec.r) * k_ab,)
     return float(spec.r) * k_aa, float(spec.r) * k_bb, float(spec.r) * k_ab
 
 
-def _double_sum_elements(spec: HammockSpec, coords: SpanCoords) -> tuple[float, float, float]:
-    """Double-sum (K_aa, K_bb, K_ab) of the frame's nodes, size-capped.
+def _double_sum_elements(spec: HammockSpec, coords: SpanCoords,
+                         cross_only: bool = False) -> tuple[float, ...]:
+    """Double-sum (K_aa, K_bb, K_ab) of the frame's nodes, or (K_ab,) alone if
+    ``cross_only``; size-capped.
 
     The sum over every eigenpair (m, n) of row_modes[m, y_i-1] * row_modes[m, y_j-1]
     * col_modes[n, x_i-1] * col_modes[n, x_j-1] / eigenvalues[m, n].
@@ -185,20 +200,23 @@ def _double_sum_elements(spec: HammockSpec, coords: SpanCoords) -> tuple[float, 
     system = eigen_system(spec)
     rows = system.row_modes[:, [coords.y_in - 1, coords.y_out - 1]]
     cols = system.col_modes[:, [coords.x_in - 1, coords.x_out - 1]]
+    pairs = ((0, 1),) if cross_only else ((0, 0), (1, 1), (0, 1))
     return tuple(float((np.outer(rows[:, i] * rows[:, j], cols[:, i] * cols[:, j])
-                        / system.eigenvalues).sum()) for i, j in ((0, 0), (1, 1), (0, 1)))
+                        / system.eigenvalues).sum()) for i, j in pairs)
 
 
 _FORMS = {"reduced": _reduced_elements, "double_sum": _double_sum_elements}
 
 
-def _elements(spec: HammockSpec, a: NodeLike, b: NodeLike, form: str):
-    """(K_aa, K_bb, K_ab) of ``form``, and the pair frame of ``span_coords`` (a its lesser)."""
+def _elements(spec: HammockSpec, a: NodeLike, b: NodeLike, form: str,
+              cross_only: bool = False):
+    """(K_aa, K_bb, K_ab) of ``form``, or (K_ab,) if ``cross_only``, and the pair
+    frame of ``span_coords`` (a its lesser)."""
     elements = _FORMS.get(form) if isinstance(form, str) else None
     if elements is None:
         raise LatticeError(f"unknown form {form!r}; expected one of {tuple(_FORMS)}")
     coords = span_coords(spec, a, b)
-    return elements(spec, coords), coords
+    return elements(spec, coords, cross_only), coords
 
 
 def inverse_minor_element(spec: HammockSpec, a: NodeLike, b: NodeLike,
@@ -210,7 +228,7 @@ def inverse_minor_element(spec: HammockSpec, a: NodeLike, b: NodeLike,
     interior nodes; ``form="reduced"`` is the single sum over row modes.
     Symmetric in (a, b).
     """
-    return _elements(spec, a, b, form)[0][2]
+    return _elements(spec, a, b, form, cross_only=True)[0][0]
 
 
 def boundary_sums(spec: HammockSpec, a: NodeLike, b: NodeLike) -> tuple[float, float]:

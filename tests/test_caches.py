@@ -1,9 +1,12 @@
-"""The package's caches are exactly the six listed here: five per
-instance, and the Chebyshev line basis, one constant built on first use.
+"""The package's caches are exactly the seven listed here: five per
+instance, one per pair (the tail past a pair's live cut-off, keyed by the
+instance, the cut-off and the two node heights, so that the routes that
+cross-check a pair share it), and the Chebyshev line basis, one constant
+built on first use.
 
 A stdlib ``ast`` scan of every module for functions decorated with
 ``functools.lru_cache`` or ``functools.cache``, in any spelling. Each
-cache holds tables that outlive a query, and the benchmark tracer counts
+cache holds values that outlive a query, and the benchmark tracer counts
 hits and misses by name, so adding one, or a second table per instance,
 takes a deliberate edit of ``EXPECTED``.
 """
@@ -15,6 +18,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hammocknet"
 EXPECTED = {
     "closed_form._chebyshev",
     "closed_form._decay_table",
+    "closed_form._tail",
     "recurrence.mode_transform",
     "spectral.eigen_system",
     "oracle._laplacian",

@@ -738,7 +738,9 @@ class TestFold:
 
     @pytest.mark.parametrize("rows", [4 * _BLOCK + 1, 10 ** 6])
     def test_far_sum_reads_the_folded_half(self, monkeypatch, rows):
-        # past the first block the folded half is kept as lines of coefficients
+        # past the first block the folded half is kept as lines of coefficients,
+        # and the far sum reads them all from the first block on: once per pair
+        # and cut-off, as closed and rt share the tail of (a, b)
         spec = HammockSpec(rows, rows, r=3.0)
         read = []
 
@@ -748,6 +750,7 @@ class TestFold:
 
         # every pair route reaches the tail through closed_form._mode_sum
         monkeypatch.setattr(closed_form, "_far_sum", counted)
+        closed_form._tail.cache_clear()
         a, b = (rows // 10 + 1, rows // 3 + 1), (9 * rows // 10, 2 * rows // 3)
         y, x1 = rows // 3 + 1, rows // 10 + 1  # a centred same-row pair
         table = _decay_table(rows, spec.ratio)
@@ -756,7 +759,7 @@ class TestFold:
         resistance_general(spec, a, b)
         resistance_rt(spec, a, b)
         resistance_same_row(spec, y, x1, rows + 1 - x1)
-        assert read == [(rows // 2 - _BLOCK) // _WIDTH] * 3
+        assert read == [(rows // 2 - _BLOCK) // _WIDTH] * 2
 
 
 def _reference_cases():
@@ -972,28 +975,125 @@ class TestContractedTail:
 
 
 def test_far_blocks_take_no_sine_table(monkeypatch):
-    # modes each route passes to _sines: a pair whose cut-off falls in the
-    # first block covers that block only, a node in column 1 every block
+    # blocks each route passes to _sines, its tail's included (the cache is
+    # cleared first): a pair whose cut-off falls in the first block forms no
+    # sine past that block, a node in column 1 every mode once
     rows = 10 ** 6
     spec = HammockSpec(rows, rows, r=3.0)
     covered = []
 
     def counted(block, *args):
-        covered.append(block.stop - block.start)
+        covered.append(block)
         return _sines(block, *args)
 
     monkeypatch.setattr(closed_form, "_sines", counted)
     monkeypatch.setattr(recurrence, "_sines", counted)
     table = _decay_table(rows, spec.ratio)
-    for (a, b), modes in [
+    for (a, b), reach in [
             (((rows // 10 + 1, rows // 3 + 1), (9 * rows // 10, 2 * rows // 3)), _BLOCK),
             (((1, rows // 2), (rows // 2, rows // 3)), rows)]:
         live = _live_modes(span_coords(spec, a, b), table)
-        assert (live <= _BLOCK) == (modes == _BLOCK)
+        assert (live <= _BLOCK) == (reach == _BLOCK)
         for route in (resistance_general, resistance_rt):
+            closed_form._tail.cache_clear()
             covered.clear()
             route(spec, a, b)
-            assert sum(covered) == modes, (route.__name__, a, b)
+            assert max(block.stop for block in covered) == reach, (route.__name__, a, b)
+            if live == rows:
+                assert sum(block.stop - block.start for block in covered) == rows
+
+
+class TestTailCache:
+    """Past the cut-off every route reads one cached tail per instance,
+    cut-off and node heights, and forms sines over its live modes only."""
+
+    ROUTES = ("closed", "rt", "same column", "same row")
+
+    @staticmethod
+    def _queries(spec):
+        # columns 401 and 800 of 1200: the separation of 399 is the shortest
+        # length, and the same-row pair is centred
+        rows = spec.rows
+        return {
+            "closed": lambda: resistance_general(spec, (401, 7), (800, rows - 2)),
+            "rt": lambda: resistance_rt(spec, (401, 7), (800, rows - 2)),
+            "same column": lambda: resistance_same_column(spec, 401, rows - 2, 7),
+            "same row": lambda: resistance_same_row(spec, rows // 3, 401, 800),
+        }
+
+    @pytest.mark.parametrize("live", [600, _BLOCK + 100], ids=["first block", "second block"])
+    @pytest.mark.parametrize("rows", [4 * _BLOCK + 1, 10 ** 6])
+    def test_cold_and_warm_agree_bitwise(self, rows, live):
+        spec = HammockSpec(rows, 1200, r=live_ratio(rows, 399, live), s=1.0)
+        assert _live_modes(span_coords(spec, (401, 7), (800, rows - 2)),
+                           _decay_table(rows, spec.ratio)) == live
+        queries = self._queries(spec)
+        cold = {}
+        for name in self.ROUTES:
+            closed_form._tail.cache_clear()
+            cold[name] = queries[name]().ohms
+        # warm from its own call, then each route right after every other
+        for name in self.ROUTES:
+            assert queries[name]().ohms == cold[name], name
+        for first in self.ROUTES:
+            for name in self.ROUTES:
+                closed_form._tail.cache_clear()
+                queries[first]()
+                assert queries[name]().ohms == cold[name], (first, name)
+        info = closed_form._tail.cache_info()
+        assert info.maxsize == 64 and 0 < info.currsize <= 2
+
+    def test_rt_after_closed_forms_no_tail(self, monkeypatch):
+        rows = 10 ** 6
+        spec = HammockSpec(rows, rows, r=3.0)
+        a, b = (rows // 10 + 1, rows // 3 + 1), (9 * rows // 10, 2 * rows // 3)
+        live = _live_modes(span_coords(spec, a, b), _decay_table(rows, spec.ratio))
+        assert 0 < live < _BLOCK
+        closed_form._tail.cache_clear()
+        resistance_general(spec, a, b)
+        calls, covered = [], []
+
+        def counted(name, function):
+            def wrapper(*args):
+                calls.append(name)
+                return function(*args)
+            return wrapper
+
+        def sines(block, *args):
+            covered.append(block)
+            return _sines(block, *args)
+
+        monkeypatch.setattr(closed_form, "_far_sum", counted("far", closed_form._far_sum))
+        monkeypatch.setattr(closed_form, "_free_terms",
+                            counted("free", closed_form._free_terms))
+        monkeypatch.setattr(closed_form, "_sines", sines)
+        monkeypatch.setattr(recurrence, "_sines", sines)
+        resistance_rt(spec, a, b)
+        assert calls == []
+        assert [(block.start, block.stop) for block in covered] == [(0, live)]
+
+    @pytest.mark.parametrize("live", [0, 600, 3 * _BLOCK + 7])
+    def test_symmetric_in_the_heights(self, live):
+        rows = 4 * _BLOCK + 1
+        ratio = live_ratio(rows, 399, live)
+        for low, high in [(1, rows), (7, rows // 3), ((rows + 1) // 2, rows - 2)]:
+            closed_form._tail.cache_clear()
+            tail = closed_form._tail(rows, ratio, live, low, high)
+            assert isinstance(tail, float)
+            assert closed_form._tail(rows, ratio, live, high, low) == tail
+            assert closed_form._tail.cache_info().currsize == 2
+
+    def test_all_live_pair_adds_no_entry(self):
+        spec = HammockSpec(10 ** 5, 10 ** 5, r=2.0)
+        closed_form._tail.cache_clear()
+        for a, b in [((1, 5), (50_000, 70_000)), ((400, 3), (401, 99_000))]:
+            assert _live_modes(span_coords(spec, a, b), _decay_table(spec.rows, spec.ratio)) \
+                == spec.rows
+            resistance_general(spec, a, b)
+            resistance_rt(spec, a, b)
+        resistance_same_column(spec, 300, 2, 90_000)
+        info = closed_form._tail.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
 
 # Peak traced bytes of one warm pair query: 32 block-length float arrays.

@@ -21,6 +21,7 @@ from hammocknet import (
     inverse_minor_element,
     resistance_general,
     resistance_spectral,
+    span_coords,
 )
 from hammocknet import spectral
 from hammocknet.closed_form import _rates
@@ -344,7 +345,7 @@ class TestResistanceSpectral:
         # with every element zeroed the resistance is the hub term alone,
         # exactly s*rise^2/(N*(M+1)) in rationals
         monkeypatch.setitem(spectral._FORMS, "reduced",
-                            lambda spec, coords: (0.0, 0.0, 0.0))
+                            lambda spec, coords, cross_only: (0.0, 0.0, 0.0))
         spec = HammockSpec(rows, cols, r=1.0, s=s)
         exact = Fraction(s) * rise * rise / (cols * (rows + 1))
         for a, b in (((1, 1), (cols, 1 + rise)), ((cols, rows), (1, rows - rise))):
@@ -417,6 +418,9 @@ class TestOnePass:
         assert resistance_spectral(spec, b, a).ohms == spectral_reference(spec, b, a)
         assert inverse_minor_element(spec, a, b) == inverse_minor_reference(spec, a, b)
         assert inverse_minor_element(spec, b, a) == inverse_minor_reference(spec, a, b)
+        # K_ab alone reads three of the five lengths, with its bits among all three
+        assert inverse_minor_element(spec, a, b) \
+            == spectral._reduced_elements(spec, span_coords(spec, a, b))[2]
 
     def test_peak_allocation(self):
         # the reduced pass holds one block's temporaries, however many rows
