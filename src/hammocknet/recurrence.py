@@ -165,6 +165,13 @@ def _past_the_float_range(injected) -> LatticeError:
                         "linear in J, so solve for a smaller |J|")
 
 
+def _require_finite(currents: np.ndarray, injected) -> None:
+    """Refuse a field with a current past the float range, in two passes over it."""
+    # BLAS overflows with no numpy flag; min and max need no field-sized temporary
+    if not np.isfinite((currents.min(), currents.max())).all():
+        raise _past_the_float_range(injected)
+
+
 def mode_weights(rows: int, height: int) -> np.ndarray:
     """Per-mode weights of the link-current sum above ``height``.
 
@@ -484,7 +491,10 @@ class CurrentField:
     (eps*|J|) bounds the dropped modes' share of each current (see
     :func:`transformed_columns`); the rounding of the kept ones is within
     gamma_k * sum(|half| * |values|), k = ceil(d/2) + 1 for a column that
-    keeps d modes (see :func:`reconstruct_currents`). Immutable. Its
+    keeps d modes (see :func:`reconstruct_currents`). Every current is
+    finite: a field past the float range is refused, ruled out chunk by
+    chunk from a bound on the transformed values, and scanned whole only
+    where that bound cannot. Immutable. Its
     currents are the one field-sized array a reconstruction allocates;
     the rest is O((M+1) * ``_CHUNK``) of buffers, freed on return, and
     the cached half table of :func:`mode_transform`.
@@ -556,7 +566,13 @@ def reconstruct_currents(spec: HammockSpec, a: NodeLike, b: NodeLike,
     currents or mode values pass the float range raises a
     ``LatticeError``, and so does a field whose currents or half table
     cannot be allocated; the currents are reserved first, before any
-    per-mode work.
+    per-mode work. Overflow is ruled out from a bound, with no pass over
+    the field: every |half| <= (2/(M+1))*(1+eps), so no current or partial
+    sum of a chunk whose depth d and largest |value| (its buffer's max and
+    min, read while in cache) give (2/(M+1))*d*max|value| below a quarter
+    of the float maximum can overflow. Only a field with a chunk that the
+    bound does not clear, NaN or infinite values included, is checked
+    whole, from its min and max.
     """
     _require_current(injected)  # before it is negated
     coords = span_coords(spec, a, b)
@@ -585,9 +601,14 @@ def reconstruct_currents(spec: HammockSpec, a: NodeLike, b: NodeLike,
     # each call's half-products, contiguous, in two reused buffers
     widest = max(end - first for _, _, calls in chunks for first, end in calls)
     evens, odds = np.empty(h * widest), np.empty(h * widest)
+    bounded = True
     for start, stop, calls in chunks:
         chunk = values[:_depth(kept, start, stop) * (stop - start)].reshape(-1, stop - start)
         _fill_columns(plan, chunk, start)
+        # every |half| <= (2/(M+1))*(1+eps): so far below the float maximum,
+        # no current or partial sum of the chunk overflows (False for NaN too)
+        largest = max(float(chunk.max()), -float(chunk.min()))
+        bounded &= 4.0 * (2.0 / (rows + 1)) * len(chunk) * largest < sys.float_info.max
         # an overflow is refused below, with no warning from the products or sums
         with np.errstate(over="ignore", invalid="ignore"):
             for first, end in calls:
@@ -598,9 +619,8 @@ def reconstruct_currents(spec: HammockSpec, a: NodeLike, b: NodeLike,
                 np.matmul(half[1:depth:2].T, chunk[1:depth:2, window], out=odd)
                 np.add(even, odd, out=upper[:, first:end])
                 np.subtract(even[:len(mirrored)], odd[:len(mirrored)], out=mirrored[:, first:end])
-    # BLAS overflows with no numpy flag; min and max need no field-sized temporary
-    if not np.isfinite((currents.min(), currents.max())).all():
-        raise _past_the_float_range(injected)
+    if not bounded:
+        _require_finite(currents, injected)
     currents.flags.writeable = False
     return CurrentField(spec=spec, source=a, sink=b, injected=injected,
                         coords=coords, currents=currents,
@@ -610,56 +630,69 @@ def reconstruct_currents(spec: HammockSpec, a: NodeLike, b: NodeLike,
 def kirchhoff_residual(field: CurrentField) -> float:
     """Worst current imbalance over every node, in amperes.
 
-    Horizontal link currents are recovered from Ohm's law on the column
-    potentials; the residual covers every interior node, both hubs, and
-    the spread of the top-rail potential (scaled to amperes). Works in
-    row blocks of about ``_AUDIT_BLOCK`` entries in reused buffers,
-    carrying the running sum of the column drops (minus the potential,
-    bottom hub pinned to zero) from block to block, so it needs O(M + N)
-    memory beyond the field. The prefix sums run row by row, which adds in
-    the order of a cumulative sum down the columns and is faster on wide
-    blocks.
+    The residual covers every interior node, both hubs, and the spread of
+    the top-rail potential (scaled to amperes). The horizontal current at
+    node row y between columns x and x+1 follows from Ohm's law on the
+    column potentials, summed difference-first: (s/r) * sum over links
+    k <= y of (I[k, x+1] - I[k, x]). Each sum adds the small differences
+    of neighbouring currents rather than differencing two potentials,
+    each a sum of up to M currents, so its rounding stays below the
+    field's own error and the residual reads the field's imbalance, not
+    the audit's (within 5% of the same balance summed in long double on
+    fields from 300 x 300 to 2000 x 2000 and 20000 x 20). The rail spread sums the same column sums, with the top link
+    row's differences, along the columns.
+
+    Works in row blocks of about ``_AUDIT_BLOCK`` entries in reused
+    buffers, each pass a contiguous 1-D call over the block's rows taken
+    flat: the differences of neighbouring entries, with the entries that
+    step from a row's last column into the next row's first set to zero,
+    so that the same flat views, shifted by one entry, add and subtract
+    every horizontal current. The sums run down the rows row by row,
+    carried from block to block, so the audit needs O(M + N) memory
+    beyond the field.
     """
     spec = field.spec
     currents = field.currents
     rows, cols = spec.rows, spec.cols
-    s, r = float(spec.s), float(spec.r)
+    s_over_r = float(spec.s) / float(spec.r)
     injections = [(field.source, field.injected), (field.sink, -field.injected)]
 
     step = max(1, _AUDIT_BLOCK // cols)
-    climbed = np.zeros(cols)  # sum of s * current over the links below
-    potential = np.empty((step, cols))  # reused by every block
-    drops = np.empty((step, cols - 1))
+    climbed = np.zeros(cols)  # sums of the differences over the links below
+    sums = np.empty((step, cols))  # reused by every block
     balance = np.empty((step, cols))
     worst = 0.0
     for start in range(0, rows, step):
         stop = min(start + step, rows)
         # node rows start..stop-1 sit above link rows start..stop-1
-        block = potential[:stop - start]
-        np.multiply(currents[start:stop], s, out=block)
+        flat = currents[start:stop].ravel()
+        block = sums[:stop - start]
+        np.subtract(flat[1:], flat[:-1], out=block.ravel()[:-1])
+        block[:, -1] = 0.0  # the seams, and the last entry, which was not written
         block[0] += climbed
         lines = list(block)
         for below, line in zip(lines, lines[1:]):
             np.add(below, line, line)
         climbed[:] = block[-1]
-        horizontal = drops[:stop - start]
-        np.subtract(block[:, 1:], block[:, :-1], out=horizontal)
-        np.divide(horizontal, r, out=horizontal)
+        horizontal = block.ravel()
+        horizontal *= s_over_r
 
         imbalance = balance[:stop - start]
         np.subtract(currents[start:stop], currents[start + 1:stop + 1], out=imbalance)
         for node, amount in injections:
             if start <= node.y - 1 < stop:
                 imbalance[node.y - 1 - start, node.x - 1] += amount
-        imbalance[:, 1:] += horizontal
-        imbalance[:, :-1] -= horizontal
+        # node x takes in the current from x-1 and sends the current to x+1
+        balanced = imbalance.ravel()
+        balanced[1:] += horizontal[:-1]
+        balanced -= horizontal
         worst = max(worst, float(imbalance.max()), -float(imbalance.min()))
 
-    top = climbed + s * currents[-1]
+    top = climbed[:-1] + (currents[-1, 1:] - currents[-1, :-1])
     return max(worst,
                abs(float(currents[0, :].sum())),
                abs(float(currents[-1, :].sum())),
-               float(np.abs(top - top[0]).max()) / s)
+               float(np.abs(np.cumsum(top)).max(initial=0.0)))
 
 
 def potential_path_check(field: CurrentField) -> tuple[float, float]:

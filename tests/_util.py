@@ -132,25 +132,30 @@ def full_kirchhoff_residual(field) -> float:
 
 
 def cumsum_kirchhoff_residual(field) -> float:
-    """The row-blocked audit summed with ``np.cumsum`` in 2**16-entry blocks.
+    """The row-blocked audit summed difference-first with ``np.cumsum`` in
+    2**16-entry blocks.
 
-    Adds in the same order as the library's audit, whatever its block
-    size and however it forms the prefix sums, so the two agree bitwise.
+    Each horizontal current is (s/r) times a cumulative sum down the rows
+    of the differences of neighbouring currents in a row, and the top-rail
+    spread sums the same column sums, with the top link row's
+    differences, along the columns. Adds in the same order as the
+    library's audit, whatever its block size and however it forms the
+    prefix sums, so the two agree bitwise.
     """
     spec = field.spec
     currents = field.currents
     rows, cols = spec.rows, spec.cols
-    s, r = float(spec.s), float(spec.r)
+    s_over_r = float(spec.s) / float(spec.r)
     worst = 0.0
-    climbed = np.zeros(cols)
+    climbed = np.zeros(cols - 1)
     step = max(1, (1 << 16) // cols)
     for start in range(0, rows, step):
         stop = min(start + step, rows)
-        block = s * currents[start:stop]
+        block = np.diff(currents[start:stop], axis=1)
         block[0] += climbed
         np.cumsum(block, axis=0, out=block)
         climbed = block[-1].copy()
-        horizontal = (block[:, 1:] - block[:, :-1]) / r
+        horizontal = block * s_over_r
         imbalance = currents[start:stop] - currents[start + 1:stop + 1]
         for node, amount in ((field.source, field.injected), (field.sink, -field.injected)):
             if start <= node.y - 1 < stop:
@@ -158,11 +163,48 @@ def cumsum_kirchhoff_residual(field) -> float:
         imbalance[:, 1:] += horizontal
         imbalance[:, :-1] -= horizontal
         worst = max(worst, float(np.abs(imbalance).max()))
-    top = climbed + s * currents[-1]
+    top = climbed + np.diff(currents[-1])
     return max(worst,
                abs(float(currents[0, :].sum())),
                abs(float(currents[-1, :].sum())),
-               float(np.abs(top - top[0]).max()) / s)
+               float(np.abs(np.cumsum(top)).max(initial=0.0)))
+
+
+def long_double_kirchhoff_residual(field) -> float:
+    """The node balance of ``full_kirchhoff_residual`` in ``np.longdouble``.
+
+    Potentials as prefix sums of s*current down the columns, horizontal
+    currents by Ohm's law on them, both hub sums and the top-rail spread,
+    all in long double, in row blocks of about 2**16 entries so that it
+    takes little more memory than a block. It measures the field's own
+    imbalance: on x86 the long double is the 80-bit format (eps 1.1e-19),
+    so the reference's rounding is far below a double field's. Where it
+    is binary64 (MSVC, arm64 macOS) this is only a second
+    double-precision audit.
+    """
+    spec = field.spec
+    currents = field.currents
+    rows, cols = spec.rows, spec.cols
+    s, r = np.longdouble(float(spec.s)), np.longdouble(float(spec.r))
+    climbed = np.zeros(cols, dtype=np.longdouble)  # minus the potential
+    worst = np.longdouble(0)
+    step = max(1, (1 << 16) // cols)
+    for start in range(0, rows, step):
+        stop = min(start + step, rows)
+        block = currents[start:stop + 1].astype(np.longdouble)
+        potential = climbed + np.cumsum(s * block[:-1], axis=0)
+        climbed = potential[-1]
+        horizontal = (potential[:, 1:] - potential[:, :-1]) / r
+        imbalance = block[:-1] - block[1:]
+        for node, amount in ((field.source, field.injected), (field.sink, -field.injected)):
+            if start <= node.y - 1 < stop:
+                imbalance[node.y - 1 - start, node.x - 1] += np.longdouble(amount)
+        imbalance[:, 1:] += horizontal
+        imbalance[:, :-1] -= horizontal
+        worst = max(worst, np.abs(imbalance).max())
+    hubs = currents[[0, -1]].astype(np.longdouble).sum(axis=1)
+    top = climbed + s * currents[-1].astype(np.longdouble)
+    return float(max(worst, *np.abs(hubs), np.abs(top - top[0]).max() / s))
 
 
 def cosine_sum_identity(cols: int, ell: int, omega: float) -> tuple[float, float]:

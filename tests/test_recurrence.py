@@ -45,6 +45,7 @@ from _util import (
     full_kirchhoff_residual,
     interior_pairs,
     live_ratio,
+    long_double_kirchhoff_residual,
     recurrence_residual,
     region_amplitudes,
     rel_dev,
@@ -443,6 +444,28 @@ class TestReconstructCurrents:
         field = reconstruct_currents(HammockSpec(3, 4), (1, 1), (4, 3), 4e307)
         assert np.isfinite(field.currents).all()
 
+    def test_value_bound_spares_the_full_field_check(self, monkeypatch):
+        calls = []
+        check = recurrence._require_finite
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(recurrence, "_require_finite", counted)
+        # the five shapes of the fields benchmark, at J = 1: the bound from
+        # each chunk's values rules overflow out
+        for rows, cols, ratio in ((300, 300, 0.5), (500, 1500, 3.0), (1000, 1000, 1.0),
+                                  (2000, 500, 0.5), (2000, 2000, 1.0)):
+            reconstruct_currents(HammockSpec(rows, cols, r=ratio), (cols // 3, rows // 4),
+                                 (cols - 2, 3 * rows // 4), 1.0)
+        assert not calls
+        # the bound (about 4.24*J here) cannot rule overflow out, but every
+        # current fits
+        field = reconstruct_currents(HammockSpec(3, 4), (1, 1), (4, 3), 4.3e307)
+        assert calls
+        assert np.isfinite(field.currents).all()
+
     def test_zero_injection(self):
         field = reconstruct_currents(HammockSpec(2, 3), (1, 1), (3, 2), 0.0)
         assert np.allclose(field.currents, 0.0, atol=0.0)
@@ -738,6 +761,44 @@ class TestRowBlockedAudits:
         noisy = dataclasses.replace(field, currents=field.currents + 1e-9 * noise)
         for audited in (field, noisy):
             assert kirchhoff_residual(audited) == cumsum_kirchhoff_residual(audited)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= _EPS,
+                        reason="a binary64 long double cannot resolve the field's error")
+    @pytest.mark.parametrize("spec, a, b", [
+        # tall: differencing two potentials would read 20x the field's error
+        (HammockSpec(2000, 500, r=0.5), (303, 88), (155, 1598)),
+        (HammockSpec(300, 300, r=0.5), (80, 120), (210, 40)),
+        (HammockSpec(1000, 1000), (200, 300), (800, 700)),
+        (HammockSpec(2000, 2000), (1500, 100), (300, 1900)),
+        # tall and narrow: hundreds of rows per block
+        (HammockSpec(4000, 20, r=2.0), (3, 1400), (18, 2800)),
+    ])
+    def test_kirchhoff_reads_the_fields_error(self, spec, a, b):
+        # the audit's own rounding stays below the field's imbalance
+        field = reconstruct_currents(spec, a, b, 1.0)
+        reference = long_double_kirchhoff_residual(field)
+        assert kirchhoff_residual(field) == pytest.approx(reference, rel=0.1, abs=0.0)
+
+    @pytest.mark.parametrize("spec, a, b, injected", [
+        (HammockSpec(6, 1), (1, 2), (1, 5), 1.0),
+        (HammockSpec(7, 2, r=2.0), (1, 3), (2, 6), -1.3),
+        # hundreds of rows per block
+        (HammockSpec(1500, 20, r=2.0), (1, 700), (20, 1), 0.8),
+        # one row per block
+        (HammockSpec(3, 70000, r=0.5), (70000, 2), (1, 3), 1.0),
+    ])
+    def test_kirchhoff_flags_seam_and_edge_defects(self, spec, a, b, injected):
+        # the differences that step from a row's last column into the next
+        # row's first are zeroed; a bad link on either side of that seam, at
+        # the first columns of link row 0 or on the top rail still shows
+        field = reconstruct_currents(spec, a, b, injected)
+        rows, cols, middle = spec.rows, spec.cols, spec.rows // 2
+        for link in {(middle, cols - 1), (middle + 1, 0), (0, 0), (0, min(1, cols - 1)),
+                     (rows, cols // 2)}:
+            currents = field.currents.copy()
+            currents[link] += 1e-6 * injected
+            audited = dataclasses.replace(field, currents=currents)
+            assert kirchhoff_residual(audited) >= 1e-7 * abs(injected), link
 
     def test_audits_allocate_no_full_array(self):
         spec = HammockSpec(1000, 1000)
