@@ -28,16 +28,17 @@ past it, alpha = gamma = f = 1/(2*sinh(2h)) and beta = 0: no span-frame kernel.
 
 Every pair route splits its mode sum the same way, and one function,
 :func:`_mode_sum`, holds that split: a route passes only its kernel, and
-forms sines over its live modes only. Past the cut-off no pair algebra is
-left, so the isolated-node sum there, :func:`_tail`, is computed once per
-(instance, cut-off, node heights) and shared by every route: a pair that
-closed and rt cross-check pays for it once. Past the cut-off modes i and
-M + 3 - i share sin^2 at every height, so their isolated-node terms fold
-into one cached table per instance, :func:`_decay_table`: the folded
-weights g_j = f_j + f_{M-1-j} over ceil(M/2) entries (raw over the first
-``_BLOCK``, past it as ``_DEGREE`` + 1 Chebyshev coefficients per line of
-``_WIDTH`` entries), the rates h of the first ``_BLOCK`` modes and the
-raw f of the last ``_BLOCK``. The rates past the head are formed one block at a time
+forms each live mode's sines once. Past the cut-off no pair algebra is
+left, and modes i and M + 3 - i share sin^2 at every height: a live mode
+adds its mirror's term from its own sine rows, and the folded sum from
+the cut-off on, :func:`_tail`, is computed once per (instance, cut-off,
+node heights) and shared by every route, so a pair that closed and rt
+cross-check pays for it once. One cached table per instance,
+:func:`_decay_table`, holds the folded weights g_j = f_j + f_{M-1-j} over
+ceil(M/2) entries (raw over the first ``_BLOCK``, past it as ``_DEGREE``
++ 1 Chebyshev coefficients per line of ``_WIDTH`` entries), the rates h
+of the first ``_BLOCK`` modes and the raw f of the last ``_BLOCK``. The
+rates past the head are formed one block at a time
 (:func:`_live_rates`), so a pair query holds O(_BLOCK) temporaries on top
 of the table; the current fields, which need every rate, form them all
 once per field. :func:`_mode_sum` states the rounding bound of the sum.
@@ -159,7 +160,7 @@ def _decay_table(rows: int, ratio: float) -> _ModeTable:
 
     The table keeps the rates h of the first ``_BLOCK`` modes for
     :func:`_live_rates`, and the raw f of the last ``_BLOCK`` (``top``), the
-    mirror terms of first-block live modes for :func:`_free_terms`. Every raw
+    mirror terms of first-block live modes (:func:`_mirror_terms`). Every raw
     f has the bits of :func:`_free`; the build takes a low block and its
     mirror block at a time, so it holds O(_BLOCK) temporaries.
     """
@@ -320,40 +321,21 @@ def _span_ratios(coords: SpanCoords, half: np.ndarray):
 
 
 def _direct_modes(live: int, rows: int) -> int:
-    """Entries a pair sums mode by mode, from the sine rows it forms: the live
-    modes, and the folded entries to the end of the first block or of the
-    block that holds the last live mode."""
+    """Where :func:`_tail` stops forming a sine per folded entry and :func:`_far_sum`
+    takes over: the end of the first block, of the block that holds the last
+    live mode, or ceil(M/2); the cut-off itself past ceil(M/2)."""
     return max(live, min(max(1, -(-live // _BLOCK)) * _BLOCK, (rows + 1) // 2))
 
 
-def _free_terms(table: _ModeTable, block: slice, live: int,
-                sin_in: np.ndarray, sin_out: np.ndarray) -> float:
-    """Sum of the isolated-node terms f*(sin_in^2 + sin_out^2) that fold into
-    the modes of ``block``, against the block's sine rows of the two nodes
-    (see :func:`_tail`).
-
-    The block's entries from the cut-off on take the folded weight g, and
-    each live entry j < min(live, M - live), whose mirror M-1-j is past the
-    cut-off, takes f_{M-1-j}: from the table's top for the first block,
-    else formed here.
-    """
-    start, size = block.start, block.stop - block.start
-    cut = min(max(live - start, 0), size)
-    mirrored = min(max(min(live, table.rows - live) - start, 0), size)
-    total = 0.0
-    if cut < size:
-        s_in, s_out = sin_in[cut:], sin_out[cut:]
-        weights = _folded(table, start + cut, block.stop)
-        total += float((weights * (s_in * s_in + s_out * s_out)).sum())
-    if mirrored:
-        stop = start + mirrored
-        if stop <= table.top.size:
-            weights = table.top[start:stop]
-        else:
-            weights = _free(table.rows, table.ratio, table.rows - stop, table.rows - start)[::-1]
-        s_in, s_out = sin_in[:mirrored], sin_out[:mirrored]
-        total += float((weights * (s_in * s_in + s_out * s_out)).sum())
-    return total
+def _mirror_terms(table: _ModeTable, start: int, s_in: np.ndarray, s_out: np.ndarray) -> float:
+    """Sum of f_{M-1-j}*(s_in^2 + s_out^2) over live entries j from ``start``, their
+    mirrors past the cut-off: f from the table's top in the first block, else formed here."""
+    stop = start + s_in.size
+    weights = table.top[start:stop] if stop <= table.top.size else \
+        _free(table.rows, table.ratio, table.rows - stop, table.rows - start)[::-1]
+    squares = s_in * s_in  # in place: a block-sized temporary fewer at peak memory
+    squares += s_out * s_out
+    return float((weights * squares).sum())
 
 
 def _far_sum(table: _ModeTable, start: int, denom: int, *heights: int) -> float:
@@ -377,10 +359,9 @@ def _far_sum(table: _ModeTable, start: int, denom: int, *heights: int) -> float:
     fitted = _BLOCK + table.lines.shape[0] * _WIDTH  # where the raw rest begins
     rest = table.rest[max(start - fitted, 0):]
     total = 0.0
-    if rest.size:
-        first = 2 * max(start, fitted) + 2  # 2*(i-1) of the first entry
-        modes = np.arange(first, first + 2 * rest.size, 2)
-        sines = _sin_turns(np.multiply.outer(heights, modes), 4 * denom)
+    if rest.size:  # at most _WIDTH <= _SPLIT entries: _sines takes a sine each
+        first = max(start, fitted)
+        sines = _sines(slice(first, first + rest.size), denom, *heights)
         total += float((sines * sines @ rest).sum())
     if not lines.size:
         return total
@@ -411,25 +392,21 @@ def _far_sum(table: _ModeTable, start: int, denom: int, *heights: int) -> float:
 
 @lru_cache(maxsize=64)
 def _tail(rows: int, ratio: float, live: int, low: int, high: int) -> float:
-    """The isolated-node sum f*(sin_low^2 + sin_high^2) past a pair's first
-    ``live`` modes, at node heights ``low`` <= ``high``; cached per instance,
-    cut-off and heights, and shared by every pair route (see :func:`_mode_sum`).
+    """The folded sum g*(sin_low^2 + sin_high^2) over the entries from a pair's
+    cut-off ``live`` to ceil(M/2), at node heights ``low`` <= ``high``; cached
+    per instance, cut-off and heights, and shared by every pair route (see
+    :func:`_mode_sum`).
 
-    :func:`_free_terms` reads the mirrored live entries [0, min(live, M -
-    live)) and the folded entries from the cut-off to :func:`_direct_modes`,
-    against sine rows over ``M + 1`` formed a block of :func:`_mode_blocks`
-    at a time; :func:`_far_sum` takes the folded entries after them. Call it
-    only when some mode is past the cut-off: a pure function of its
-    arguments, it gives every route the same bits, cached or not.
+    The entries up to :func:`_direct_modes` take one sine call over ``M +
+    1``, and :func:`_far_sum` the entries after them. Call it only when some
+    folded entry is past the cut-off: a pure function of its arguments, it
+    gives every route the same bits, cached or not.
     """
     table = _decay_table(rows, ratio)
     direct = _direct_modes(live, rows)
-    free = 0.0
-    for block, _ in _mode_blocks(direct, live):
-        if block.start >= rows - live:  # a cut-off past the middle: no mirror left to add
-            break
-        sin_low, sin_high = _sines(block, rows + 1, low, high)
-        free += _free_terms(table, block, live, sin_low, sin_high)
+    sin_low, sin_high = _sines(slice(live, direct), rows + 1, low, high)
+    weights = _folded(table, live, direct)
+    free = float((weights * (sin_low * sin_low + sin_high * sin_high)).sum())
     return free + _far_sum(table, direct, rows + 1, low, high)
 
 
@@ -441,16 +418,16 @@ def _mode_sum(spec: HammockSpec, coords: SpanCoords, kernel, denom: int,
     rates, rows)`` returns the route's terms over a block of live modes (its
     last axis; each row, if there are several, is summed on its own), from
     their rates and their sine rows, those of :func:`_sines` at ``heights``
-    over ``denom``: each route forms sines over its live modes only. ``free``
-    sums f*(sin_in^2 + sin_out^2) past the cut-off, where no pair algebra is
-    left, so it is the same for every route: :func:`_tail` computes it once
-    per instance, cut-off and node heights, and a cross-checked pair (closed,
-    then rt) reads it from the cache. :func:`_free_terms` takes the sine rows
-    of the entries up to :func:`_direct_modes` (g past the cut-off, and the
-    mirror's f for a live mode whose mirror is past it), and :func:`_far_sum`
-    g after them. With sin^2 = (1 - cos 2*theta)/2 and the angle addition,
-    the coefficients of every line take a few small matrix products, with no
-    per-mode sine.
+    over ``denom``, each formed once. The last two heights must be the two
+    nodes': their rows are the node sines over M + 1 (rt's lifts 2y over
+    2(M+1) have those bits). ``free`` sums f*(sin_in^2 + sin_out^2) past the
+    cut-off, where no pair algebra is left: a live entry j < M - live adds
+    its mirror's f_{M-1-j} (:func:`_mirror_terms`) against those two rows,
+    and :func:`_tail` the folded entries from the cut-off on, the same for
+    every route and cached, so a cross-checked pair (closed, then rt) reads
+    it once. :func:`_far_sum` takes those past :func:`_direct_modes`: with
+    sin^2 = (1 - cos 2*theta)/2 and the angle addition, the coefficients of
+    every line take a few small matrix products, with no per-mode sine.
 
     That rounds like eps*sum(g) over the contracted entries, not like
     eps*sum(g*sin^2), so the first block stays direct: at large r/s, f falls
@@ -472,17 +449,20 @@ def _mode_sum(spec: HammockSpec, coords: SpanCoords, kernel, denom: int,
     """
     table = _decay_table(spec.rows, spec.ratio)
     live = _live_modes(coords, table)
-    total = 0.0
+    mirrored = min(live, spec.rows - live)  # live entries whose mirror is past the cut-off
+    total = free = 0.0
     for block, cut in _mode_blocks(live, live):
         # kept into the next block: freed with the kernel's temporaries they let glibc
         # trim the heap and fault it back in (2000 page faults per rt pair at 10^5 rows)
         rows = _sines(block, denom, *heights)
+        if block.start < mirrored:
+            free += _mirror_terms(table, block.start, *rows[-2:, :mirrored - block.start])
         terms = kernel(spec, coords, _live_rates(spec, table.head, block, cut), rows)
         total += float(terms.sum(axis=-1).sum())
-    if live == spec.rows:  # no mode past the cut-off: no tail, and no cache entry
-        return total, 0.0
+    if live >= (spec.rows + 1) // 2:  # no folded entry past the cut-off: no tail, no cache entry
+        return total, free
     low, high = sorted((coords.y_in, coords.y_out))
-    return total, _tail(spec.rows, spec.ratio, live, low, high)
+    return total, free + _tail(spec.rows, spec.ratio, live, low, high)
 
 
 def _general_kernel(spec: HammockSpec, coords: SpanCoords, rates: np.ndarray,

@@ -22,8 +22,8 @@ the inverse transform) is built from the closed form's exact-residue
 sines, the first three through :func:`_profiles`, so rt and the fields
 read one table per quantity and every entry is within a few eps. rt's
 pair sum passes only its live-mode kernel to closed's ``_mode_sum``,
-whose cached tail sums f*sin^2 over the folded table past the cut-off,
-the same for both routes.
+which adds its modes' mirror terms and a cached tail of f*sin^2 over the
+folded table past the cut-off, the same for both routes.
 
 Sign conventions: upward currents are positive, and the transformed
 values returned by :func:`solve_modes` correspond to a unit current
@@ -464,11 +464,11 @@ def resistance_rt(spec: HammockSpec, a: NodeLike, b: NodeLike) -> ResistanceResu
     them, its sine rows sin(chi) and sin(2*y*chi) included, and sums X*w,
     over its live modes only, in the kernel it passes to closed's
     ``_mode_sum``. Past the cut-off X*w = (r/s)*J*f*(2/(M+1))*
-    sin^2(2*y*chi) per node, with no pair algebra left: ``_mode_sum`` takes
-    f*sin^2 over the folded table from closed's tail, computed once per
-    instance, cut-off and node heights (the angle pi*j*2y/(2(M+1)) reduces to
-    closed's pi*j*y/(M+1) exactly, so the bits are closed's). Right after
-    closed on the same pair, rt forms no sine past its live modes.
+    sin^2(2*y*chi) per node, with no pair algebra left: ``_mode_sum`` adds
+    the live modes' mirror terms and closed's tail, cached per instance,
+    cut-off and node heights (pi*j*2y/(2(M+1)) reduces to closed's
+    pi*j*y/(M+1) exactly, so the bits are closed's). Right after closed on
+    the same pair, rt forms no sine past its live modes.
     """
     coords = span_coords(spec, a, b)
     y_in, y_out, n = coords.y_in, coords.y_out, spec.rows + 1

@@ -48,6 +48,22 @@ def live_ratio(rows: int, length: int, live: int) -> float:
     return (math.sinh(_UNDERFLOW / (2 * length)) / math.sin(angle)) ** 2
 
 
+def record_sines(monkeypatch) -> list:
+    """Record the (start, stop) of every block passed to ``closed_form._sines``,
+    from closed_form and recurrence alike, in call order; returns that list."""
+    from hammocknet import closed_form, recurrence
+
+    blocks, sines = [], closed_form._sines
+
+    def recorded(block, *args):
+        blocks.append((block.start, block.stop))
+        return sines(block, *args)
+
+    monkeypatch.setattr(closed_form, "_sines", recorded)
+    monkeypatch.setattr(recurrence, "_sines", recorded)
+    return blocks
+
+
 def all_nodes(spec: HammockSpec):
     from hammocknet import Terminal
 

@@ -51,6 +51,7 @@ from _util import (
     live_ratio,
     long_double_closed,
     long_double_folded,
+    record_sines,
     rel_dev,
     span_ratios_reference,
     unfolded_inverse,
@@ -973,34 +974,53 @@ class TestContractedTail:
             error = abs(np.longdouble(resistance_same_row(spec, y, x1, x2).ohms) - reference)
             assert error <= _EPS * bound, y
 
+    @pytest.mark.parametrize("live", [_BLOCK + 100, 3 * _BLOCK + 7],
+                             ids=["mirrors past the first block", "past the middle"])
+    def test_mirror_terms_within_bound_of_long_double(self, live):
+        # a live entry j < M - live adds its mirror's f from the live sum's sine
+        # rows: past the first block that f is formed there, and past the middle
+        # there is no folded entry left, so no tail
+        rows = 4 * _BLOCK + 1
+        spec = HammockSpec(rows, 1200, r=live_ratio(rows, 399, live), s=1.0)
+        assert (min(live, rows - live) > _BLOCK) != (live >= (rows + 1) // 2)
+        heights = [(7, rows - 2), (1, rows), (rows // 3, (rows + 1) // 2)]
+        pairs = [((401, y_in), (800, y_out)) for y_in, y_out in heights]
+        table = _decay_table(rows, spec.ratio)
+        direct = _direct_modes(live, rows)
+        contracted = _free(rows, spec.ratio, direct, rows - direct)
+        for (a, b), reference in zip(pairs, long_double_closed(spec, pairs)):
+            assert _live_modes(span_coords(spec, a, b), table) == live
+            bound = 4.0 * reference + 8.0 * (2.0 * spec.ratio / (rows + 1) * float(contracted.sum()))
+            for route in (resistance_general, resistance_rt):
+                error = abs(np.longdouble(route(spec, a, b).ohms) - reference)
+                assert error <= _EPS * bound, (route.__name__, a, b)
+
 
 def test_far_blocks_take_no_sine_table(monkeypatch):
-    # blocks each route passes to _sines, its tail's included (the cache is
-    # cleared first): a pair whose cut-off falls in the first block forms no
-    # sine past that block, a node in column 1 every mode once
-    rows = 10 ** 6
-    spec = HammockSpec(rows, rows, r=3.0)
-    covered = []
-
-    def counted(block, *args):
-        covered.append(block)
-        return _sines(block, *args)
-
-    monkeypatch.setattr(closed_form, "_sines", counted)
-    monkeypatch.setattr(recurrence, "_sines", counted)
-    table = _decay_table(rows, spec.ratio)
-    for (a, b), reach in [
-            (((rows // 10 + 1, rows // 3 + 1), (9 * rows // 10, 2 * rows // 3)), _BLOCK),
-            (((1, rows // 2), (rows // 2, rows // 3)), rows)]:
-        live = _live_modes(span_coords(spec, a, b), table)
-        assert (live <= _BLOCK) == (reach == _BLOCK)
+    # the blocks each route passes to _sines on a cold pair (the tail cache is
+    # cleared first) are disjoint and cover [0, direct) once, the live sum's and
+    # the tail's together: each mode's sines are formed once. Past direct only
+    # the far sum's raw rest, at most _WIDTH entries at ceil(M/2), takes a sine
+    rows, half = 10 ** 6, (10 ** 6 + 1) // 2
+    square = HammockSpec(rows, rows, r=3.0)
+    narrow = HammockSpec(rows, 1200, r=live_ratio(rows, 399, _BLOCK + 100), s=1.0)
+    covered = record_sines(monkeypatch)
+    for spec, a, b, direct in [  # a cut-off in the first block, in the second, none
+            (square, (rows // 10 + 1, rows // 3 + 1), (9 * rows // 10, 2 * rows // 3), _BLOCK),
+            (narrow, (401, 7), (800, rows - 2), 2 * _BLOCK),
+            (square, (1, rows // 2), (rows // 2, rows // 3), rows)]:
+        live = _live_modes(span_coords(spec, a, b), _decay_table(rows, spec.ratio))
+        assert 0 < live <= direct == _direct_modes(live, rows)
         for route in (resistance_general, resistance_rt):
             closed_form._tail.cache_clear()
             covered.clear()
             route(spec, a, b)
-            assert max(block.stop for block in covered) == reach, (route.__name__, a, b)
-            if live == rows:
-                assert sum(block.stop - block.start for block in covered) == rows
+            near = sorted(block for block in covered if block[0] < direct)
+            edges = [edge for block in near for edge in block]
+            assert edges[0] == 0 and edges[-1] == direct, (route.__name__, a, b)
+            assert edges[1:-1:2] == edges[2::2], (route.__name__, a, b)  # abutting, no overlap
+            far = [block for block in covered if block[0] >= direct]
+            assert all(half - _WIDTH <= start < stop == half for start, stop in far)
 
 
 class TestTailCache:
@@ -1051,39 +1071,34 @@ class TestTailCache:
         assert 0 < live < _BLOCK
         closed_form._tail.cache_clear()
         resistance_general(spec, a, b)
-        calls, covered = [], []
+        calls = []
 
-        def counted(name, function):
-            def wrapper(*args):
-                calls.append(name)
-                return function(*args)
-            return wrapper
+        def counted(*args):
+            calls.append(args)
+            return _far_sum(*args)
 
-        def sines(block, *args):
-            covered.append(block)
-            return _sines(block, *args)
-
-        monkeypatch.setattr(closed_form, "_far_sum", counted("far", closed_form._far_sum))
-        monkeypatch.setattr(closed_form, "_free_terms",
-                            counted("free", closed_form._free_terms))
-        monkeypatch.setattr(closed_form, "_sines", sines)
-        monkeypatch.setattr(recurrence, "_sines", sines)
+        monkeypatch.setattr(closed_form, "_far_sum", counted)
+        covered = record_sines(monkeypatch)
         resistance_rt(spec, a, b)
         assert calls == []
-        assert [(block.start, block.stop) for block in covered] == [(0, live)]
+        assert covered == [(0, live)]
 
-    @pytest.mark.parametrize("live", [0, 600, 3 * _BLOCK + 7])
+    @pytest.mark.parametrize("live", [0, 600, _BLOCK + 100, 3 * _BLOCK + 7])
     def test_symmetric_in_the_heights(self, live):
+        # past the middle no folded entry is left: _mode_sum does not call the
+        # tail there, and it is empty
         rows = 4 * _BLOCK + 1
         ratio = live_ratio(rows, 399, live)
         for low, high in [(1, rows), (7, rows // 3), ((rows + 1) // 2, rows - 2)]:
             closed_form._tail.cache_clear()
             tail = closed_form._tail(rows, ratio, live, low, high)
             assert isinstance(tail, float)
+            assert (tail == 0.0) == (live >= (rows + 1) // 2)
             assert closed_form._tail(rows, ratio, live, high, low) == tail
             assert closed_form._tail.cache_info().currsize == 2
 
     def test_all_live_pair_adds_no_entry(self):
+        # nor does a cut-off past the middle: its mirrored modes are all live
         spec = HammockSpec(10 ** 5, 10 ** 5, r=2.0)
         closed_form._tail.cache_clear()
         for a, b in [((1, 5), (50_000, 70_000)), ((400, 3), (401, 99_000))]:
@@ -1092,6 +1107,13 @@ class TestTailCache:
             resistance_general(spec, a, b)
             resistance_rt(spec, a, b)
         resistance_same_column(spec, 300, 2, 90_000)
+        rows = 4 * _BLOCK + 1
+        spec = HammockSpec(rows, 1200, r=live_ratio(rows, 399, 3 * _BLOCK + 7), s=1.0)
+        queries = self._queries(spec)
+        assert _live_modes(span_coords(spec, (401, 7), (800, rows - 2)),
+                           _decay_table(rows, spec.ratio)) == 3 * _BLOCK + 7
+        for name in self.ROUTES:
+            queries[name]()
         info = closed_form._tail.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
