@@ -39,7 +39,7 @@ ceil(M/2) entries (raw over the first ``_BLOCK``, past it as ``_DEGREE``
 + 1 Chebyshev coefficients per line of ``_WIDTH`` entries), the rates h
 of the first ``_BLOCK`` modes and the raw f of the last ``_BLOCK``. The
 rates past the head are formed one block at a time
-(:func:`_live_rates`), so a pair query holds O(_BLOCK) temporaries on top
+(:func:`_block_rates`), so a pair query holds O(_BLOCK) temporaries on top
 of the table; the current fields, which need every rate, form them all
 once per field. :func:`_mode_sum` states the rounding bound of the sum.
 Functions are pure; node pairs can be evaluated in parallel by callers.
@@ -159,7 +159,7 @@ def _decay_table(rows: int, ratio: float) -> _ModeTable:
     rows the table holds 0.77 MB where raw g took 4.2.
 
     The table keeps the rates h of the first ``_BLOCK`` modes for
-    :func:`_live_rates`, and the raw f of the last ``_BLOCK`` (``top``), the
+    :func:`_block_rates`, and the raw f of the last ``_BLOCK`` (``top``), the
     mirror terms of first-block live modes (:func:`_mirror_terms`). Every raw
     f has the bits of :func:`_free`; the build takes a low block and its
     mirror block at a time, so it holds O(_BLOCK) temporaries.
@@ -172,7 +172,7 @@ def _decay_table(rows: int, ratio: float) -> _ModeTable:
     lines = np.empty((max(rows // 2 - _BLOCK, 0) // _WIDTH, _DEGREE + 1))
     fitted = _BLOCK + lines.shape[0] * _WIDTH  # where the raw rest begins
     rest = np.empty(max(half - fitted, 0))
-    for block, _ in _mode_blocks(half, 0):
+    for block in _mode_blocks(half):
         start, stop = block.start, block.stop
         if start == 0:
             low, weights = first[block], folded
@@ -205,23 +205,18 @@ def _folded(table: _ModeTable, start: int, stop: int) -> np.ndarray:
     return values[start - first:stop - first]
 
 
-def _live_rates(spec: HammockSpec, head: np.ndarray, block: slice, cut: int) -> np.ndarray:
-    """Rates of the first ``cut`` modes of ``block``: the cached head, else formed here."""
+def _block_rates(spec: HammockSpec, head: np.ndarray, block: slice) -> np.ndarray:
+    """Rates of the modes of ``block``: the cached head in the first block, else formed here."""
     if block.start == 0:
-        return head[:cut]
-    return _rates(spec.rows, spec.ratio, block.start, block.start + cut)
+        return head[:block.stop]
+    return _rates(spec.rows, spec.ratio, block.start, block.stop)
 
 
-def _mode_blocks(rows: int, live: int):
-    """Yield (block, cut) over modes i = 2..M+1 in blocks of ``_BLOCK``.
-
-    ``block`` is a slice of a per-mode table such as the decay table; its
-    entry j belongs to mode i = j + 2. The block's first ``cut`` modes are
-    among the first ``live`` modes of the table, the rest past them.
-    """
+def _mode_blocks(rows: int):
+    """Yield slices over the first ``rows`` entries of a per-mode table, such as
+    the decay table, in blocks of ``_BLOCK``; entry j belongs to mode i = j + 2."""
     for start in range(0, rows, _BLOCK):
-        stop = min(start + _BLOCK, rows)
-        yield slice(start, stop), min(max(live - start, 0), stop - start)
+        yield slice(start, min(start + _BLOCK, rows))
 
 
 def _sin_turns(turns: np.ndarray, period: int) -> np.ndarray:
@@ -451,13 +446,13 @@ def _mode_sum(spec: HammockSpec, coords: SpanCoords, kernel, denom: int,
     live = _live_modes(coords, table)
     mirrored = min(live, spec.rows - live)  # live entries whose mirror is past the cut-off
     total = free = 0.0
-    for block, cut in _mode_blocks(live, live):
+    for block in _mode_blocks(live):
         # kept into the next block: freed with the kernel's temporaries they let glibc
         # trim the heap and fault it back in (2000 page faults per rt pair at 10^5 rows)
         rows = _sines(block, denom, *heights)
         if block.start < mirrored:
             free += _mirror_terms(table, block.start, *rows[-2:, :mirrored - block.start])
-        terms = kernel(spec, coords, _live_rates(spec, table.head, block, cut), rows)
+        terms = kernel(spec, coords, _block_rates(spec, table.head, block), rows)
         total += float(terms.sum(axis=-1).sum())
     if live >= (spec.rows + 1) // 2:  # no folded entry past the cut-off: no tail, no cache entry
         return total, free

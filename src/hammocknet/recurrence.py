@@ -48,10 +48,8 @@ from functools import lru_cache
 import numpy as np
 
 from .closed_form import (
+    _block_rates,
     _decay_table,
-    _free,
-    _live_modes,
-    _live_rates,
     _mode_blocks,
     _mode_sum,
     _rates,
@@ -136,7 +134,7 @@ def _injection_profiles(rows: int, y_in: int, y_out: int) -> np.ndarray:
     mode, filled a block of :func:`_mode_blocks` at a time."""
     n = rows + 1
     zeta = np.empty((2, rows))
-    for block, _ in _mode_blocks(rows, rows):
+    for block in _mode_blocks(rows):
         sines = _sines(block, 2 * n, 1, 2 * y_in, 2 * y_out)
         np.multiply(sines[1:], -2.0 * sines[0], out=zeta[:, block])
     return zeta
@@ -144,7 +142,7 @@ def _injection_profiles(rows: int, y_in: int, y_out: int) -> np.ndarray:
 
 def _live_values(coords: SpanCoords, rates: np.ndarray, zeta_in: np.ndarray,
                  zeta_out: np.ndarray, scale: float):
-    """``(x_out, x_in)`` of :func:`solve_modes` over live modes of decay ``rates``,
+    """``(x_out, x_in)`` of :func:`solve_modes` over the modes of decay ``rates``,
     with ``scale`` = (r/s)*J for the current J."""
     ratio_in, ratio_cross, ratio_out = _span_ratios(coords, rates)
     return (scale * (ratio_out * zeta_out - ratio_cross * zeta_in),
@@ -187,7 +185,7 @@ def mode_weights(rows: int, height: int) -> np.ndarray:
     n = rows + 1
     weights = np.empty(n)
     weights[0] = (n - height) / n
-    for block, _ in _mode_blocks(rows, rows):
+    for block in _mode_blocks(rows):
         sin_chi, lift = _sines(block, 2 * n, 1, 2 * height)
         np.divide(lift, -n * sin_chi, out=weights[1 + block.start:1 + block.stop])
     return weights
@@ -200,30 +198,23 @@ def solve_modes(spec: HammockSpec, coords: SpanCoords,
     These are the transformed column values at the output column
     (k = q_offset) and input column (k = -p_offset); the uniform mode is
     the analytic limit -J*(y_out - y_in)/N. They are assembled from the
-    closed form's scaled span-frame ratios, so they scale to 10^4+ rows
-    and columns, and they are the values rt sums in its live modes. Past
-    the live cut-off the cross ratio is exactly 0: the values are
-    (r/s)*J*f*zeta_out and -(r/s)*J*f*zeta_in, with f = 1/(2*sinh(2h))
-    formed one block at a time by :func:`_free`. J must be a finite real
-    number.
+    closed form's scaled span-frame ratios over every mode, a block of
+    :func:`_mode_blocks` at a time, so they scale to 10^4+ rows and
+    columns, and they are the values rt sums in its live modes. J must be
+    a finite real number.
     """
     require_frame(spec, coords)
     _require_current(injected)
-    table = _decay_table(spec.rows, spec.ratio)
-    live = _live_modes(coords, table)
+    head = _decay_table(spec.rows, spec.ratio).head
     scale, n = spec.ratio * injected, spec.rows + 1
     x_out, x_in = np.empty(n), np.empty(n)
     x_out[0] = x_in[0] = -injected * (coords.y_out - coords.y_in) / spec.cols
-    for block, cut in _mode_blocks(spec.rows, live):
+    for block in _mode_blocks(spec.rows):
         zeta_in, zeta_out, _, _ = _profiles(n, *_sines(block, 2 * n, 1, 2 * coords.y_in,
                                                        2 * coords.y_out))
-        out, in_ = x_out[1 + block.start:1 + block.stop], x_in[1 + block.start:1 + block.stop]
-        if cut:
-            rates = _live_rates(spec, table.head, block, cut)
-            out[:cut], in_[:cut] = _live_values(coords, rates, zeta_in[:cut], zeta_out[:cut],
-                                                scale)
-        weight = scale * _free(spec.rows, spec.ratio, block.start + cut, block.stop)
-        out[cut:], in_[cut:] = weight * zeta_out[cut:], -weight * zeta_in[cut:]
+        modes = slice(1 + block.start, 1 + block.stop)
+        x_out[modes], x_in[modes] = _live_values(coords, _block_rates(spec, head, block),
+                                                 zeta_in, zeta_out, scale)
     return x_out, x_in
 
 
@@ -460,10 +451,11 @@ def resistance_rt(spec: HammockSpec, a: NodeLike, b: NodeLike) -> ResistanceResu
     Potential differences are summed along the path through the common
     top hub: R = (s/J) * (sum_i X_out(i) * w_i(y_out) -
     sum_i X_in(i) * w_i(y_in)), with the boundary values of
-    :func:`solve_modes` and the weights of :func:`mode_weights`. rt forms
-    them, its sine rows sin(chi) and sin(2*y*chi) included, and sums X*w,
-    over its live modes only, in the kernel it passes to closed's
-    ``_mode_sum``. Past the cut-off X*w = (r/s)*J*f*(2/(M+1))*
+    :func:`solve_modes` and the weights of :func:`mode_weights`, which
+    cover every mode. rt forms them, its sine rows sin(chi) and
+    sin(2*y*chi) included, and sums X*w, over the live modes only, in the
+    kernel it passes to closed's ``_mode_sum``, the one place that knows
+    the cut-off. Past it X*w = (r/s)*J*f*(2/(M+1))*
     sin^2(2*y*chi) per node, with no pair algebra left: ``_mode_sum`` adds
     the live modes' mirror terms and closed's tail, cached per instance,
     cut-off and node heights (pi*j*2y/(2(M+1)) reduces to closed's

@@ -1,6 +1,6 @@
 """Every name a package module imports is used in that module, every
-private module-level name is read somewhere in the package, and no route
-imports the log-domain helpers.
+private module-level name is read somewhere in the package, no route
+imports the log-domain helpers, and one function reads the live cut-off.
 
 Stdlib stand-ins for a linter's unused-import and dead-code rules:
 ``__init__.py`` imports to re-export, so the first leaves it out. ``hyperbolic`` stays only for
@@ -108,3 +108,38 @@ def test_finds_a_hyperbolic_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_route_imports_hyperbolic(module):
     assert not imports_hyperbolic((PACKAGE / module).read_text())
+
+
+def readers(source: str, name: str) -> list[str]:
+    """The module-level statements of ``source`` that read ``name``: a
+    function or class by its name, any other statement as ``line <n>``.
+
+    A read is the name itself, an attribute of that name, or an import of it.
+    """
+    found = []
+    for statement in ast.parse(source).body:
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name) and node.id == name \
+                    or isinstance(node, ast.Attribute) and node.attr == name \
+                    or isinstance(node, ast.ImportFrom) \
+                    and any(alias.name == name for alias in node.names):
+                found.append(getattr(statement, "name", f"line {statement.lineno}"))
+                break
+    return found
+
+
+def test_finds_every_read_of_a_name():
+    source = ("from .closed_form import _live_modes as cut\n"
+              "from . import closed_form\n"
+              "def route(coords, table):\n    return closed_form._live_modes(coords, table)\n"
+              "def quoted():\n    return '_live_modes'\n"
+              "class Holder:\n    count = staticmethod(_live_modes)\n")
+    assert readers(source, "_live_modes") == ["line 1", "route", "Holder"]
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in PACKAGE.glob("*.py")))
+def test_only_the_pair_sum_reads_the_cut_off(module):
+    # closed and rt cut their mode sums at the live cut-off; every other
+    # table, solve_modes' included, covers every mode
+    expected = ["_mode_sum"] if module == "closed_form.py" else []
+    assert readers((PACKAGE / module).read_text(), "_live_modes") == expected

@@ -26,7 +26,7 @@ from hammocknet import (
     span_coords,
     transformed_columns,
 )
-from hammocknet import recurrence
+from hammocknet import closed_form, recurrence
 from hammocknet.closed_form import (
     _BLOCK,
     _decay_table,
@@ -36,6 +36,7 @@ from hammocknet.closed_form import (
     _mode_blocks,
     _rates,
     _sines,
+    _span_ratios,
 )
 
 from _util import (
@@ -191,7 +192,7 @@ class TestModeWeights:
         # the weights and injection profiles are _profiles' rows, block by block
         n = rows + 1
         blocks = [recurrence._profiles(n, *_sines(block, 2 * n, 1, 2 * y_in, 2 * y_out))
-                  for block, _ in _mode_blocks(rows, rows)]
+                  for block in _mode_blocks(rows)]
         zeta_in, zeta_out, w_in, w_out = (np.concatenate(tables) for tables in zip(*blocks))
         assert mode_weights(rows, y_in)[1:].tobytes() == w_in.tobytes()
         assert mode_weights(rows, y_out)[1:].tobytes() == w_out.tobytes()
@@ -337,6 +338,33 @@ class TestSolveModes:
         assert np.allclose(values[:, coords.q_offset + offset], x_out, rtol=1e-12)
         assert np.allclose(values[:, -coords.p_offset + offset], x_in, rtol=1e-12)
 
+    @pytest.mark.parametrize("spec, a, b, live", [
+        # past the first block, nodes next to both hubs
+        (HammockSpec(4 * _BLOCK + 1, 3000, r=3.0), (750, 1), (2250, 4 * _BLOCK + 1), 5760),
+        # y_out = 5*9901 and M + 1 = 101*9901: zeta_out is exactly 0 every 101 modes
+        (HammockSpec(10 ** 6, 10 ** 6, r=3.0), (300000, 123457), (700000, 49505), 325),
+    ])
+    def test_values_past_the_cut_off(self, spec, a, b, live):
+        # solve_modes forms every mode through the span-frame values; past
+        # the cut-off those are the isolated-node values (r/s)*J*f*zeta
+        coords = span_coords(spec, a, b)
+        assert _live_modes(coords, _decay_table(spec.rows, spec.ratio)) == live
+        free = _free(spec.rows, spec.ratio, live, spec.rows)
+        alpha, beta, gamma = _span_ratios(coords, _rates(spec.rows, spec.ratio, live, spec.rows))
+        assert alpha.tobytes() == free.tobytes()
+        assert gamma.tobytes() == free.tobytes()
+        assert (beta <= 1e-303 * alpha).all()
+        x_out, x_in = solve_modes(spec, coords, 1.0)
+        zeta_in, zeta_out = recurrence._injection_profiles(spec.rows, coords.y_in, coords.y_out)
+        weight = spec.ratio * 1.0 * free
+        for got, zeta, other in ((x_out, zeta_out, zeta_in), (-x_in, zeta_in, zeta_out)):
+            dead = weight * zeta[live:]
+            # within 2 ulps, and where zeta is 0 the cross term, beta*zeta of the other node
+            bound = np.where(zeta[live:] == 0.0, 1e-303 * np.abs(weight * other[live:]),
+                             2.0 * np.spacing(np.abs(dead)))
+            assert (np.abs(got[1 + live:] - dead) <= bound).all()
+        assert (zeta_out[live:] == 0.0).any() == (spec.rows == 10 ** 6)
+
 
 class TestResistanceRT:
     def test_identical_nodes_exact_zero(self):
@@ -380,7 +408,8 @@ class TestResistanceRT:
     def test_sums_solve_modes_and_mode_weights(self, spec, a, b, live):
         # rt reads the very tables that solve_modes and mode_weights return
         # in its direct blocks, and contracts f*(zeta*w) past them: the
-        # fsum twin is the direct per-mode sum of every mode
+        # fsum twin is the direct per-mode sum of every mode, each through
+        # the span-frame values, so it checks the cut-off too
         coords = span_coords(spec, a, b)
         table = _decay_table(spec.rows, spec.ratio)
         assert _live_modes(coords, table) == live
@@ -395,6 +424,21 @@ class TestResistanceRT:
         far = 2.0 * float(spec.r) / (spec.rows + 1) \
             * float(_free(spec.rows, spec.ratio, direct, spec.rows - direct).sum())
         assert abs(value - twin) <= _EPS * (4.0 * value + 8.0 * far)
+
+    def test_twin_catches_a_wrong_cut_off(self, monkeypatch):
+        # the fsum twin sums every mode with no cut-off of its own: a cut-off
+        # at a tenth of the live modes moves rt off it (by 6.6% here)
+        spec = HammockSpec(100, 100, r=3.0)
+        coords = span_coords(spec, (50, 50), (51, 52))
+        live = closed_form._live_modes
+        for module in (closed_form, recurrence):
+            if hasattr(module, "_live_modes"):
+                monkeypatch.setattr(module, "_live_modes", lambda *args: live(*args) // 10)
+        x_out, x_in = solve_modes(spec, coords, 1.0)
+        twin = float(spec.s) * (math.fsum(x_out * mode_weights(spec.rows, coords.y_out))
+                                - math.fsum(x_in * mode_weights(spec.rows, coords.y_in)))
+        value = resistance_rt(spec, (50, 50), (51, 52)).ohms
+        assert abs(value - twin) > 1e-3 * twin
 
     def test_exchange_is_bitwise(self):
         spec = HammockSpec(3, 4, r=2.0, s=0.5)
